@@ -5,7 +5,14 @@
 # latches, striped removed-set) must be proven race-clean on every change,
 # not assumed: this is the proof. Any TSan report fails the run.
 #
-# Usage: scripts/check_tsan.sh [extra ctest args, e.g. -R MVStore]
+# `-L chaos` runs the chaos-labelled suites instead: the seed-parameterized
+# fault-injection property tests (psi_history_chaos_test,
+# invariant_chaos_test) and the deterministic recovery scenarios
+# (fault_recovery_test). Fault injection drives the retry, dedup and
+# gap-repair paths, which race the ordinary fast path by design. A failing
+# seed is printed in the assertion message.
+#
+# Usage: scripts/check_tsan.sh [extra ctest args, e.g. -R MVStore, -L chaos]
 set -euo pipefail
 cd "$(dirname "$0")/.."
 

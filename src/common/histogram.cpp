@@ -1,8 +1,5 @@
 #include "common/histogram.hpp"
 
-#include <bit>
-#include <sstream>
-
 namespace fwkv {
 
 void Accumulator::record(std::uint64_t value) {
@@ -23,70 +20,6 @@ void Accumulator::reset() {
   count_.store(0, std::memory_order_relaxed);
   sum_.store(0, std::memory_order_relaxed);
   max_.store(0, std::memory_order_relaxed);
-}
-
-namespace {
-std::size_t bucket_for(std::uint64_t value) {
-  return value == 0 ? 0 : static_cast<std::size_t>(std::bit_width(value));
-}
-}  // namespace
-
-void LogHistogram::record(std::uint64_t value) {
-  buckets_[bucket_for(value) % kBuckets].fetch_add(1,
-                                                   std::memory_order_relaxed);
-  sum_.fetch_add(value, std::memory_order_relaxed);
-}
-
-std::uint64_t LogHistogram::count() const {
-  std::uint64_t total = 0;
-  for (const auto& b : buckets_) total += b.load(std::memory_order_relaxed);
-  return total;
-}
-
-std::uint64_t LogHistogram::value_at_percentile(double p) const {
-  const std::uint64_t total = count();
-  if (total == 0) return 0;
-  auto target = static_cast<std::uint64_t>(p / 100.0 *
-                                           static_cast<double>(total));
-  if (target >= total) target = total - 1;
-  std::uint64_t seen = 0;
-  for (std::size_t i = 0; i < kBuckets; ++i) {
-    seen += buckets_[i].load(std::memory_order_relaxed);
-    if (seen > target) {
-      // Representative value: middle of the bucket's range.
-      return i == 0 ? 0 : (1ull << (i - 1)) + (1ull << (i - 1)) / 2;
-    }
-  }
-  return 0;
-}
-
-double LogHistogram::mean() const {
-  const std::uint64_t c = count();
-  return c == 0 ? 0.0
-               : static_cast<double>(sum_.load(std::memory_order_relaxed)) /
-                     static_cast<double>(c);
-}
-
-void LogHistogram::merge_from(const LogHistogram& other) {
-  for (std::size_t i = 0; i < kBuckets; ++i) {
-    buckets_[i].fetch_add(other.buckets_[i].load(std::memory_order_relaxed),
-                          std::memory_order_relaxed);
-  }
-  sum_.fetch_add(other.sum_.load(std::memory_order_relaxed),
-                 std::memory_order_relaxed);
-}
-
-void LogHistogram::reset() {
-  for (auto& b : buckets_) b.store(0, std::memory_order_relaxed);
-  sum_.store(0, std::memory_order_relaxed);
-}
-
-std::string LogHistogram::summary(const std::string& unit) const {
-  std::ostringstream os;
-  os << "n=" << count() << " mean=" << mean() << unit
-     << " p50=" << value_at_percentile(50) << unit
-     << " p99=" << value_at_percentile(99) << unit;
-  return os.str();
 }
 
 }  // namespace fwkv

@@ -1,12 +1,10 @@
-// Lock-free-ish metric primitives: counters, value accumulators, and a
-// log-bucketed latency histogram. All are safe for concurrent recording and
-// are merged single-threaded after a run.
+// Lock-free-ish metric primitives: counters and value accumulators. Both
+// are safe for concurrent recording and are merged single-threaded after a
+// run.
 #pragma once
 
-#include <array>
 #include <atomic>
 #include <cstdint>
-#include <string>
 
 namespace fwkv {
 
@@ -36,25 +34,6 @@ class Accumulator {
   std::atomic<std::uint64_t> count_{0};
   std::atomic<std::uint64_t> sum_{0};
   std::atomic<std::uint64_t> max_{0};
-};
-
-/// Histogram with power-of-two buckets over [1ns, ~36s] when fed
-/// nanoseconds; generic over any uint64 value stream.
-class LogHistogram {
- public:
-  static constexpr std::size_t kBuckets = 64;
-
-  void record(std::uint64_t value);
-  std::uint64_t count() const;
-  std::uint64_t value_at_percentile(double p) const;
-  double mean() const;
-  void merge_from(const LogHistogram& other);
-  void reset();
-  std::string summary(const std::string& unit = "ns") const;
-
- private:
-  std::array<std::atomic<std::uint64_t>, kBuckets> buckets_{};
-  std::atomic<std::uint64_t> sum_{0};
 };
 
 }  // namespace fwkv

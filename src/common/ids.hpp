@@ -26,22 +26,25 @@ using VersionId = std::uint64_t;
 
 /// Globally unique transaction identifier.
 ///
-/// Layout: [ node:16 | client:16 | local sequence:32 ]. The node that issued
+/// Layout: [ node:16 | session:16 | local sequence:32 ]. The node that issued
 /// the transaction is recoverable, which the Remove handler and the metrics
-/// aggregation rely on.
+/// aggregation rely on. The session field is the slot Cluster::make_session
+/// hands out, one per session for the cluster's lifetime, so an id is never
+/// reused: participants deduplicate Prepares and the MV store filters
+/// finished readers by id alone.
 struct TxId {
   std::uint64_t raw = 0;
 
   constexpr TxId() = default;
   constexpr explicit TxId(std::uint64_t r) : raw(r) {}
-  constexpr TxId(NodeId node, std::uint32_t client, std::uint32_t seq)
+  constexpr TxId(NodeId node, std::uint32_t session, std::uint32_t seq)
       : raw((static_cast<std::uint64_t>(node & 0xffffu) << 48) |
-            (static_cast<std::uint64_t>(client & 0xffffu) << 32) | seq) {}
+            (static_cast<std::uint64_t>(session & 0xffffu) << 32) | seq) {}
 
   constexpr NodeId node() const {
     return static_cast<NodeId>((raw >> 48) & 0xffffu);
   }
-  constexpr std::uint32_t client() const {
+  constexpr std::uint32_t session() const {
     return static_cast<std::uint32_t>((raw >> 32) & 0xffffu);
   }
   constexpr std::uint32_t local_seq() const {
@@ -60,7 +63,7 @@ inline constexpr TxId kInvalidTxId{};
 std::string to_string(TxId id);
 
 inline std::string to_string(TxId id) {
-  return "T(" + std::to_string(id.node()) + "." + std::to_string(id.client()) +
+  return "T(" + std::to_string(id.node()) + "." + std::to_string(id.session()) +
          "." + std::to_string(id.local_seq()) + ")";
 }
 

@@ -1,6 +1,7 @@
 #include "core/cluster.hpp"
 
 #include <cassert>
+#include <stdexcept>
 
 #include "core/mv_node.hpp"
 #include "core/session.hpp"
@@ -53,7 +54,15 @@ void Cluster::load(Key key, Value value) {
 
 Session Cluster::make_session(NodeId node, std::uint32_t client_id) {
   assert(node < config_.num_nodes);
-  return Session(*this, node, client_id);
+  const std::uint32_t slot =
+      next_session_slot_.fetch_add(1, std::memory_order_relaxed);
+  // Checked in every build: a wrapped slot would reuse another session's
+  // tx ids, which the participants' dedup would then drop as decided.
+  if (slot > 0xffffu) {
+    throw std::length_error("Cluster::make_session: TxId session field "
+                            "exhausted (65536 sessions per cluster)");
+  }
+  return Session(*this, node, client_id, slot);
 }
 
 bool Cluster::quiesce(std::chrono::nanoseconds timeout) {

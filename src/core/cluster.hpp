@@ -11,6 +11,7 @@
 //   session.commit(tx);
 #pragma once
 
+#include <atomic>
 #include <chrono>
 #include <memory>
 #include <vector>
@@ -54,7 +55,10 @@ class Cluster {
   void load(Key key, Value value);
 
   /// A client handle bound to `node` (§2.3: clients begin transactions on
-  /// the co-located node). `client_id` must be unique per (node, client).
+  /// the co-located node). `client_id` is the caller's label; the session's
+  /// transaction ids are unique for the cluster's lifetime regardless (up
+  /// to 65536 sessions per cluster, the width of TxId's session field;
+  /// the next call throws std::length_error).
   Session make_session(NodeId node, std::uint32_t client_id);
 
   KvNode& node(NodeId id) { return *nodes_[id]; }
@@ -76,6 +80,8 @@ class Cluster {
   std::unique_ptr<net::SimNetwork> network_;
   ClusterContext ctx_;
   std::vector<std::unique_ptr<KvNode>> nodes_;
+  /// Hands each Session its own slot in the TxId layout.
+  std::atomic<std::uint32_t> next_session_slot_{0};
 };
 
 }  // namespace fwkv

@@ -1,5 +1,5 @@
 // Abstract protocol node: the unit of deployment (§2.1). A node is both a
-// server (message handlers run on its executor lanes) and the coordinator
+// server (message handlers run on its executor or inline) and the coordinator
 // host for transactions begun by clients co-located with it.
 #pragma once
 

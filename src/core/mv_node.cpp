@@ -1,8 +1,6 @@
 #include "core/mv_node.hpp"
 
 #include <algorithm>
-#include <cassert>
-#include <chrono>
 
 #include "net/network.hpp"
 
@@ -15,12 +13,11 @@ using net::PropagateMessage;
 using net::ReadRequest;
 using net::ReadReturn;
 using net::RemoveMessage;
-using net::VoteFail;
 using net::VoteReply;
 using net::WriteEntry;
 
 MvNodeBase::MvNodeBase(NodeId id, ClusterContext& ctx)
-    : KvNode(id, ctx),
+    : TwoPhaseNode(id, ctx),
       site_vc_(ctx.num_nodes),
       pending_(ctx.num_nodes),
       gap_armed_(ctx.num_nodes, 0),
@@ -42,15 +39,6 @@ void MvNodeBase::begin(Transaction& tx) {
   tx.has_read().reset();
 }
 
-net::TxDescriptor MvNodeBase::descriptor(const Transaction& tx) const {
-  net::TxDescriptor d;
-  d.id = tx.id();
-  d.read_only = tx.read_only();
-  d.vc = tx.vc();
-  d.has_read = tx.has_read();
-  return d;
-}
-
 std::optional<Value> MvNodeBase::read(Transaction& tx, Key key) {
   // Alg. 2 lines 2-4: read-your-writes from the private write buffer.
   if (auto written = tx.written_value(key)) return written;
@@ -61,23 +49,10 @@ std::optional<Value> MvNodeBase::read(Transaction& tx, Key key) {
 
   const NodeId target = ctx_.mapper->node_for(key);  // Alg. 2 line 5
   ReadRequest req;
-  req.tx = descriptor(tx);
+  req.tx = net::TxDescriptor{tx.id(), tx.read_only(), tx.vc(), tx.has_read()};
   req.key = key;
-  // Reads are side-effect-free on the transaction's snapshot until the
-  // reply is processed, so a lost request/reply is simply retried. On a
-  // reliable network the first attempt always answers.
-  const int attempts = ctx_.network->faults_active() ? 3 : 1;
-  std::optional<Message> reply;
-  for (int a = 0; a < attempts && !reply.has_value(); ++a) {
-    auto call = attempts == 1
-                    ? ctx_.network->send_request(id_, target, std::move(req))
-                    : ctx_.network->send_request(id_, target, req);
-    reply = call.await(ctx_.config.rpc_timeout);
-    if (!reply.has_value()) ctx_.network->cancel_rpc(call);
-  }
-  if (!reply.has_value()) return std::nullopt;  // unreachable in practice
-  auto& rr = std::get<ReadReturn>(*reply);
-  if (!rr.found) return std::nullopt;
+  auto rr = fetch(target, std::move(req));
+  if (!rr.has_value() || !rr->found) return std::nullopt;
 
   if (fresh_reads()) {
     // Alg. 2 lines 8-9: freeze this site's snapshot and merge the version's
@@ -86,8 +61,8 @@ std::optional<Value> MvNodeBase::read(Transaction& tx, Key key) {
     // updates T1.VC[2] to the latest timestamp of N2"). Walter's snapshot
     // is fixed at begin and never advances (§3.2).
     tx.has_read().set(target);
-    tx.vc().merge(rr.version_vc);
-    if (rr.server_seq > tx.vc()[target]) tx.vc()[target] = rr.server_seq;
+    tx.vc().merge(rr->version_vc);
+    if (rr->server_seq > tx.vc()[target]) tx.vc()[target] = rr->server_seq;
   }
   if (tx.read_only() && track_antideps()) {
     // Alg. 2 lines 10-12: buffer (site, key) so commit can flush one
@@ -103,11 +78,11 @@ std::optional<Value> MvNodeBase::read(Transaction& tx, Key key) {
     // entry — a read-modify-write could then overwrite a version it never
     // saw. The id check closes that hole; blind writes still use the
     // clock rule.
-    tx.record_validation(key, rr.version_id);
+    tx.record_validation(key, rr->version_id);
   }
-  tx.record_read_freshness(rr.version_id, rr.latest_id);
-  tx.cache_read(key, rr.value);
-  return rr.value;
+  tx.record_read_freshness(rr->version_id, rr->latest_id);
+  tx.cache_read(key, rr->value);
+  return rr->value;
 }
 
 bool MvNodeBase::commit(Transaction& tx) {
@@ -123,9 +98,7 @@ bool MvNodeBase::commit(Transaction& tx) {
         ctx_.network->send(id_, site, RemoveMessage{tx.id(), std::move(keys)});
       }
     }
-    tx.mark_committed();
-    stats_.ro_commits.add();
-    return true;
+    return finish(tx, Votes{});
   }
 
   // Alg. 4 lines 9-21: 2PC over the preferred sites of the write-set.
@@ -133,13 +106,9 @@ bool MvNodeBase::commit(Transaction& tx) {
   for (const auto& [key, value] : tx.write_set()) {
     by_site[ctx_.mapper->node_for(key)].push_back(WriteEntry{key, value});
   }
-
-  const bool chaos = ctx_.network->faults_active();
-  std::vector<net::RpcCall> calls;
-  std::vector<NodeId> participants;
-  std::vector<PrepareRequest> preps;  // retained for retries under faults
-  calls.reserve(by_site.size());
-  for (auto& [site, writes] : by_site) {
+  Outbox preps;
+  preps.reserve(by_site.size());
+  for (const auto& [site, writes] : by_site) {
     PrepareRequest prep;
     prep.tx = tx.id();
     prep.tx_vc = tx.vc();
@@ -152,81 +121,16 @@ bool MvNodeBase::commit(Transaction& tx) {
         prep.reads.push_back(net::ReadValidationEntry{w.key, it->second});
       }
     }
-    participants.push_back(site);
-    if (chaos) preps.push_back(prep);
-    calls.push_back(ctx_.network->send_request(id_, site, std::move(prep)));
+    preps.emplace_back(site, std::move(prep));
   }
-
-  std::vector<std::optional<VoteReply>> votes(calls.size());
-  if (!chaos) {
-    for (std::size_t i = 0; i < calls.size(); ++i) {
-      if (auto reply = calls[i].await(ctx_.config.rpc_timeout)) {
-        votes[i] = std::get<VoteReply>(std::move(*reply));
-      }
-      // keep draining votes so every participant gets a Decide
-    }
-  } else {
-    // Bounded exponential backoff: attempt k waits prepare_timeout * 2^k,
-    // then re-sends the Prepare to every participant still missing a vote.
-    // Participants deduplicate by tx id and re-vote idempotently, so a
-    // retry racing its original is harmless. After the last attempt the
-    // transaction timeout-aborts and the abort Decide below releases any
-    // participant locks.
-    for (std::uint32_t attempt = 0; attempt < ctx_.config.prepare_attempts;
-         ++attempt) {
-      const auto wait = ctx_.config.prepare_timeout * (1u << attempt);
-      bool all = true;
-      for (std::size_t i = 0; i < calls.size(); ++i) {
-        if (votes[i].has_value()) continue;
-        if (auto reply = calls[i].await(wait)) {
-          votes[i] = std::get<VoteReply>(std::move(*reply));
-        } else {
-          ctx_.network->cancel_rpc(calls[i]);
-          all = false;
-        }
-      }
-      if (all || attempt + 1 == ctx_.config.prepare_attempts) break;
-      for (std::size_t i = 0; i < calls.size(); ++i) {
-        if (votes[i].has_value()) continue;
-        stats_.prepare_retries.add();
-        calls[i] = ctx_.network->send_request(id_, participants[i], preps[i]);
-      }
-    }
-  }
-
-  bool outcome = true;
-  AbortReason reason = AbortReason::kNone;
-  std::vector<TxId> collected;
-  for (const auto& v : votes) {
-    if (!v.has_value()) {
-      outcome = false;
-      if (reason == AbortReason::kNone) reason = AbortReason::kVoteTimeout;
-      continue;
-    }
-    const VoteReply& vote = *v;
-    if (!vote.ok) {
-      outcome = false;
-      if (reason == AbortReason::kNone) {
-        reason = vote.fail_reason == VoteFail::kLock
-                     ? AbortReason::kLockTimeout
-                     : AbortReason::kValidation;
-      }
-    } else {
-      collected.insert(collected.end(), vote.collected_set.begin(),
-                       vote.collected_set.end());
-    }
-  }
+  Votes votes = prepare(std::move(preps));
 
   SeqNo seq = 0;
   VectorClock commit_vc;
-  std::vector<std::pair<NodeId, PropagateMessage>> flushes;
-  if (outcome) {
-    // Alg. 4 line 19 + dedupe: T.collectedSet is a set.
-    std::sort(collected.begin(), collected.end());
-    collected.erase(std::unique(collected.begin(), collected.end()),
-                    collected.end());
+  Outbox flushes;
+  if (votes.commit) {
     if (track_antideps()) {
-      stats_.collected_set_size.record(collected.size());  // Fig. 6 metric
+      stats_.collected_set_size.record(votes.collected.size());  // Fig. 6
     }
     // Alg. 4 lines 22-25: take the next local sequence number, finalize the
     // commit vector clock, and record who receives this seq as a Decide.
@@ -235,116 +139,59 @@ bool MvNodeBase::commit(Transaction& tx) {
     commit_vc = site_vc_;
     commit_vc[id_] = seq;
     CommitRecord rec;
-    rec.decide_dests = participants;
+    for (const auto& [site, writes] : by_site) rec.decide_dests.push_back(site);
     if (by_site.count(id_) == 0) rec.decide_dests.push_back(id_);
     commit_log_.push_back(std::move(rec));
     // Flush pending Propagate ranges to the participants right now: their
     // Decide application (Alg. 5 line 16) must not stall on a batch that
     // is still waiting for the periodic flush.
-    for (NodeId p : participants) {
-      if (p != id_) collect_ranges_locked(p, flushes);
+    for (const auto& [site, writes] : by_site) {
+      if (site != id_) collect_ranges_locked(site, flushes);
     }
   }
   for (auto& [dest, msg] : flushes) {
-    ctx_.network->send(id_, dest, msg);
+    ctx_.network->send(id_, dest, std::move(msg));
   }
 
   // Alg. 4 line 26: Decide to the participants plus ourselves (the
-  // coordinator must advance its own siteVC entry in seq order too).
-  bool self_is_participant = by_site.count(id_) > 0;
-  auto make_decide = [&](NodeId site) {
-    DecideMessage d;
-    d.tx = tx.id();
-    d.outcome = outcome;
-    d.origin = id_;
-    d.seq_no = seq;
-    d.commit_vc = commit_vc;
-    d.writes = by_site[site];
-    d.collected_set = collected;
-    return d;
-  };
-  if (chaos && outcome) {
-    // Retain the per-participant Decide payloads on the commit record so a
-    // lost Decide can be replayed when the participant gap-requests it.
+  // coordinator must advance its own siteVC entry in seq order too; an
+  // aborted transaction took no seq, so only participants hear of it).
+  DecideMessage bare;
+  bare.tx = tx.id();
+  bare.outcome = votes.commit;
+  bare.origin = id_;
+  bare.seq_no = seq;
+  bare.commit_vc = std::move(commit_vc);
+  std::optional<DecideMessage> own;
+  if (votes.commit) own = bare;
+  Outbox decides;
+  for (auto& [site, writes] : by_site) {
+    DecideMessage d = bare;
+    d.writes = std::move(writes);
+    d.collected_set = votes.collected;
+    if (site == id_) {
+      own = std::move(d);
+    } else {
+      decides.emplace_back(site, std::move(d));
+    }
+  }
+  if (retry_.lossy && votes.commit) {
+    // Retain the remote Decide payloads on the commit record so a lost
+    // Decide can be replayed when the participant gap-requests it.
     std::lock_guard<std::mutex> lock(site_mu_);
     if (seq >= commit_log_base_) {
-      auto& rec = commit_log_[seq - commit_log_base_];
-      for (NodeId site : participants) {
-        if (site != id_) rec.decide_payloads.emplace_back(site, make_decide(site));
-      }
+      commit_log_[seq - commit_log_base_].decide_payloads = decides;
     }
   }
-  if (!chaos) {
-    for (NodeId site : participants) {
-      ctx_.network->send(id_, site, make_decide(site));
-    }
-  } else {
-    // Acked decides with bounded-backoff retries: a lost commit Decide
-    // would leave the participant's write locks held until gap repair; a
-    // lost abort Decide would leave them held forever (an aborted tx has no
-    // seq, so no Propagate or ResendRequest ever covers it). The ack means
-    // "received" — application may still be buffered behind a seq gap.
-    std::vector<NodeId> unacked;
-    std::vector<net::RpcCall> acks;
-    for (NodeId site : participants) {
-      if (site == id_) {
-        ctx_.network->send(id_, site, make_decide(site));  // loopback
-        continue;
-      }
-      unacked.push_back(site);
-      acks.push_back(ctx_.network->send_request(id_, site, make_decide(site)));
-    }
-    for (std::uint32_t attempt = 0;
-         attempt < ctx_.config.decide_attempts && !unacked.empty();
-         ++attempt) {
-      const auto wait = ctx_.config.decide_ack_timeout * (1u << attempt);
-      std::vector<NodeId> still;
-      std::vector<net::RpcCall> still_calls;
-      for (std::size_t i = 0; i < acks.size(); ++i) {
-        if (acks[i].await(wait).has_value()) continue;
-        ctx_.network->cancel_rpc(acks[i]);
-        if (attempt + 1 < ctx_.config.decide_attempts) {
-          stats_.decide_retries.add();
-          still.push_back(unacked[i]);
-          still_calls.push_back(
-              ctx_.network->send_request(id_, unacked[i], make_decide(unacked[i])));
-        }
-      }
-      unacked = std::move(still);
-      acks = std::move(still_calls);
-    }
-  }
-  if (!self_is_participant && outcome) {
-    DecideMessage d;
-    d.tx = tx.id();
-    d.outcome = true;
-    d.origin = id_;
-    d.seq_no = seq;
-    d.commit_vc = commit_vc;
-    ctx_.network->send(id_, id_, std::move(d));
-  }
+  // The own Decide is a loopback, which is never lost, so it is never
+  // acknowledged; remote PSI Decides are acknowledged only when messages
+  // may be lost.
+  if (own.has_value()) ctx_.network->send(id_, id_, std::move(*own));
+  decide(std::move(decides), retry_.lossy);
 
-  if (outcome) {
-    // Alg. 4 line 27: the asynchronous Propagate to all other nodes is
-    // batched; the periodic flush (flush_timer_tick) carries it.
-    tx.mark_committed();
-    stats_.update_commits.add();
-    return true;
-  }
-
-  tx.mark_aborted(reason);
-  switch (reason) {
-    case AbortReason::kLockTimeout:
-      stats_.aborts_lock.add();
-      break;
-    case AbortReason::kValidation:
-      stats_.aborts_validation.add();
-      break;
-    default:
-      stats_.aborts_vote_timeout.add();
-      break;
-  }
-  return false;
+  // Alg. 4 line 27: the asynchronous Propagate to all other nodes is
+  // batched; the periodic flush (flush_timer_tick) carries it.
+  return finish(tx, votes);
 }
 
 void MvNodeBase::load(Key key, Value value) {
@@ -355,68 +202,51 @@ void MvNodeBase::load(Key key, Value value) {
 // Server-side message handlers.
 // ---------------------------------------------------------------------------
 
-void MvNodeBase::handle_message(Message msg, NodeId /*from*/) {
-  std::visit(
-      [this](auto&& m) {
-        using T = std::decay_t<decltype(m)>;
-        if constexpr (std::is_same_v<T, ReadRequest>) {
-          on_read_request(m);
-        } else if constexpr (std::is_same_v<T, PrepareRequest>) {
-          on_prepare(m);
-        } else if constexpr (std::is_same_v<T, DecideMessage>) {
-          on_decide(std::move(m));
-        } else if constexpr (std::is_same_v<T, PropagateMessage>) {
-          on_propagate(m);
-        } else if constexpr (std::is_same_v<T, RemoveMessage>) {
-          on_remove(m);
-        } else if constexpr (std::is_same_v<T, net::ResendRequest>) {
-          on_resend_request(m);
-        } else {
-          assert(false && "replies are routed by the network, not here");
-        }
-      },
-      std::move(msg));
+void MvNodeBase::on_other(Message&& msg) {
+  if (auto* prop = std::get_if<PropagateMessage>(&msg)) {
+    on_propagate(*prop);
+  } else if (auto* rem = std::get_if<RemoveMessage>(&msg)) {
+    on_remove(*rem);
+  } else if (auto* resend = std::get_if<net::ResendRequest>(&msg)) {
+    on_resend_request(*resend);
+  } else {
+    TwoPhaseNode::on_other(std::move(msg));
+  }
 }
 
 std::size_t MvNodeBase::pending_work() const {
   return pending_count_.load(std::memory_order_acquire);
 }
 
-void MvNodeBase::read_lock_shared(Key key, TxId tx) {
-  // Reads never give up: they wait out concurrent prepare->decide windows.
-  // The data/control lane split guarantees the Decide that releases the
-  // exclusive lock can always run.
-  while (!locks_.lock_shared(key, tx, ctx_.config.lock_timeout)) {
-  }
-}
-
 void MvNodeBase::on_read_request(const ReadRequest& req) {
   stats_.reads_served.add();
+  // Alg. 3 lines 3/12: read handlers share the key's lock with each other
+  // and exclude update commit handlers. A read never gives up: it waits out
+  // a concurrent prepare->decide window, since read-only transactions are
+  // abort-free (§1). Decide handlers run inline on the delivering thread,
+  // never queued behind a blocked read, so the Decide that releases the
+  // exclusive lock can always run.
+  while (!locks_.lock_shared(req.key, req.tx.id, ctx_.config.lock_timeout)) {
+  }
   store::ReadResult r;
   if (!fresh_reads()) {
     // Walter: no read/update distinction and no access-set maintenance.
-    // The shared lock is still taken: a participant holds its write locks
+    // The shared lock still matters: a participant holds its write locks
     // from prepare until the decide applies, so a reader whose snapshot
     // already covers that commit waits for the installation instead of
     // being served a torn (pre-commit) version of the key.
-    read_lock_shared(req.key, req.tx.id);
     r = store_.read_walter(req.key, req.tx.vc);
-    locks_.unlock_shared(req.key, req.tx.id);
   } else if (req.tx.read_only) {
-    // Alg. 3 lines 2-10 under a shared lock (read handlers exclude update
-    // commit handlers but run concurrently with each other).
-    read_lock_shared(req.key, req.tx.id);
+    // Alg. 3 lines 2-10.
     r = store_.read_read_only(req.key, req.tx.vc, req.tx.has_read.bits(),
                               req.tx.id);
-    locks_.unlock_shared(req.key, req.tx.id);
   } else {
     // Alg. 3 lines 11-18; the conservative exclusion applies only once the
     // snapshot is partially fixed (first reads return the latest version).
-    read_lock_shared(req.key, req.tx.id);
     r = store_.read_update(req.key, req.tx.vc, req.tx.has_read.bits(),
                            req.tx.has_read.any());
-    locks_.unlock_shared(req.key, req.tx.id);
   }
+  locks_.unlock_shared(req.key, req.tx.id);
 
   ReadReturn ret;
   ret.rpc_id = req.rpc_id;
@@ -424,8 +254,6 @@ void MvNodeBase::on_read_request(const ReadRequest& req) {
   ret.value = std::move(r.value);
   ret.version_vc = std::move(r.vc);
   ret.version_id = r.id;
-  ret.version_origin = r.origin;
-  ret.version_seq = r.seq;
   ret.latest_id = r.latest_id;
   if (fresh_reads()) {
     std::lock_guard<std::mutex> lock(site_mu_);
@@ -434,122 +262,36 @@ void MvNodeBase::on_read_request(const ReadRequest& req) {
   ctx_.network->send(id_, req.reply_to, std::move(ret));
 }
 
-void MvNodeBase::on_prepare(const PrepareRequest& req) {
-  // Redelivery dedup, keyed by tx id (coordinator retries, duplicated
-  // deliveries, and a pause-deferred abort Decide overtaking its Prepare
-  // must not double-lock or re-lock). Only live once deliveries may have
-  // been disturbed: on a reliable network Prepares are never redelivered,
-  // and a long-lived decided set would misread a recycled tx id (a fresh
-  // session restarting its seq counter) as a stale retransmission.
-  bool revote = false;
-  std::vector<Key> held_keys;
-  if (ctx_.network->deliveries_disturbed()) {
-    std::lock_guard<std::mutex> lock(prepared_mu_);
-    if (decided_.count(req.tx) != 0) {
-      // Stale retransmission: the decision already came and went. Locking
-      // now would hold the keys forever (nothing will decide this tx
-      // again), so drop it; no coordinator is waiting for this vote.
-      stats_.dup_drops.add();
-      return;
-    }
-    if (preparing_.count(req.tx) != 0) {
-      // A concurrent duplicate is mid-prepare on another handler thread;
-      // that handler's vote (or the coordinator's next retry) answers.
-      stats_.dup_drops.add();
-      return;
-    }
-    auto it = prepared_.find(req.tx);
-    if (it != prepared_.end()) {
-      revote = true;  // already voted yes, locks still held: re-vote
-      held_keys = it->second;
-      stats_.dup_drops.add();
-    } else {
-      preparing_.insert(req.tx);
-    }
-  }
-  if (revote) {
-    VoteReply vote;
-    vote.rpc_id = req.rpc_id;
-    vote.ok = true;
-    if (track_antideps()) {
-      store_.collect_access_sets(held_keys, vote.collected_set);
-    }
-    ctx_.network->send(id_, req.reply_to, std::move(vote));
-    return;
-  }
-
-  // Alg. 5 lines 1-13.
-  std::vector<Key> keys;
-  keys.reserve(req.writes.size());
-  for (const auto& w : req.writes) keys.push_back(w.key);
-  std::sort(keys.begin(), keys.end());
-  keys.erase(std::unique(keys.begin(), keys.end()), keys.end());
-
-  VoteReply vote;
-  vote.rpc_id = req.rpc_id;
-  if (!locks_.lock_all_exclusive(keys, req.tx, ctx_.config.lock_timeout)) {
-    vote.ok = false;
-    vote.fail_reason = VoteFail::kLock;
-    std::lock_guard<std::mutex> lock(prepared_mu_);
-    preparing_.erase(req.tx);
-  } else {
-    bool valid = true;
-    for (Key k : keys) {
-      // Read-modify-write keys validate by version identity; blind writes
-      // fall back to the clock rule of Alg. 5 lines 27-34.
-      const net::ReadValidationEntry* observed = nullptr;
-      for (const auto& r : req.reads) {
-        if (r.key == k) {
-          observed = &r;
-          break;
-        }
-      }
-      const bool ok = observed != nullptr
-                          ? store_.validate_key_version(k, observed->version)
-                          : store_.validate_key(k, req.tx_vc);
-      if (!ok) {
-        valid = false;
+bool MvNodeBase::validate(const PrepareRequest& req, const HeldLocks& held) {
+  for (Key k : held.exclusive) {
+    // Read-modify-write keys validate by version identity; blind writes
+    // fall back to the clock rule of Alg. 5 lines 27-34.
+    const net::ReadValidationEntry* observed = nullptr;
+    for (const auto& r : req.reads) {
+      if (r.key == k) {
+        observed = &r;
         break;
       }
     }
-    if (!valid) {
-      locks_.unlock_all_exclusive(keys, req.tx);
-      vote.ok = false;
-      vote.fail_reason = VoteFail::kValidation;
-      std::lock_guard<std::mutex> lock(prepared_mu_);
-      preparing_.erase(req.tx);
-    } else {
-      vote.ok = true;
-      if (track_antideps()) {
-        // Alg. 5 lines 8-10: gather the read-only transactions that have an
-        // anti-dependency with this writer.
-        store_.collect_access_sets(keys, vote.collected_set);
-      }
-      bool decided_meanwhile = false;
-      {
-        std::lock_guard<std::mutex> lock(prepared_mu_);
-        preparing_.erase(req.tx);
-        if (decided_.count(req.tx) != 0) {
-          decided_meanwhile = true;
-        } else {
-          prepared_[req.tx] = std::move(keys);
-        }
-      }
-      if (decided_meanwhile) {
-        // A (necessarily abort) Decide raced past while we validated:
-        // release immediately — nothing will decide this tx again.
-        locks_.unlock_all_exclusive(keys, req.tx);
-        vote.ok = false;
-        vote.fail_reason = VoteFail::kLock;
-      }
-    }
+    const bool ok = observed != nullptr
+                        ? store_.validate_key_version(k, observed->version)
+                        : store_.validate_key(k, req.tx_vc);
+    if (!ok) return false;
   }
-  ctx_.network->send(id_, req.reply_to, std::move(vote));
+  return true;
+}
+
+void MvNodeBase::fill_yes_vote(const HeldLocks& held, VoteReply& vote) {
+  // Alg. 5 lines 8-10: gather the read-only transactions that have an
+  // anti-dependency with this writer.
+  if (track_antideps()) {
+    store_.collect_access_sets(held.exclusive, vote.collected_set);
+  }
 }
 
 void MvNodeBase::on_decide(DecideMessage&& m) {
-  // Acknowledge receipt when the coordinator asked for it (fault-injection
-  // runs): application may still be buffered behind a seq gap, but gap
+  // Acknowledge receipt when the coordinator asked for it (lossy
+  // networks): application may still be buffered behind a seq gap, but gap
   // repair guarantees it eventually happens, so "received" is enough for
   // the coordinator to stop retrying.
   if (m.rpc_id != 0) {
@@ -573,13 +315,7 @@ void MvNodeBase::on_decide(DecideMessage&& m) {
     PendingEvent ev;
     ev.is_decide = true;
     ev.decide = std::move(m);
-    const bool inserted =
-        pending_[origin].emplace(seq, std::move(ev)).second;
-    if (inserted) {
-      pending_count_.fetch_add(1, std::memory_order_release);
-      stats_.events_buffered.add();
-      if (ctx_.network->faults_active()) arm_gap_watch_locked(origin);
-    } else {
+    if (!buffer_locked(origin, seq, std::move(ev)).second) {
       stats_.dup_drops.add();  // redelivery of an already-buffered decide
     }
   }
@@ -612,13 +348,9 @@ void MvNodeBase::on_propagate(const PropagateMessage& m) {
   } else {
     PendingEvent ev;
     ev.propagate = m;
-    auto [it, inserted] = pending_[m.origin].emplace(m.from_seq, std::move(ev));
-    if (inserted) {
-      pending_count_.fetch_add(1, std::memory_order_release);
-      stats_.events_buffered.add();
-      if (ctx_.network->faults_active()) arm_gap_watch_locked(m.origin);
-    } else if (!it->second.is_decide &&
-               m.to_seq > it->second.propagate.to_seq) {
+    auto [it, inserted] = buffer_locked(m.origin, m.from_seq, std::move(ev));
+    if (inserted) return;
+    if (!it->second.is_decide && m.to_seq > it->second.propagate.to_seq) {
       // A replayed range starting at the same seq but reaching further
       // (the flush advanced before the replay): keep the longer range.
       it->second.propagate.to_seq = m.to_seq;
@@ -626,6 +358,17 @@ void MvNodeBase::on_propagate(const PropagateMessage& m) {
       stats_.dup_drops.add();
     }
   }
+}
+
+std::pair<std::map<SeqNo, MvNodeBase::PendingEvent>::iterator, bool>
+MvNodeBase::buffer_locked(NodeId origin, SeqNo at, PendingEvent ev) {
+  auto res = pending_[origin].emplace(at, std::move(ev));
+  if (res.second) {
+    pending_count_.fetch_add(1, std::memory_order_release);
+    stats_.events_buffered.add();
+    if (retry_.lossy) arm_gap_watch_locked(origin);
+  }
+  return res;
 }
 
 void MvNodeBase::drain_pending_locked(NodeId origin) {
@@ -655,27 +398,37 @@ void MvNodeBase::drain_pending_locked(NodeId origin) {
   }
 }
 
-void MvNodeBase::collect_ranges_locked(
-    NodeId dest, std::vector<std::pair<NodeId, PropagateMessage>>& out) {
-  SeqNo next = next_unsent_[dest];
+void MvNodeBase::owed_locked(NodeId dest, SeqNo from, SeqNo to, bool replay,
+                             Outbox& out) {
   SeqNo range_start = 0;
-  for (; next <= curr_seq_; ++next) {
-    const CommitRecord& rec = commit_log_[next - commit_log_base_];
-    const bool is_decide_seq =
-        std::find(rec.decide_dests.begin(), rec.decide_dests.end(), dest) !=
-        rec.decide_dests.end();
-    if (is_decide_seq) {
-      if (range_start != 0) {
-        out.push_back({dest, PropagateMessage{id_, range_start, next - 1}});
-        range_start = 0;
-      }
-    } else if (range_start == 0) {
-      range_start = next;
+  for (SeqNo s = from; s <= to; ++s) {
+    const CommitRecord& rec = commit_log_[s - commit_log_base_];
+    if (std::find(rec.decide_dests.begin(), rec.decide_dests.end(), dest) ==
+        rec.decide_dests.end()) {
+      if (range_start == 0) range_start = s;
+      continue;
+    }
+    if (range_start != 0) {
+      out.emplace_back(dest, PropagateMessage{id_, range_start, s - 1});
+      range_start = 0;
+    }
+    if (!replay) continue;
+    auto it = std::find_if(rec.decide_payloads.begin(),
+                           rec.decide_payloads.end(),
+                           [&](const auto& p) { return p.first == dest; });
+    if (it != rec.decide_payloads.end()) {
+      out.push_back(*it);  // unstamped: a replay is not acked
+    } else {
+      stats_.resend_misses.add();  // no payload retained for this seq
     }
   }
   if (range_start != 0) {
-    out.push_back({dest, PropagateMessage{id_, range_start, curr_seq_}});
+    out.emplace_back(dest, PropagateMessage{id_, range_start, to});
   }
+}
+
+void MvNodeBase::collect_ranges_locked(NodeId dest, Outbox& out) {
+  owed_locked(dest, next_unsent_[dest], curr_seq_, /*replay=*/false, out);
   next_unsent_[dest] = curr_seq_ + 1;
 }
 
@@ -685,13 +438,11 @@ void MvNodeBase::prune_commit_log_locked() {
     if (d == id_) continue;
     min_unsent = std::min(min_unsent, next_unsent_[d]);
   }
-  if (ctx_.network->faults_active()) {
-    // "Sent" does not mean "delivered" under faults: keep a trailing
-    // horizon of records so ResendRequests can be served.
-    const SeqNo floor =
-        curr_seq_ >= kResendHorizon ? curr_seq_ - kResendHorizon + 1 : 1;
-    min_unsent = std::min(min_unsent, floor);
-  }
+  // A lossy network keeps a trailing horizon of records for ResendRequests.
+  const SeqNo floor = curr_seq_ >= retry_.resend_horizon
+                          ? curr_seq_ - retry_.resend_horizon + 1
+                          : 1;
+  min_unsent = std::min(min_unsent, floor);
   while (commit_log_base_ < min_unsent && !commit_log_.empty()) {
     commit_log_.pop_front();
     ++commit_log_base_;
@@ -705,7 +456,7 @@ void MvNodeBase::flush_timer_tick() {
 }
 
 void MvNodeBase::flush_propagation() {
-  std::vector<std::pair<NodeId, PropagateMessage>> flushes;
+  Outbox flushes;
   {
     std::lock_guard<std::mutex> lock(site_mu_);
     for (NodeId d = 0; d < ctx_.num_nodes; ++d) {
@@ -715,7 +466,7 @@ void MvNodeBase::flush_propagation() {
     prune_commit_log_locked();
   }
   for (auto& [dest, msg] : flushes) {
-    ctx_.network->send(id_, dest, msg);
+    ctx_.network->send(id_, dest, std::move(msg));
   }
 }
 
@@ -749,7 +500,7 @@ void MvNodeBase::on_resend_request(const net::ResendRequest& m) {
   // payloads for seqs that were decided to the requester, recomputed
   // Propagate ranges for the rest. Redelivery is safe — application
   // deduplicates by (origin, seq).
-  std::vector<Message> outs;
+  Outbox outs;
   {
     std::lock_guard<std::mutex> lock(site_mu_);
     SeqNo from = m.from_seq;
@@ -757,43 +508,12 @@ void MvNodeBase::on_resend_request(const net::ResendRequest& m) {
       stats_.resend_misses.add();  // pruned past the resend horizon
       from = commit_log_base_;
     }
-    const SeqNo to = std::min(m.to_seq, curr_seq_);
-    SeqNo range_start = 0;
-    for (SeqNo s = from; s <= to; ++s) {
-      const CommitRecord& rec = commit_log_[s - commit_log_base_];
-      const bool is_decide_seq =
-          std::find(rec.decide_dests.begin(), rec.decide_dests.end(),
-                    m.requester) != rec.decide_dests.end();
-      if (is_decide_seq) {
-        if (range_start != 0) {
-          outs.push_back(PropagateMessage{id_, range_start, s - 1});
-          range_start = 0;
-        }
-        const DecideMessage* payload = nullptr;
-        for (const auto& [dest, d] : rec.decide_payloads) {
-          if (dest == m.requester) {
-            payload = &d;
-            break;
-          }
-        }
-        if (payload != nullptr) {
-          DecideMessage copy = *payload;
-          copy.rpc_id = 0;  // replay is fire-and-forget, no ack expected
-          outs.push_back(std::move(copy));
-        } else {
-          stats_.resend_misses.add();  // committed before faults were active
-        }
-      } else if (range_start == 0) {
-        range_start = s;
-      }
-    }
-    if (range_start != 0) {
-      outs.push_back(PropagateMessage{id_, range_start, to});
-    }
+    owed_locked(m.requester, from, std::min(m.to_seq, curr_seq_),
+                /*replay=*/true, outs);
   }
   stats_.gap_resends.add(outs.size());
-  for (auto& msg : outs) {
-    ctx_.network->send(id_, m.requester, std::move(msg));
+  for (auto& [dest, msg] : outs) {
+    ctx_.network->send(id_, dest, std::move(msg));
   }
 }
 
@@ -803,34 +523,6 @@ void MvNodeBase::on_remove(const RemoveMessage& m) {
   // key list, stamped copies via the reverse index.
   store_.remove_tx(m.tx, m.keys);
   stats_.removes_processed.add();
-}
-
-void MvNodeBase::note_decided_locked(TxId tx) {
-  // Paired with on_prepare's dedup gate: only track decisions once
-  // deliveries may have been disturbed (see there about recycled tx ids).
-  if (!ctx_.network->deliveries_disturbed()) return;
-  if (!decided_.insert(tx).second) return;
-  decided_fifo_.push_back(tx);
-  if (decided_fifo_.size() > kDecidedHorizon) {
-    decided_.erase(decided_fifo_.front());
-    decided_fifo_.pop_front();
-  }
-}
-
-void MvNodeBase::release_prepared(TxId tx) {
-  std::vector<Key> keys;
-  {
-    std::lock_guard<std::mutex> lock(prepared_mu_);
-    // Remember the decision first: a stale retransmitted Prepare for this
-    // tx must never re-lock keys after this point (on_prepare checks
-    // decided_ both before locking and before publishing to prepared_).
-    note_decided_locked(tx);
-    auto it = prepared_.find(tx);
-    if (it == prepared_.end()) return;
-    keys = std::move(it->second);
-    prepared_.erase(it);
-  }
-  locks_.unlock_all_exclusive(keys, tx);
 }
 
 VectorClock MvNodeBase::site_vc() const {

@@ -9,26 +9,23 @@
 //                      during prepare, stamps them at decide, and sends
 //                      Remove messages; Walter does none of that.
 //
-// Everything else — preferred sites, 2PC commit, per-node sequence numbers,
-// in-order Decide/Propagate application (Alg. 5 line 16 / Alg. 6 line 2) —
-// is common and lives here.
+// Everything else — preferred sites, per-node sequence numbers, in-order
+// Decide/Propagate application (Alg. 5 line 16 / Alg. 6 line 2) — is common
+// and lives here; the 2PC rounds themselves live in TwoPhaseNode.
 #pragma once
 
 #include <atomic>
 #include <deque>
 #include <map>
 #include <mutex>
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
-#include "core/kv_node.hpp"
-#include "store/lock_table.hpp"
+#include "core/two_phase.hpp"
 #include "store/mv_store.hpp"
 
 namespace fwkv {
 
-class MvNodeBase : public KvNode {
+class MvNodeBase : public TwoPhaseNode {
  public:
   MvNodeBase(NodeId id, ClusterContext& ctx);
 
@@ -39,7 +36,6 @@ class MvNodeBase : public KvNode {
   void load(Key key, Value value) override;
 
   // ---- NodeEndpoint ----
-  void handle_message(net::Message msg, NodeId from) override;
   std::size_t pending_work() const override;
 
   // ---- introspection (tests, examples, experiments) ----
@@ -59,32 +55,24 @@ class MvNodeBase : public KvNode {
   /// FW-KV: true. Walter: false.
   virtual bool track_antideps() const = 0;
 
+  // TwoPhaseNode hooks. Reads and prepares run on the node's executor, the
+  // other handlers inline on the delivering thread.
+  void on_read_request(const net::ReadRequest& req) override;
+  void on_decide(net::DecideMessage&& m) override;
+  void on_other(net::Message&& msg) override;
+  bool validate(const net::PrepareRequest& req, const HeldLocks& held) override;
+  void fill_yes_vote(const HeldLocks& held, net::VoteReply& vote) override;
+
  private:
-  // Server-side handlers (run on executor lanes).
-  void on_read_request(const net::ReadRequest& req);
-  void on_prepare(const net::PrepareRequest& req);
-  void on_decide(net::DecideMessage&& m);
   void on_propagate(const net::PropagateMessage& m);
   void on_remove(const net::RemoveMessage& m);
   void on_resend_request(const net::ResendRequest& m);
 
-  // In-order application machinery. Both require site_mu_ held.
+  // In-order application machinery. All require site_mu_ held.
   void apply_decide_locked(net::DecideMessage& m);
   void drain_pending_locked(NodeId origin);
 
-  /// Release the exclusive locks remembered at prepare time (no-op if this
-  /// node voted no or never prepared the transaction).
-  void release_prepared(TxId tx);
-
-  /// Shared-lock acquisition for read handlers; loops on the (short) lock
-  /// timeout so reads wait out concurrent 2PC windows instead of failing
-  /// (read-only transactions are abort-free, §1).
-  void read_lock_shared(Key key, TxId tx);
-
-  net::TxDescriptor descriptor(const Transaction& tx) const;
-
   store::MVStore store_;
-  store::LockTable locks_;
 
   // siteVC / CurrSeqNo (§4.1) and the per-origin pending event buffers that
   // realize the "wait until siteVC[j] = seqNo - 1" conditions without
@@ -102,13 +90,17 @@ class MvNodeBase : public KvNode {
   /// seq_no or a Propagate range's from_seq).
   std::vector<std::map<SeqNo, PendingEvent>> pending_;
   std::atomic<std::size_t> pending_count_{0};
+  /// Buffers an out-of-order event at `at` (not inserted if one is already
+  /// buffered there) and arms the gap watchdog on a lossy network.
+  std::pair<std::map<SeqNo, PendingEvent>::iterator, bool> buffer_locked(
+      NodeId origin, SeqNo at, PendingEvent ev);
 
-  // ---- gap repair (fault injection only; guarded by site_mu_) ----
+  // ---- gap repair (lossy networks only; guarded by site_mu_) ----
   //
-  // When an event is buffered out of order and faults are active, a watchdog
-  // fires after gap_request_delay and asks the origin to replay the missing
-  // seq range; it re-arms itself while the gap persists (the ResendRequest
-  // or its replay can be lost too).
+  // When an event is buffered out of order and messages may be lost, a
+  // watchdog fires after gap_request_delay and asks the origin to replay the
+  // missing seq range; it re-arms itself while the gap persists (the
+  // ResendRequest or its replay can be lost too).
   std::vector<char> gap_armed_;
   void arm_gap_watch_locked(NodeId origin);
   void gap_check(NodeId origin);
@@ -122,39 +114,24 @@ class MvNodeBase : public KvNode {
   // first seq not yet covered for destination d.
   struct CommitRecord {
     std::vector<NodeId> decide_dests;
-    /// Retained only under an active FaultPlan: the Decide payload per
+    /// Retained only on a lossy network: the Decide payload per remote
     /// participant, so a lost Decide can be replayed for a ResendRequest.
-    std::vector<std::pair<NodeId, net::DecideMessage>> decide_payloads;
+    Outbox decide_payloads;
   };
   std::deque<CommitRecord> commit_log_;
   SeqNo commit_log_base_ = 1;  // seq of commit_log_.front()
   std::vector<SeqNo> next_unsent_;
-  /// How many trailing commit records are retained for replay under faults
-  /// (without faults, records are pruned as soon as every peer is covered).
-  static constexpr SeqNo kResendHorizon = 4096;
 
+  /// Appends what `dest` is owed for seqs [from, to]: Propagate ranges
+  /// for the seqs that carried no Decide to it and, if `replay`, the
+  /// retained Decide payloads of those that did.
+  void owed_locked(NodeId dest, SeqNo from, SeqNo to, bool replay,
+                   Outbox& out);
   /// Append Propagate ranges for `dest` covering (next_unsent_[dest] ..
   /// curr_seq_] to `out`; advances next_unsent_[dest].
-  void collect_ranges_locked(NodeId dest,
-                             std::vector<std::pair<NodeId, net::PropagateMessage>>& out);
+  void collect_ranges_locked(NodeId dest, Outbox& out);
   void prune_commit_log_locked();
   void flush_timer_tick();
-
-  // Write-set keys locked at prepare, awaiting the decision. Redelivered
-  // Prepares are deduplicated here: `preparing_` marks a prepare mid-flight
-  // on another handler thread (a concurrent duplicate is dropped),
-  // `prepared_` marks a yes-vote awaiting its Decide (a duplicate re-votes
-  // yes without re-locking), and `decided_` remembers recently decided
-  // transactions so a stale retransmitted Prepare arriving after the
-  // decision cannot re-lock keys that nothing would ever release.
-  std::mutex prepared_mu_;
-  std::unordered_map<TxId, std::vector<Key>> prepared_;
-  std::unordered_set<TxId> preparing_;
-  std::unordered_set<TxId> decided_;
-  std::deque<TxId> decided_fifo_;
-  static constexpr std::size_t kDecidedHorizon = 1 << 16;
-  /// Requires prepared_mu_. Bounded-memory insert into the decided set.
-  void note_decided_locked(TxId tx);
 };
 
 /// The paper's contribution: fresh first-reads per site, visible reads with

@@ -99,14 +99,6 @@ struct NodeStats::Snapshot {
   std::uint64_t total_aborts() const {
     return aborts_lock + aborts_validation + aborts_vote_timeout;
   }
-  /// Abort rate over update-transaction attempts, as plotted in Figs. 7/9a.
-  double update_abort_rate() const {
-    const std::uint64_t attempts = update_commits + total_aborts();
-    return attempts == 0
-               ? 0.0
-               : static_cast<double>(total_aborts()) /
-                     static_cast<double>(attempts);
-  }
   double mean_collected_set() const {
     return collected_count == 0 ? 0.0
                                 : static_cast<double>(collected_sum) /

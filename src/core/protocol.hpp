@@ -72,18 +72,18 @@ struct ProtocolConfig {
   /// above any healthy round trip; hitting it counts as kVoteTimeout.
   std::chrono::nanoseconds rpc_timeout{std::chrono::seconds(5)};
 
-  // Fault-tolerance knobs (used when the network injects faults; on a
-  // reliable network the retry loops terminate on the first attempt and
-  // none of these change behaviour).
+  // Fault-tolerance knobs, used only when the network injects faults. On a
+  // reliable network every retry loop makes one attempt bounded by
+  // rpc_timeout (see RetryPolicy in core/two_phase.hpp).
   /// Per-attempt wait for a participant's vote. Attempt k waits
   /// prepare_timeout * 2^k; after prepare_attempts the coordinator
   /// timeout-aborts (kVoteTimeout) and Decides abort so participant locks
   /// are released.
   std::chrono::nanoseconds prepare_timeout{std::chrono::seconds(1)};
   std::uint32_t prepare_attempts = 3;
-  /// Per-attempt wait for a DecideAck when decides are acknowledged (2PC
-  /// always; PSI protocols only under an active FaultPlan). Backoff doubles
-  /// per attempt; the tail must outlive any partition heal time.
+  /// Per-attempt wait for a DecideAck (2PC always acknowledges Decides; PSI
+  /// protocols only under an active FaultPlan). Backoff doubles per attempt;
+  /// the tail must outlive any partition heal time.
   std::chrono::nanoseconds decide_ack_timeout{std::chrono::milliseconds(15)};
   std::uint32_t decide_attempts = 6;
   /// How long a buffered out-of-order commit event may wait before the

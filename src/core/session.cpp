@@ -6,14 +6,16 @@
 
 namespace fwkv {
 
-Session::Session(Cluster& cluster, NodeId node, std::uint32_t client_id)
+Session::Session(Cluster& cluster, NodeId node, std::uint32_t client_id,
+                 std::uint32_t slot)
     : cluster_(&cluster),
       node_(&cluster.node(node)),
       node_id_(node),
-      client_id_(client_id) {}
+      client_id_(client_id),
+      slot_(slot) {}
 
 Transaction Session::begin(bool read_only) {
-  Transaction tx(TxId(node_id_, client_id_, next_local_seq_++), read_only,
+  Transaction tx(TxId(node_id_, slot_, next_local_seq_++), read_only,
                  cluster_->num_nodes());
   node_->begin(tx);
   return tx;

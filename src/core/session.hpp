@@ -36,12 +36,15 @@ class Session {
 
  private:
   friend class Cluster;
-  Session(Cluster& cluster, NodeId node, std::uint32_t client_id);
+  Session(Cluster& cluster, NodeId node, std::uint32_t client_id,
+          std::uint32_t slot);
 
   Cluster* cluster_;
   KvNode* node_;
   NodeId node_id_;
   std::uint32_t client_id_;
+  /// Cluster-unique: no two sessions of a cluster share a TxId.
+  std::uint32_t slot_;
   std::uint32_t next_local_seq_ = 1;
 };
 

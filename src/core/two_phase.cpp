@@ -1,0 +1,313 @@
+#include "core/two_phase.hpp"
+
+#include <algorithm>
+#include <cassert>
+
+#include "net/network.hpp"
+
+namespace fwkv {
+
+using net::PrepareRequest;
+using net::VoteFail;
+using net::VoteReply;
+
+// ---------------------------------------------------------------------------
+// ParticipantTable.
+// ---------------------------------------------------------------------------
+
+ParticipantTable::Begin ParticipantTable::begin_prepare(TxId tx,
+                                                        HeldLocks& held) {
+  std::lock_guard<std::mutex> lock(mu_);
+  auto [it, fresh] = entries_.try_emplace(tx);
+  if (fresh) return Begin::kFresh;
+  if (it->second.phase == Phase::kPrepared) {
+    held = it->second.locks;
+    return Begin::kRevote;
+  }
+  // Preparing: a concurrent duplicate is mid-prepare on another handler
+  // thread; that handler's vote (or the coordinator's next retry) answers.
+  // Decided: a stale retransmission. Locking now would hold the keys
+  // forever, and no coordinator is waiting for this vote.
+  return Begin::kDrop;
+}
+
+bool ParticipantTable::publish(TxId tx, HeldLocks& held) {
+  std::lock_guard<std::mutex> lock(mu_);
+  Entry& e = entries_[tx];
+  if (e.phase == Phase::kDecided) return false;
+  e.phase = Phase::kPrepared;
+  e.locks = std::move(held);
+  return true;
+}
+
+void ParticipantTable::abandon(TxId tx) {
+  std::lock_guard<std::mutex> lock(mu_);
+  auto it = entries_.find(tx);
+  // A Decide that arrived meanwhile keeps its entry: a later duplicate
+  // Prepare must still be dropped.
+  if (it != entries_.end() && it->second.phase == Phase::kPreparing) {
+    entries_.erase(it);
+  }
+}
+
+std::optional<HeldLocks> ParticipantTable::decide(TxId tx) {
+  std::lock_guard<std::mutex> lock(mu_);
+  Entry& e = entries_[tx];
+  if (e.phase == Phase::kDecided) return std::nullopt;  // duplicate Decide
+  std::optional<HeldLocks> held;
+  if (e.phase == Phase::kPrepared) held = std::move(e.locks);
+  // Remember the decision (a Decide overtaking its Prepare included) so a
+  // stale retransmitted Prepare can never re-lock keys after this point.
+  e.phase = Phase::kDecided;
+  decided_fifo_.push_back(tx);
+  if (decided_fifo_.size() > kDecidedHorizon) {
+    entries_.erase(decided_fifo_.front());
+    decided_fifo_.pop_front();
+  }
+  return held;
+}
+
+// ---------------------------------------------------------------------------
+// RetryPolicy.
+// ---------------------------------------------------------------------------
+
+RetryPolicy RetryPolicy::derive(const ProtocolConfig& cfg, bool lossy) {
+  RetryPolicy p;
+  p.lossy = lossy;
+  if (!lossy) {
+    // Nothing is ever lost: one attempt, bounded only by the safety
+    // timeout (hit only while a participant is paused).
+    p.prepare_wait = cfg.rpc_timeout;
+    p.decide_wait = cfg.rpc_timeout;
+    return p;
+  }
+  p.read_attempts = 3;
+  p.prepare_attempts = cfg.prepare_attempts;
+  p.prepare_wait = cfg.prepare_timeout;
+  p.decide_attempts = cfg.decide_attempts;
+  p.decide_wait = cfg.decide_ack_timeout;
+  // "Sent" does not mean "delivered": keep a trailing horizon of commit
+  // records so ResendRequests can be served.
+  p.resend_horizon = 4096;
+  return p;
+}
+
+// ---------------------------------------------------------------------------
+// TwoPhaseNode: coordinator.
+// ---------------------------------------------------------------------------
+
+TwoPhaseNode::TwoPhaseNode(NodeId id, ClusterContext& ctx)
+    : KvNode(id, ctx),
+      retry_(RetryPolicy::derive(ctx.config, ctx.network->faults_active())) {}
+
+std::optional<net::ReadReturn> TwoPhaseNode::fetch(NodeId target,
+                                                   net::ReadRequest req) {
+  for (std::uint32_t a = 0; a < retry_.read_attempts; ++a) {
+    const bool last = a + 1 == retry_.read_attempts;
+    auto call = last ? ctx_.network->send_request(id_, target, std::move(req))
+                     : ctx_.network->send_request(id_, target, req);
+    if (auto reply = call.await(ctx_.config.rpc_timeout)) {
+      return std::get<net::ReadReturn>(std::move(*reply));
+    }
+    ctx_.network->cancel_rpc(call);
+  }
+  return std::nullopt;
+}
+
+std::vector<std::optional<net::Message>> TwoPhaseNode::call_all(
+    Outbox requests, std::uint32_t attempts, std::chrono::nanoseconds wait,
+    Counter& retries) {
+  // The requests are kept for re-sends only when a retry can happen.
+  std::vector<net::RpcCall> calls;
+  calls.reserve(requests.size());
+  for (auto& [site, m] : requests) {
+    calls.push_back(attempts > 1 ? ctx_.network->send_request(id_, site, m)
+                                 : ctx_.network->send_request(id_, site,
+                                                              std::move(m)));
+  }
+  std::vector<std::optional<net::Message>> replies(calls.size());
+  for (std::uint32_t attempt = 0; attempt < attempts; ++attempt) {
+    bool all = true;
+    for (std::size_t i = 0; i < calls.size(); ++i) {
+      // Keep waiting for the others after a timeout, so that every reply
+      // that does arrive is seen.
+      if (replies[i].has_value()) continue;
+      replies[i] = calls[i].await(wait * (1u << attempt));
+      if (!replies[i].has_value()) {
+        ctx_.network->cancel_rpc(calls[i]);
+        all = false;
+      }
+    }
+    if (all || attempt + 1 == attempts) break;
+    for (std::size_t i = 0; i < calls.size(); ++i) {
+      if (replies[i].has_value()) continue;
+      retries.add();
+      calls[i] = ctx_.network->send_request(id_, requests[i].first,
+                                            requests[i].second);
+    }
+  }
+  return replies;
+}
+
+TwoPhaseNode::Votes TwoPhaseNode::prepare(Outbox preps) {
+  Votes out;
+  for (auto& reply : call_all(std::move(preps), retry_.prepare_attempts,
+                              retry_.prepare_wait, stats_.prepare_retries)) {
+    AbortReason why = AbortReason::kVoteTimeout;
+    if (reply.has_value()) {
+      auto& vote = std::get<VoteReply>(*reply);
+      if (vote.ok) {
+        out.collected.insert(out.collected.end(), vote.collected_set.begin(),
+                             vote.collected_set.end());
+        continue;
+      }
+      why = vote.fail_reason == VoteFail::kLock ? AbortReason::kLockTimeout
+                                                : AbortReason::kValidation;
+    }
+    out.commit = false;
+    if (out.reason == AbortReason::kNone) out.reason = why;  // first wins
+  }
+  if (out.commit) {
+    // T.collectedSet is a set.
+    std::sort(out.collected.begin(), out.collected.end());
+    out.collected.erase(std::unique(out.collected.begin(), out.collected.end()),
+                        out.collected.end());
+  }
+  return out;
+}
+
+void TwoPhaseNode::decide(Outbox decides, bool acked) {
+  if (acked) {
+    call_all(std::move(decides), retry_.decide_attempts, retry_.decide_wait,
+             stats_.decide_retries);
+    return;
+  }
+  for (auto& [site, d] : decides) ctx_.network->send(id_, site, std::move(d));
+}
+
+bool TwoPhaseNode::finish(Transaction& tx, const Votes& votes) {
+  if (votes.commit) {
+    tx.mark_committed();
+    if (tx.write_set().empty()) {
+      stats_.ro_commits.add();
+    } else {
+      stats_.update_commits.add();
+    }
+    return true;
+  }
+  tx.mark_aborted(votes.reason);
+  switch (votes.reason) {
+    case AbortReason::kLockTimeout:
+      stats_.aborts_lock.add();
+      break;
+    case AbortReason::kValidation:
+      stats_.aborts_validation.add();
+      break;
+    default:
+      stats_.aborts_vote_timeout.add();
+      break;
+  }
+  return false;
+}
+
+// ---------------------------------------------------------------------------
+// TwoPhaseNode: participant.
+// ---------------------------------------------------------------------------
+
+void TwoPhaseNode::handle_message(net::Message msg, NodeId /*from*/) {
+  if (auto* read = std::get_if<net::ReadRequest>(&msg)) {
+    on_read_request(*read);
+  } else if (auto* prep = std::get_if<PrepareRequest>(&msg)) {
+    on_prepare(*prep);
+  } else if (auto* dec = std::get_if<net::DecideMessage>(&msg)) {
+    on_decide(std::move(*dec));
+  } else {
+    on_other(std::move(msg));
+  }
+}
+
+void TwoPhaseNode::on_other(net::Message&& /*msg*/) {
+  assert(false && "replies are routed by the network, not here");
+}
+
+void TwoPhaseNode::on_prepare(const PrepareRequest& req) {
+  VoteReply vote;
+  vote.rpc_id = req.rpc_id;
+  HeldLocks held;
+  switch (participants_.begin_prepare(req.tx, held)) {
+    case ParticipantTable::Begin::kDrop:
+      stats_.dup_drops.add();
+      return;
+    case ParticipantTable::Begin::kRevote:
+      stats_.dup_drops.add();
+      vote.ok = true;
+      fill_yes_vote(held, vote);
+      ctx_.network->send(id_, req.reply_to, std::move(vote));
+      return;
+    case ParticipantTable::Begin::kFresh:
+      break;
+  }
+
+  // Alg. 5 lines 1-13: lock in sorted key order, then validate.
+  held.exclusive.reserve(req.writes.size());
+  for (const auto& w : req.writes) held.exclusive.push_back(w.key);
+  std::sort(held.exclusive.begin(), held.exclusive.end());
+  held.exclusive.erase(
+      std::unique(held.exclusive.begin(), held.exclusive.end()),
+      held.exclusive.end());
+  // A validated key that is also written is covered by its exclusive lock.
+  for (const auto& r : req.reads) {
+    if (!std::binary_search(held.exclusive.begin(), held.exclusive.end(),
+                            r.key)) {
+      held.shared.push_back(r.key);
+    }
+  }
+  std::sort(held.shared.begin(), held.shared.end());
+  held.shared.erase(std::unique(held.shared.begin(), held.shared.end()),
+                    held.shared.end());
+
+  if (!locks_.lock_all_exclusive(held.exclusive, req.tx,
+                                 ctx_.config.lock_timeout)) {
+    vote.fail_reason = VoteFail::kLock;
+  } else {
+    std::size_t shared_got = 0;
+    while (shared_got < held.shared.size() &&
+           locks_.lock_shared(held.shared[shared_got], req.tx,
+                              ctx_.config.lock_timeout)) {
+      ++shared_got;
+    }
+    if (shared_got < held.shared.size()) {
+      held.shared.resize(shared_got);
+      release(req.tx, held);
+      vote.fail_reason = VoteFail::kLock;
+    } else if (!validate(req, held)) {
+      release(req.tx, held);
+      vote.fail_reason = VoteFail::kValidation;
+    } else {
+      vote.ok = true;
+      fill_yes_vote(held, vote);
+    }
+  }
+
+  if (!vote.ok) {
+    participants_.abandon(req.tx);
+  } else if (!participants_.publish(req.tx, held)) {
+    // A (necessarily abort) Decide raced past while we validated: release
+    // now, since nothing will decide this tx again.
+    release(req.tx, held);
+    vote.ok = false;
+    vote.fail_reason = VoteFail::kLock;
+  }
+  ctx_.network->send(id_, req.reply_to, std::move(vote));
+}
+
+void TwoPhaseNode::release_prepared(TxId tx) {
+  if (auto held = participants_.decide(tx)) release(tx, *held);
+}
+
+void TwoPhaseNode::release(TxId tx, const HeldLocks& held) {
+  for (Key k : held.shared) locks_.unlock_shared(k, tx);
+  locks_.unlock_all_exclusive(held.exclusive, tx);
+}
+
+}  // namespace fwkv

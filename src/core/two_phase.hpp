@@ -1,0 +1,180 @@
+// The two-phase commit core shared by FW-KV, Walter and 2PC-baseline
+// (Alg. 4 lines 9-26, Alg. 5 lines 1-22). The systems differ only where the
+// paper says they do: whether read-only transactions prepare, and whether
+// the Decide is acknowledged. A node supplies how it builds each
+// PrepareRequest, how it validates under the locks, and how it installs;
+// the retry loops, vote folding, tx-id deduplication and locking live here
+// once. The reliable and the fault-injected network run the same code with
+// a different RetryPolicy.
+#pragma once
+
+#include <chrono>
+#include <cstdint>
+#include <deque>
+#include <mutex>
+#include <optional>
+#include <unordered_map>
+#include <utility>
+#include <vector>
+
+#include "core/kv_node.hpp"
+#include "store/lock_table.hpp"
+
+namespace fwkv {
+
+/// The locks a participant holds for one prepared transaction.
+struct HeldLocks {
+  std::vector<Key> exclusive;  // written keys
+  std::vector<Key> shared;     // 2PC-baseline: validated keys not written
+};
+
+/// Participant-side record of the transactions this node is preparing, has
+/// prepared, or has seen decided. No network: every entry point is a pure
+/// state transition under one mutex, so it is unit-tested on its own.
+///
+/// Deduplication is unconditional: a Prepare can be redelivered by a
+/// coordinator retry, a duplicated delivery, or a pause that lands it next
+/// to its own (timeout-abort) Decide. Tx ids are unique for the cluster's
+/// lifetime, so a decided id is never a new transaction.
+class ParticipantTable {
+ public:
+  /// How many decided ids are remembered (oldest evicted first).
+  static constexpr std::size_t kDecidedHorizon = 1 << 16;
+
+  enum class Begin : std::uint8_t {
+    kFresh,   // first Prepare: lock, validate, then publish() or abandon()
+    kDrop,    // a duplicate is mid-prepare, or the tx is already decided
+    kRevote,  // already voted yes and still holds the locks: vote yes again
+  };
+
+  /// Registers a Prepare for `tx`. On kRevote, `held` receives a copy of
+  /// the locks the earlier yes-vote holds.
+  Begin begin_prepare(TxId tx, HeldLocks& held);
+
+  /// A fresh prepare voted yes while holding `held`. Returns false if the
+  /// Decide arrived meanwhile (necessarily an abort): the locks then stay
+  /// with the caller to release, since nothing will decide the tx again.
+  /// On true the table takes the locks.
+  bool publish(TxId tx, HeldLocks& held);
+
+  /// A fresh prepare voted no (it holds nothing).
+  void abandon(TxId tx);
+
+  /// Records the decision for `tx` and returns the locks its yes-vote
+  /// holds, if any. A duplicate Decide, a Decide for a no-vote, and a
+  /// Decide that overtakes its Prepare all return nothing.
+  std::optional<HeldLocks> decide(TxId tx);
+
+ private:
+  enum class Phase : std::uint8_t { kPreparing, kPrepared, kDecided };
+  struct Entry {
+    Phase phase = Phase::kPreparing;
+    HeldLocks locks;
+  };
+
+  std::mutex mu_;
+  std::unordered_map<TxId, Entry> entries_;
+  std::deque<TxId> decided_fifo_;
+};
+
+/// Retry parameters of the core. On a reliable network every loop runs a
+/// single attempt that waits up to rpc_timeout, and PSI Decides are not
+/// acknowledged. When messages may be lost, the ProtocolConfig attempts and
+/// backoffs apply, PSI Decides are acknowledged, and the MV nodes arm their
+/// seq-gap watchdog and retain a resend horizon of their commit log.
+struct RetryPolicy {
+  bool lossy = false;
+  std::uint32_t read_attempts = 1;
+  /// Attempt k of a prepare (decide) round waits prepare_wait * 2^k.
+  std::uint32_t prepare_attempts = 1;
+  std::chrono::nanoseconds prepare_wait{0};
+  std::uint32_t decide_attempts = 1;
+  std::chrono::nanoseconds decide_wait{0};
+  /// Trailing commit records kept for ResendRequest replay (0: none).
+  SeqNo resend_horizon = 0;
+
+  static RetryPolicy derive(const ProtocolConfig& cfg, bool lossy);
+};
+
+class TwoPhaseNode : public KvNode {
+ public:
+  TwoPhaseNode(NodeId id, ClusterContext& ctx);
+
+  /// Routes ReadRequests, Prepares and Decides; anything else goes to
+  /// on_other.
+  void handle_message(net::Message msg, NodeId from) final;
+
+ protected:
+  /// The folded outcome of one prepare round.
+  struct Votes {
+    bool commit = true;
+    AbortReason reason = AbortReason::kNone;
+    /// Alg. 4 line 19: the union of the yes-votes' collected sets; sorted
+    /// and deduplicated when the transaction commits.
+    std::vector<TxId> collected;
+  };
+
+  // ---- coordinator ----
+
+  /// Messages to send, each with its destination.
+  using Outbox = std::vector<std::pair<NodeId, net::Message>>;
+
+  /// Alg. 2 lines 6-7: a ReadRequest round trip. Reads are side-effect-free
+  /// until the reply is processed, so a lost request or reply is retried.
+  /// nullopt only if every attempt timed out.
+  std::optional<net::ReadReturn> fetch(NodeId target, net::ReadRequest req);
+
+  /// Alg. 4 lines 12-21: sends the Prepares and folds the votes. A missing
+  /// vote is re-requested with backoff; participants deduplicate by tx id,
+  /// so a retry racing its original is harmless. After the last attempt
+  /// the transaction timeout-aborts (kVoteTimeout) and the caller's abort
+  /// Decide releases any participant locks.
+  Votes prepare(Outbox preps);
+
+  /// Alg. 4 line 26: sends the Decides. Acked Decides are re-sent with
+  /// backoff until acknowledged: a lost commit Decide would hold the
+  /// participant's write locks until gap repair, and a lost abort Decide
+  /// would hold them forever (an aborted tx has no seq for gap repair to
+  /// find). The ack means "received"; application may still be buffered.
+  void decide(Outbox decides, bool acked);
+
+  /// Marks `tx` committed or aborted and counts the outcome.
+  bool finish(Transaction& tx, const Votes& votes);
+
+  // ---- participant ----
+
+  virtual void on_read_request(const net::ReadRequest& req) = 0;
+  virtual void on_decide(net::DecideMessage&& m) = 0;
+  /// Messages outside the 2PC rounds (PSI: Propagate, Remove, Resend).
+  virtual void on_other(net::Message&& msg);
+
+  /// Validation under the prepare locks (§4.4 / 2PC read validation).
+  virtual bool validate(const net::PrepareRequest& req,
+                        const HeldLocks& held) = 0;
+  /// Fills the protocol-specific part of a yes vote (FW-KV: Alg. 5 lines
+  /// 8-10's collected set), with the locks in `held` still taken.
+  virtual void fill_yes_vote(const HeldLocks& /*held*/,
+                             net::VoteReply& /*vote*/) {}
+
+  /// Records the decision for `tx` and releases the locks of its yes-vote.
+  void release_prepared(TxId tx);
+  void release(TxId tx, const HeldLocks& held);
+
+  const RetryPolicy retry_;
+  store::LockTable locks_;
+  ParticipantTable participants_;
+
+ private:
+  /// Alg. 5 lines 1-13: deduplicates, locks (exclusive on written keys,
+  /// shared on validated keys that are not written), validates, and votes.
+  void on_prepare(const net::PrepareRequest& req);
+
+  /// Sends every request and waits for every reply. Attempt k waits
+  /// wait * 2^k for each missing reply, then re-sends it and counts a
+  /// retry. A reply is nullopt if every attempt timed out.
+  std::vector<std::optional<net::Message>> call_all(
+      Outbox requests, std::uint32_t attempts, std::chrono::nanoseconds wait,
+      Counter& retries);
+};
+
+}  // namespace fwkv

@@ -156,8 +156,6 @@ struct EncodeVisitor {
     e.put_string(m.value);
     e.put_vc(m.version_vc);
     e.put_u64(m.version_id);
-    e.put_u32(m.version_origin);
-    e.put_u64(m.version_seq);
     e.put_u64(m.latest_id);
     e.put_u64(m.server_seq);
   }
@@ -246,8 +244,6 @@ std::optional<Message> decode_message(const std::vector<std::uint8_t>& bytes) {
       m.value = d.get_string();
       m.version_vc = d.get_vc();
       m.version_id = d.get_u64();
-      m.version_origin = d.get_u32();
-      m.version_seq = d.get_u64();
       m.latest_id = d.get_u64();
       m.server_seq = d.get_u64();
       out = std::move(m);

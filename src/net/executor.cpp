@@ -2,7 +2,7 @@
 
 namespace fwkv::net {
 
-Executor::Executor(std::size_t threads, const char* /*name*/) {
+Executor::Executor(std::size_t threads) {
   workers_.reserve(threads);
   for (std::size_t i = 0; i < threads; ++i) {
     workers_.emplace_back([this] { worker_loop(); });
@@ -18,11 +18,6 @@ void Executor::submit(std::function<void()> task) {
     queue_.push_back(std::move(task));
   }
   cv_.notify_one();
-}
-
-std::size_t Executor::in_flight() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return queue_.size() + active_.load(std::memory_order_relaxed);
 }
 
 void Executor::shutdown() {
@@ -49,10 +44,8 @@ void Executor::worker_loop() {
       }
       task = std::move(queue_.front());
       queue_.pop_front();
-      active_.fetch_add(1, std::memory_order_relaxed);
     }
     task();
-    active_.fetch_sub(1, std::memory_order_relaxed);
   }
 }
 

@@ -1,16 +1,10 @@
-// Per-node task execution. Every simulated node owns two lanes:
-//
-//   data lane    - read handlers and prepare handlers; these may block
-//                  briefly on per-key lock acquisition (Alg. 3 / Alg. 5);
-//   control lane - vote routing, decide, propagate and remove handlers;
-//                  these release locks and advance siteVC.
-//
-// The split guarantees that a data-lane task blocked on a lock can never
-// starve the control-lane task that will release it, so the node as a whole
-// is deadlock-free by construction.
+// Per-node worker pool for the handlers that may block briefly on per-key
+// lock acquisition: reads (Alg. 3) and prepares (Alg. 5). The non-blocking
+// handlers (Decide, Propagate, Remove, ResendRequest) run inline on the
+// delivering thread instead, so a worker blocked on a lock can never starve
+// the Decide that will release it.
 #pragma once
 
-#include <atomic>
 #include <condition_variable>
 #include <cstddef>
 #include <deque>
@@ -24,7 +18,7 @@ namespace fwkv::net {
 /// Fixed-size worker pool over a FIFO queue.
 class Executor {
  public:
-  explicit Executor(std::size_t threads, const char* name = "exec");
+  explicit Executor(std::size_t threads);
   ~Executor();
 
   Executor(const Executor&) = delete;
@@ -32,19 +26,15 @@ class Executor {
 
   void submit(std::function<void()> task);
 
-  /// Tasks queued but not yet started, plus tasks currently running.
-  std::size_t in_flight() const;
-
   /// Reject new work and join workers; queued tasks are still drained.
   void shutdown();
 
  private:
   void worker_loop();
 
-  mutable std::mutex mu_;
+  std::mutex mu_;
   std::condition_variable cv_;
   std::deque<std::function<void()>> queue_;
-  std::atomic<std::size_t> active_{0};
   bool stop_ = false;
   std::vector<std::thread> workers_;
 };

@@ -53,8 +53,6 @@ struct ReadReturn {
   /// Commit vector clock of the returned version (empty for 2PC-baseline).
   VectorClock version_vc;
   VersionId version_id = 0;
-  NodeId version_origin = 0;
-  SeqNo version_seq = 0;
   /// Freshness instrumentation: id of the newest version present when the
   /// read was served (latest_id - version_id is the staleness gap, §2.4).
   VersionId latest_id = 0;
@@ -89,7 +87,7 @@ struct VoteReply {
 };
 
 struct DecideMessage {
-  /// Non-zero only for the 2PC-baseline, which waits for DecideAck.
+  /// Non-zero when the coordinator waits for a DecideAck (see there).
   std::uint64_t rpc_id = 0;
   NodeId reply_to = 0;
   TxId tx;
@@ -116,9 +114,9 @@ struct PropagateMessage {
   SeqNo to_seq = 0;
 };
 
-/// 2PC-baseline only: participants acknowledge Decide application so the
-/// coordinator completes a full synchronous two-phase round (the PSI
-/// systems return to the client after sending Decide, per Alg. 4).
+/// Acknowledges a Decide. The 2PC-baseline always asks for it, to complete
+/// a full synchronous two-phase round; the PSI systems, which return after
+/// sending Decide (Alg. 4), ask only on a lossy network, to re-send it.
 struct DecideAck {
   std::uint64_t rpc_id = 0;
 };

@@ -23,9 +23,7 @@ SimNetwork::SimNetwork(std::uint32_t num_nodes, NetConfig config)
       pause_until_ns_(new std::atomic<std::int64_t>[num_nodes]) {
   nodes_.resize(num_nodes);
   for (auto& lanes : nodes_) {
-    lanes.data = std::make_unique<Executor>(config_.data_threads, "data");
-    lanes.control =
-        std::make_unique<Executor>(config_.control_threads, "ctrl");
+    lanes.data = std::make_unique<Executor>(config_.data_threads);
   }
   for (std::uint32_t i = 0; i < num_nodes; ++i) {
     pause_until_ns_[i].store(0, std::memory_order_relaxed);
@@ -41,7 +39,6 @@ SimNetwork::~SimNetwork() {
   timer_.shutdown();
   for (auto& lanes : nodes_) {
     lanes.data->shutdown();
-    lanes.control->shutdown();
   }
 }
 

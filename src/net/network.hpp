@@ -48,8 +48,6 @@ struct NetConfig {
   /// briefly on per-key locks). Decide/propagate/remove handlers are
   /// non-blocking and run inline on the delivering thread.
   std::size_t data_threads = 3;
-  /// Spare worker lane (kept for handlers that must not run inline).
-  std::size_t control_threads = 1;
   /// Deterministic fault injection (chaos testing). The default plan is
   /// inert, in which case the fault layer is never consulted on the send
   /// path (no-op guarantee for benchmarks and the existing test suite).
@@ -59,7 +57,7 @@ struct NetConfig {
 };
 
 /// Implemented by protocol nodes; invoked on the destination node's
-/// executor lanes.
+/// executor or inline on the delivering thread.
 class NodeEndpoint {
  public:
   virtual ~NodeEndpoint() = default;
@@ -113,20 +111,9 @@ class SimNetwork {
   /// before retrying a timed-out RPC with a fresh id.
   void cancel_rpc(const RpcCall& call);
 
-  /// True when a FaultPlan is in effect. Protocol nodes gate their
-  /// recovery machinery (acked decides, gap watchdogs, payload retention)
-  /// on this so the fault-free fast path stays untouched.
+  /// True when a FaultPlan is in effect, i.e. messages may be lost. Fixed
+  /// at construction; protocol nodes derive their retry parameters from it.
   bool faults_active() const { return injector_ != nullptr; }
-
-  /// True once any delivery may have been deferred or lost: an active
-  /// injector, or pause_node having ever been used. Pause deferral can land
-  /// a Prepare and its (timeout-abort) Decide at the same instant on
-  /// different executor lanes, so the tx-id dedup that guards against the
-  /// Decide overtaking the Prepare must be live here too — while the
-  /// retry/backoff machinery stays keyed on faults_active().
-  bool deliveries_disturbed() const {
-    return injector_ != nullptr || any_pause_.load(std::memory_order_relaxed);
-  }
 
   /// Pause a node at runtime: deliveries to `node` that would land within
   /// the next `duration` are deferred to the end of the window (inbox
@@ -189,7 +176,6 @@ class SimNetwork {
 
   struct NodeLanes {
     std::unique_ptr<Executor> data;
-    std::unique_ptr<Executor> control;
     NodeEndpoint* endpoint = nullptr;
   };
   std::vector<NodeLanes> nodes_;

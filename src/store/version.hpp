@@ -84,8 +84,6 @@ struct ReadResult {
   Value value;
   VectorClock vc;
   VersionId id = 0;
-  NodeId origin = 0;
-  SeqNo seq = 0;
   /// Freshness instrumentation: id of the newest installed version at the
   /// time the read was served.
   VersionId latest_id = 0;

@@ -33,8 +33,6 @@ ReadResult VersionChain::to_result(const Version& v) const {
   r.value = v.value;
   r.vc = v.vc;
   r.id = v.id;
-  r.origin = v.origin;
-  r.seq = v.seq;
   r.latest_id = versions_.back().id;
   return r;
 }

@@ -1,7 +1,5 @@
 #include "twopc/twopc_node.hpp"
 
-#include <algorithm>
-#include <cassert>
 #include <map>
 
 #include "net/network.hpp"
@@ -9,16 +7,11 @@
 namespace fwkv {
 
 using net::DecideMessage;
-using net::Message;
 using net::PrepareRequest;
 using net::ReadRequest;
 using net::ReadReturn;
 using net::ReadValidationEntry;
-using net::VoteFail;
-using net::VoteReply;
 using net::WriteEntry;
-
-TwoPcNode::TwoPcNode(NodeId id, ClusterContext& ctx) : KvNode(id, ctx) {}
 
 void TwoPcNode::begin(Transaction& /*tx*/) {
   // Optimistic execution: nothing to snapshot.
@@ -28,41 +21,24 @@ std::optional<Value> TwoPcNode::read(Transaction& tx, Key key) {
   if (auto written = tx.written_value(key)) return written;
   if (auto cached = tx.cached_read(key)) return cached;
 
-  const NodeId target = ctx_.mapper->node_for(key);
   ReadRequest req;
   req.tx.id = tx.id();
   req.tx.read_only = tx.read_only();
   req.key = key;
-  // Reads are idempotent: under fault injection a lost request or reply is
-  // simply retried (one attempt suffices on a reliable network).
-  const int attempts = ctx_.network->faults_active() ? 3 : 1;
-  std::optional<Message> reply;
-  for (int a = 0; a < attempts && !reply.has_value(); ++a) {
-    auto call = attempts == 1
-                    ? ctx_.network->send_request(id_, target, std::move(req))
-                    : ctx_.network->send_request(id_, target, req);
-    reply = call.await(ctx_.config.rpc_timeout);
-    if (!reply.has_value()) ctx_.network->cancel_rpc(call);
-  }
-  if (!reply.has_value()) return std::nullopt;
-  auto& rr = std::get<ReadReturn>(*reply);
-  if (!rr.found) return std::nullopt;
+  auto rr = fetch(ctx_.mapper->node_for(key), std::move(req));
+  if (!rr.has_value() || !rr->found) return std::nullopt;
 
   // Record the observed version: prepare re-checks it on the owner node.
-  tx.record_validation(key, rr.version_id);
-  tx.cache_read(key, rr.value);
-  return rr.value;
+  tx.record_validation(key, rr->version_id);
+  tx.cache_read(key, rr->value);
+  return rr->value;
 }
 
 bool TwoPcNode::commit(Transaction& tx) {
   // Unlike the PSI systems, read-only transactions go through the full
   // prepare/decide cycle to validate their reads (this is the cost the
   // paper's Fig. 5/8 measure against).
-  struct SiteWork {
-    std::vector<WriteEntry> writes;
-    std::vector<ReadValidationEntry> reads;
-  };
-  std::map<NodeId, SiteWork> by_site;
+  std::map<NodeId, PrepareRequest> by_site;
   for (const auto& [key, value] : tx.write_set()) {
     by_site[ctx_.mapper->node_for(key)].writes.push_back(WriteEntry{key, value});
   }
@@ -72,162 +48,34 @@ bool TwoPcNode::commit(Transaction& tx) {
     by_site[ctx_.mapper->node_for(key)].reads.push_back(
         ReadValidationEntry{key, version});
   }
-  if (by_site.empty()) {  // touched nothing at all
-    tx.mark_committed();
-    stats_.ro_commits.add();
-    return true;
-  }
+  if (by_site.empty()) return finish(tx, Votes{});  // touched nothing at all
 
-  const bool chaos = ctx_.network->faults_active();
-  std::vector<net::RpcCall> calls;
-  std::vector<NodeId> participants;
-  std::vector<PrepareRequest> preps;  // retained for retries under faults
-  for (auto& [site, work] : by_site) {
-    PrepareRequest prep;
+  Outbox preps;
+  for (auto& [site, prep] : by_site) {
     prep.tx = tx.id();
-    prep.writes = work.writes;
-    prep.reads = work.reads;
-    participants.push_back(site);
-    if (chaos) preps.push_back(prep);
-    calls.push_back(ctx_.network->send_request(id_, site, std::move(prep)));
+    preps.emplace_back(site, prep);
   }
-
-  std::vector<std::optional<VoteReply>> votes(calls.size());
-  if (!chaos) {
-    for (std::size_t i = 0; i < calls.size(); ++i) {
-      if (auto reply = calls[i].await(ctx_.config.rpc_timeout)) {
-        votes[i] = std::get<VoteReply>(std::move(*reply));
-      }
-    }
-  } else {
-    // Bounded exponential backoff re-sends to participants whose vote is
-    // missing; they deduplicate by tx id and re-vote idempotently. After
-    // the last attempt the coordinator timeout-aborts and the abort Decide
-    // below releases any participant locks.
-    for (std::uint32_t attempt = 0; attempt < ctx_.config.prepare_attempts;
-         ++attempt) {
-      const auto wait = ctx_.config.prepare_timeout * (1u << attempt);
-      bool all = true;
-      for (std::size_t i = 0; i < calls.size(); ++i) {
-        if (votes[i].has_value()) continue;
-        if (auto reply = calls[i].await(wait)) {
-          votes[i] = std::get<VoteReply>(std::move(*reply));
-        } else {
-          ctx_.network->cancel_rpc(calls[i]);
-          all = false;
-        }
-      }
-      if (all || attempt + 1 == ctx_.config.prepare_attempts) break;
-      for (std::size_t i = 0; i < calls.size(); ++i) {
-        if (votes[i].has_value()) continue;
-        stats_.prepare_retries.add();
-        calls[i] = ctx_.network->send_request(id_, participants[i], preps[i]);
-      }
-    }
-  }
-
-  bool outcome = true;
-  AbortReason reason = AbortReason::kNone;
-  for (const auto& v : votes) {
-    if (!v.has_value()) {
-      outcome = false;
-      if (reason == AbortReason::kNone) reason = AbortReason::kVoteTimeout;
-      continue;
-    }
-    const VoteReply& vote = *v;
-    if (!vote.ok) {
-      outcome = false;
-      if (reason == AbortReason::kNone) {
-        reason = vote.fail_reason == VoteFail::kLock
-                     ? AbortReason::kLockTimeout
-                     : AbortReason::kValidation;
-      }
-    }
-  }
+  const Votes votes = prepare(std::move(preps));
 
   // Full synchronous second phase: the transaction completes only after
   // every participant applied the decision and acknowledged. This is the
   // read-only commit cost PSI avoids (§5: read-only transactions "undergo
-  // an expensive commit phase using the 2PC protocol"). Under faults the
-  // Decide is re-sent with backoff until acknowledged — a lost Decide
-  // would strand the participant's locks.
-  auto make_decide = [&](NodeId site) {
+  // an expensive commit phase using the 2PC protocol").
+  Outbox decides;
+  for (auto& [site, prep] : by_site) {
     DecideMessage d;
     d.tx = tx.id();
-    d.outcome = outcome;
+    d.outcome = votes.commit;
     d.origin = id_;
-    d.writes = by_site[site].writes;
-    return d;
-  };
-  std::vector<NodeId> unacked = participants;
-  std::vector<net::RpcCall> ack_calls;
-  for (NodeId site : participants) {
-    ack_calls.push_back(ctx_.network->send_request(id_, site, make_decide(site)));
+    d.writes = std::move(prep.writes);
+    decides.emplace_back(site, std::move(d));
   }
-  const std::uint32_t rounds = chaos ? ctx_.config.decide_attempts : 1;
-  for (std::uint32_t attempt = 0; attempt < rounds && !unacked.empty();
-       ++attempt) {
-    const auto wait = chaos ? ctx_.config.decide_ack_timeout * (1u << attempt)
-                            : ctx_.config.rpc_timeout;
-    std::vector<NodeId> still;
-    std::vector<net::RpcCall> still_calls;
-    for (std::size_t i = 0; i < ack_calls.size(); ++i) {
-      if (ack_calls[i].await(wait).has_value()) continue;
-      ctx_.network->cancel_rpc(ack_calls[i]);
-      if (attempt + 1 < rounds) {
-        stats_.decide_retries.add();
-        still.push_back(unacked[i]);
-        still_calls.push_back(
-            ctx_.network->send_request(id_, unacked[i], make_decide(unacked[i])));
-      }
-    }
-    unacked = std::move(still);
-    ack_calls = std::move(still_calls);
-  }
-
-  if (outcome) {
-    tx.mark_committed();
-    if (tx.write_set().empty()) {
-      stats_.ro_commits.add();
-    } else {
-      stats_.update_commits.add();
-    }
-    return true;
-  }
-  tx.mark_aborted(reason);
-  switch (reason) {
-    case AbortReason::kLockTimeout:
-      stats_.aborts_lock.add();
-      break;
-    case AbortReason::kValidation:
-      stats_.aborts_validation.add();
-      break;
-    default:
-      stats_.aborts_vote_timeout.add();
-      break;
-  }
-  return false;
+  decide(std::move(decides), /*acked=*/true);
+  return finish(tx, votes);
 }
 
 void TwoPcNode::load(Key key, Value value) {
   store_.load(key, std::move(value));
-}
-
-void TwoPcNode::handle_message(Message msg, NodeId /*from*/) {
-  std::visit(
-      [this](auto&& m) {
-        using T = std::decay_t<decltype(m)>;
-        if constexpr (std::is_same_v<T, ReadRequest>) {
-          on_read_request(m);
-        } else if constexpr (std::is_same_v<T, PrepareRequest>) {
-          on_prepare(m);
-        } else if constexpr (std::is_same_v<T, DecideMessage>) {
-          on_decide(std::move(m));
-        } else {
-          assert(false && "unexpected message for 2PC-baseline node");
-        }
-      },
-      std::move(msg));
 }
 
 void TwoPcNode::on_read_request(const ReadRequest& req) {
@@ -243,152 +91,30 @@ void TwoPcNode::on_read_request(const ReadRequest& req) {
   ctx_.network->send(id_, req.reply_to, std::move(ret));
 }
 
-void TwoPcNode::on_prepare(const PrepareRequest& req) {
-  // Redelivery dedup, keyed by tx id (see twopc_node.hpp). Only live once
-  // deliveries may have been disturbed (injector or pauses): on a reliable
-  // network Prepares are never redelivered, and a long-lived decided set
-  // would misread a recycled tx id (a fresh session restarting its seq
-  // counter) as a stale retransmission.
-  if (ctx_.network->deliveries_disturbed()) {
-    std::lock_guard<std::mutex> lock(prepared_mu_);
-    if (decided_.count(req.tx) != 0 || preparing_.count(req.tx) != 0) {
-      stats_.dup_drops.add();
-      return;
-    }
-    if (prepared_.count(req.tx) != 0) {
-      // Already voted yes; locks still held. Re-vote for the retry.
-      stats_.dup_drops.add();
-      VoteReply vote;
-      vote.rpc_id = req.rpc_id;
-      vote.ok = true;
-      ctx_.network->send(id_, req.reply_to, std::move(vote));
-      return;
-    }
-    preparing_.insert(req.tx);
-  }
-
-  PreparedLocks held;
-  for (const auto& w : req.writes) held.exclusive.push_back(w.key);
-  std::sort(held.exclusive.begin(), held.exclusive.end());
-  held.exclusive.erase(
-      std::unique(held.exclusive.begin(), held.exclusive.end()),
-      held.exclusive.end());
+bool TwoPcNode::validate(const PrepareRequest& req, const HeldLocks& /*held*/) {
+  // All locks held: every read must still see the version it observed.
   for (const auto& r : req.reads) {
-    if (!std::binary_search(held.exclusive.begin(), held.exclusive.end(),
-                            r.key)) {
-      held.shared.push_back(r.key);
-    }
+    if (!store_.validate(r.key, r.version)) return false;
   }
-  std::sort(held.shared.begin(), held.shared.end());
-  held.shared.erase(std::unique(held.shared.begin(), held.shared.end()),
-                    held.shared.end());
-
-  VoteReply vote;
-  vote.rpc_id = req.rpc_id;
-  vote.ok = true;
-
-  if (!locks_.lock_all_exclusive(held.exclusive, req.tx,
-                                 ctx_.config.lock_timeout)) {
-    vote.ok = false;
-    vote.fail_reason = VoteFail::kLock;
-  } else {
-    std::size_t shared_got = 0;
-    for (; shared_got < held.shared.size(); ++shared_got) {
-      if (!locks_.lock_shared(held.shared[shared_got], req.tx,
-                              ctx_.config.lock_timeout)) {
-        break;
-      }
-    }
-    if (shared_got < held.shared.size()) {
-      for (std::size_t i = 0; i < shared_got; ++i) {
-        locks_.unlock_shared(held.shared[i], req.tx);
-      }
-      locks_.unlock_all_exclusive(held.exclusive, req.tx);
-      vote.ok = false;
-      vote.fail_reason = VoteFail::kLock;
-    } else {
-      // All locks held: validate every read against the current version.
-      for (const auto& r : req.reads) {
-        if (!store_.validate(r.key, r.version)) {
-          vote.ok = false;
-          vote.fail_reason = VoteFail::kValidation;
-          break;
-        }
-      }
-      if (!vote.ok) {
-        for (Key k : held.shared) locks_.unlock_shared(k, req.tx);
-        locks_.unlock_all_exclusive(held.exclusive, req.tx);
-      } else {
-        bool decided_meanwhile = false;
-        {
-          std::lock_guard<std::mutex> lock(prepared_mu_);
-          preparing_.erase(req.tx);
-          if (decided_.count(req.tx) != 0) {
-            decided_meanwhile = true;
-          } else {
-            prepared_[req.tx] = std::move(held);
-          }
-        }
-        if (decided_meanwhile) {
-          // A (necessarily abort) Decide raced past while we validated:
-          // release now — nothing will decide this tx again.
-          for (Key k : held.shared) locks_.unlock_shared(k, req.tx);
-          locks_.unlock_all_exclusive(held.exclusive, req.tx);
-          vote.ok = false;
-          vote.fail_reason = VoteFail::kLock;
-        }
-      }
-    }
-  }
-  if (!vote.ok) {
-    std::lock_guard<std::mutex> lock(prepared_mu_);
-    preparing_.erase(req.tx);
-  }
-  ctx_.network->send(id_, req.reply_to, std::move(vote));
+  return true;
 }
 
 void TwoPcNode::on_decide(DecideMessage&& m) {
-  release_prepared(m.tx, m.outcome, m.writes);
+  // Install under the yes-vote's locks, then release them. A duplicate
+  // Decide, or one for a no-vote, holds nothing and installs nothing.
+  if (auto held = participants_.decide(m.tx)) {
+    if (m.outcome) {
+      for (const auto& w : m.writes) {
+        store_.install(w.key, w.value);
+        stats_.versions_installed.add();
+      }
+    }
+    release(m.tx, *held);
+  }
   if (m.outcome) stats_.decides_applied.add();
   if (m.rpc_id != 0) {
     ctx_.network->send(id_, m.reply_to, net::DecideAck{m.rpc_id});
   }
-}
-
-void TwoPcNode::note_decided_locked(TxId tx) {
-  // Paired with on_prepare's dedup gate: only track decisions once
-  // deliveries may have been disturbed (see there about recycled tx ids).
-  if (!ctx_.network->deliveries_disturbed()) return;
-  if (!decided_.insert(tx).second) return;
-  decided_fifo_.push_back(tx);
-  if (decided_fifo_.size() > kDecidedHorizon) {
-    decided_.erase(decided_fifo_.front());
-    decided_fifo_.pop_front();
-  }
-}
-
-void TwoPcNode::release_prepared(TxId tx, bool install,
-                                 const std::vector<WriteEntry>& writes) {
-  PreparedLocks held;
-  {
-    std::lock_guard<std::mutex> lock(prepared_mu_);
-    // Remember the decision before the lookup so a stale retransmitted
-    // Prepare can never re-lock keys after the decision passed through
-    // (this also makes duplicated Decide deliveries no-ops).
-    note_decided_locked(tx);
-    auto it = prepared_.find(tx);
-    if (it == prepared_.end()) return;  // voted no / duplicate; nothing held
-    held = std::move(it->second);
-    prepared_.erase(it);
-  }
-  if (install) {
-    for (const auto& w : writes) {
-      store_.install(w.key, w.value);
-      stats_.versions_installed.add();
-    }
-  }
-  for (Key k : held.shared) locks_.unlock_shared(k, tx);
-  locks_.unlock_all_exclusive(held.exclusive, tx);
 }
 
 }  // namespace fwkv

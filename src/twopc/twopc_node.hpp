@@ -8,21 +8,14 @@
 // paper reports FW-KV/Walter at >3x its throughput.
 #pragma once
 
-#include <deque>
-#include <mutex>
-#include <unordered_map>
-#include <unordered_set>
-#include <vector>
-
-#include "core/kv_node.hpp"
-#include "store/lock_table.hpp"
+#include "core/two_phase.hpp"
 #include "store/sv_store.hpp"
 
 namespace fwkv {
 
-class TwoPcNode final : public KvNode {
+class TwoPcNode final : public TwoPhaseNode {
  public:
-  TwoPcNode(NodeId id, ClusterContext& ctx);
+  using TwoPhaseNode::TwoPhaseNode;
 
   // ---- client-side API ----
   void begin(Transaction& tx) override;
@@ -31,37 +24,17 @@ class TwoPcNode final : public KvNode {
   void load(Key key, Value value) override;
 
   // ---- NodeEndpoint ----
-  void handle_message(net::Message msg, NodeId from) override;
   std::size_t pending_work() const override { return 0; }
 
   store::SVStore& sv_store() { return store_; }
 
+ protected:
+  void on_read_request(const net::ReadRequest& req) override;
+  void on_decide(net::DecideMessage&& m) override;
+  bool validate(const net::PrepareRequest& req, const HeldLocks& held) override;
+
  private:
-  void on_read_request(const net::ReadRequest& req);
-  void on_prepare(const net::PrepareRequest& req);
-  void on_decide(net::DecideMessage&& m);
-  void release_prepared(TxId tx, bool install,
-                        const std::vector<net::WriteEntry>& writes);
-
   store::SVStore store_;
-  store::LockTable locks_;
-
-  struct PreparedLocks {
-    std::vector<Key> exclusive;  // written keys
-    std::vector<Key> shared;     // read-only-validated keys
-  };
-  // Redelivered Prepares are deduplicated by tx id: `preparing_` covers a
-  // prepare mid-flight on another thread, `prepared_` a yes-vote awaiting
-  // its Decide (re-vote yes), `decided_` recently decided transactions so a
-  // stale retransmitted Prepare cannot re-lock keys nothing would release.
-  std::mutex prepared_mu_;
-  std::unordered_map<TxId, PreparedLocks> prepared_;
-  std::unordered_set<TxId> preparing_;
-  std::unordered_set<TxId> decided_;
-  std::deque<TxId> decided_fifo_;
-  static constexpr std::size_t kDecidedHorizon = 1 << 16;
-  /// Requires prepared_mu_. Bounded-memory insert into the decided set.
-  void note_decided_locked(TxId tx);
 };
 
 }  // namespace fwkv

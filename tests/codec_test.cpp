@@ -87,8 +87,6 @@ TEST(CodecTest, ReadReturnRoundTrip) {
   m.value = std::string("binary\0data", 11);
   m.version_vc = vc({1, 2});
   m.version_id = 99;
-  m.version_origin = 1;
-  m.version_seq = 2;
   m.latest_id = 101;
 
   auto decoded = decode_message(encode_message(m));
@@ -339,8 +337,6 @@ Message random_message(MessageType t, std::mt19937_64& rng) {
       m.value = random_value(rng);
       m.version_vc = random_vc(rng);
       m.version_id = rng();
-      m.version_origin = static_cast<NodeId>(rng() % 64);
-      m.version_seq = rng() % 100'000;
       m.latest_id = rng();
       m.server_seq = rng() % 100'000;
       return m;

@@ -61,57 +61,5 @@ TEST(AccumulatorTest, ConcurrentMax) {
   EXPECT_EQ(a.max(), 34999u);
 }
 
-TEST(LogHistogramTest, CountAndMean) {
-  LogHistogram h;
-  h.record(100);
-  h.record(200);
-  h.record(300);
-  EXPECT_EQ(h.count(), 3u);
-  EXPECT_DOUBLE_EQ(h.mean(), 200.0);
-}
-
-TEST(LogHistogramTest, PercentilesAreOrdered) {
-  LogHistogram h;
-  for (std::uint64_t v = 1; v <= 10000; ++v) h.record(v);
-  const auto p50 = h.value_at_percentile(50);
-  const auto p90 = h.value_at_percentile(90);
-  const auto p99 = h.value_at_percentile(99);
-  EXPECT_LE(p50, p90);
-  EXPECT_LE(p90, p99);
-  // Log buckets: representative values are within 2x of the true value.
-  EXPECT_GT(p50, 2500u);
-  EXPECT_LT(p50, 10000u);
-}
-
-TEST(LogHistogramTest, EmptyPercentileIsZero) {
-  LogHistogram h;
-  EXPECT_EQ(h.value_at_percentile(99), 0u);
-  EXPECT_EQ(h.count(), 0u);
-}
-
-TEST(LogHistogramTest, ZeroValuesLandInFirstBucket) {
-  LogHistogram h;
-  h.record(0);
-  h.record(0);
-  EXPECT_EQ(h.count(), 2u);
-  EXPECT_EQ(h.value_at_percentile(50), 0u);
-}
-
-TEST(LogHistogramTest, MergeCombines) {
-  LogHistogram a;
-  LogHistogram b;
-  a.record(10);
-  b.record(1000);
-  a.merge_from(b);
-  EXPECT_EQ(a.count(), 2u);
-  EXPECT_DOUBLE_EQ(a.mean(), 505.0);
-}
-
-TEST(LogHistogramTest, SummaryMentionsCount) {
-  LogHistogram h;
-  h.record(5);
-  EXPECT_NE(h.summary().find("n=1"), std::string::npos);
-}
-
 }  // namespace
 }  // namespace fwkv

@@ -4,6 +4,7 @@
 
 #include <atomic>
 #include <thread>
+#include <type_traits>
 
 #include "common/rng.hpp"
 #include "core/cluster.hpp"
@@ -19,10 +20,18 @@ std::int64_t parse(const Value& v) {
   return std::strtoll(v.c_str(), nullptr, 10);
 }
 
+// gtest names a test after the bytes of a parameter it cannot print, and
+// ctest registers it under that name. `pad` spells out what would be
+// padding, so no indeterminate byte reaches the name and it is the same
+// on every build and run.
 struct InvariantCase {
+  InvariantCase(Protocol p, std::chrono::milliseconds delay)
+      : protocol(p), propagate_delay(delay) {}
   Protocol protocol;
+  std::uint8_t pad[7] = {};
   std::chrono::milliseconds propagate_delay;
 };
+static_assert(std::has_unique_object_representations_v<InvariantCase>);
 
 /// Random transfers between accounts for `run_for`, then a full audit:
 /// total balance must be exactly conserved. `label` names the
@@ -121,9 +130,12 @@ INSTANTIATE_TEST_SUITE_P(
 // prepare/decide retries and gap repair end to end; the audit then proves
 // none of that machinery double-applied or lost a committed transfer.
 struct ChaosInvariantCase {
+  ChaosInvariantCase(Protocol p, std::uint64_t s) : protocol(p), seed(s) {}
   Protocol protocol;
+  std::uint8_t pad[7] = {};  // see InvariantCase
   std::uint64_t seed;
 };
+static_assert(std::has_unique_object_representations_v<ChaosInvariantCase>);
 
 class ChaosMoneyConservationTest
     : public ::testing::TestWithParam<ChaosInvariantCase> {};

@@ -2,6 +2,7 @@
 // commit machinery, in-order application, propagation batching.
 #include <gtest/gtest.h>
 
+#include <stdexcept>
 #include <thread>
 
 #include "core/cluster.hpp"
@@ -365,6 +366,52 @@ TEST(FwKvTest, CollectedSetReachesCoordinatorStats) {
   EXPECT_EQ(stats.collected_count, 1u);
   EXPECT_GE(stats.collected_sum, 1u) << "anti-dependency was not collected";
   ro_session.commit(ro);
+}
+
+TEST(FwKvTest, SecondSessionWithSameLabelKeepsItsAntiDependency) {
+  Cluster cluster(base_config(Protocol::kFwKv));
+  const Key y = key_on(cluster, 1);
+  cluster.load(y, "v");
+
+  // A first session's read-only transaction reads y and finishes: its
+  // Remove puts its id in node 1's removed ring.
+  Session first = cluster.make_session(0, 0);
+  auto done = first.begin(true);
+  ASSERT_TRUE(first.read(done, y).has_value());
+  ASSERT_TRUE(first.commit(done));
+  ASSERT_TRUE(cluster.quiesce());
+
+  // A second session with the same (node, client) label gets ids of its
+  // own. Its read-only transaction reads y and stays open while a writer
+  // installs a new version of y.
+  Session second = cluster.make_session(0, 0);
+  auto ro = second.begin(true);
+  EXPECT_NE(ro.id(), done.id()) << "a new session reused a finished tx id";
+  ASSERT_TRUE(second.read(ro, y).has_value());
+
+  Session writer = cluster.make_session(2, 0);
+  auto tx = writer.begin();
+  writer.write(tx, y, "v2");
+  ASSERT_TRUE(writer.commit(tx));
+  ASSERT_TRUE(cluster.quiesce());
+
+  // Alg. 5 line 19: the writer stamps the open reader onto y's new version.
+  bool stamped = false;
+  auto& owner = dynamic_cast<MvNodeBase&>(cluster.node(1));
+  ASSERT_TRUE(owner.mv_store().with_chain(y, [&](store::VersionChain& chain) {
+    stamped = chain.latest().access_set_contains(ro.id());
+  }));
+  EXPECT_TRUE(stamped) << "the anti-dependency stamp for " << to_string(ro.id())
+                       << " was dropped";
+  EXPECT_TRUE(second.commit(ro));
+}
+
+TEST(ClusterTest, SessionBeyondTxIdFieldIsRefused) {
+  // TxId has 16 bits for the session slot. The 65537th session must fail
+  // loudly (in release builds too) rather than reuse slot 0's ids.
+  Cluster cluster(base_config(Protocol::kFwKv));
+  for (std::uint32_t i = 0; i <= 0xffffu; ++i) cluster.make_session(0, 0);
+  EXPECT_THROW(cluster.make_session(0, 0), std::length_error);
 }
 
 TEST(WalterTest, SnapshotFixedAtBegin) {

@@ -17,6 +17,7 @@
 
 #include <atomic>
 #include <thread>
+#include <type_traits>
 
 #include "common/rng.hpp"
 #include "core/cluster.hpp"
@@ -34,10 +35,18 @@ Key group_key(std::uint32_t group, std::uint32_t idx) {
   return group * 100 + idx;
 }
 
+// gtest names a test after the bytes of a parameter it cannot print, and
+// ctest registers it under that name. `pad` spells out what would be
+// padding, so no indeterminate byte reaches the name and it is the same
+// on every build and run.
 struct HistoryCase {
+  HistoryCase(Protocol p, std::chrono::milliseconds delay)
+      : protocol(p), propagate_delay(delay) {}
   Protocol protocol;
+  std::uint8_t pad[7] = {};
   std::chrono::milliseconds propagate_delay;
 };
+static_assert(std::has_unique_object_representations_v<HistoryCase>);
 
 /// Drives the writer/reader swarm against `cluster` for `run_for` and
 /// checks G1/G2. `label` names the configuration in failure messages (the
@@ -186,9 +195,12 @@ INSTANTIATE_TEST_SUITE_P(
 // partitions mid-run. Every assertion carries the seed, so a violation is
 // reproducible by constructing the same FaultPlan.
 struct ChaosHistoryCase {
+  ChaosHistoryCase(Protocol p, std::uint64_t s) : protocol(p), seed(s) {}
   Protocol protocol;
+  std::uint8_t pad[7] = {};  // see HistoryCase
   std::uint64_t seed;
 };
+static_assert(std::has_unique_object_representations_v<ChaosHistoryCase>);
 
 class ChaosHistoryTest : public ::testing::TestWithParam<ChaosHistoryCase> {};
 

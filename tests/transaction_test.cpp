@@ -11,7 +11,7 @@ namespace {
 TEST(TxIdTest, FieldPackingRoundTrips) {
   TxId id(17, 3, 12345);
   EXPECT_EQ(id.node(), 17u);
-  EXPECT_EQ(id.client(), 3u);
+  EXPECT_EQ(id.session(), 3u);
   EXPECT_EQ(id.local_seq(), 12345u);
   EXPECT_TRUE(id.valid());
 }
