@@ -1,6 +1,7 @@
 #include "core/mv_node.hpp"
 
 #include <algorithm>
+#include <utility>
 
 #include "net/network.hpp"
 
@@ -16,12 +17,22 @@ using net::RemoveMessage;
 using net::VoteReply;
 using net::WriteEntry;
 
+namespace {
+
+void sort_unique(std::vector<Key>& keys) {
+  std::sort(keys.begin(), keys.end());
+  keys.erase(std::unique(keys.begin(), keys.end()), keys.end());
+}
+
+}  // namespace
+
 MvNodeBase::MvNodeBase(NodeId id, ClusterContext& ctx)
     : TwoPhaseNode(id, ctx),
       site_vc_(ctx.num_nodes),
       pending_(ctx.num_nodes),
       gap_armed_(ctx.num_nodes, 0),
       next_unsent_(ctx.num_nodes, 1) {
+  removes_.resize(ctx.num_nodes);
   // Kick off the periodic propagation flush (Walter propagates outside the
   // transaction critical path). The task re-arms itself on the timer.
   ctx_.network->schedule(ctx_.config.propagate_flush_interval,
@@ -48,6 +59,11 @@ std::optional<Value> MvNodeBase::read(Transaction& tx, Key key) {
   if (auto cached = tx.cached_read(key)) return cached;
 
   const NodeId target = ctx_.mapper->node_for(key);  // Alg. 2 line 5
+  if (tx.read_only() && track_antideps()) {
+    // Alg. 2 lines 10-12: buffer (site, key) for the Remove batch. Recorded
+    // before the request: a read whose reply is lost may still register.
+    tx.record_read_key(target, key);
+  }
   ReadRequest req;
   req.tx = net::TxDescriptor{tx.id(), tx.read_only(), tx.vc(), tx.has_read()};
   req.key = key;
@@ -63,11 +79,6 @@ std::optional<Value> MvNodeBase::read(Transaction& tx, Key key) {
     tx.has_read().set(target);
     tx.vc().merge(rr->version_vc);
     if (rr->server_seq > tx.vc()[target]) tx.vc()[target] = rr->server_seq;
-  }
-  if (tx.read_only() && track_antideps()) {
-    // Alg. 2 lines 10-12: buffer (site, key) so commit can flush one
-    // batched Remove per contacted site.
-    tx.record_read_key(target, key);
   }
   if (!tx.read_only()) {
     // Remember the version observed so that, if this key is later written,
@@ -87,17 +98,10 @@ std::optional<Value> MvNodeBase::read(Transaction& tx, Key key) {
 
 bool MvNodeBase::commit(Transaction& tx) {
   // Alg. 4 lines 2-8: read-only commit is a local decision plus async
-  // cleanup of the transaction's visible-read traces.
+  // cleanup of the transaction's visible-read traces, which here joins the
+  // Remove batches instead of a Remove per read site (see enqueue_remove).
   if (tx.write_set().empty()) {
-    if (track_antideps()) {
-      // One Remove per contacted site, carrying the transaction's batched
-      // registration buffer for that site: the handler deregisters the
-      // visible-read traces through the key list and the reverse index
-      // covers ids stamped elsewhere by committing writers (Alg. 6 l. 5-10).
-      for (auto& [site, keys] : tx.registrations_by_site()) {
-        ctx_.network->send(id_, site, RemoveMessage{tx.id(), std::move(keys)});
-      }
-    }
+    enqueue_remove(tx);
     return finish(tx, Votes{});
   }
 
@@ -149,6 +153,7 @@ bool MvNodeBase::commit(Transaction& tx) {
       if (site != id_) collect_ranges_locked(site, flushes);
     }
   }
+  attach_removes(flushes);
   for (auto& [dest, msg] : flushes) {
     ctx_.network->send(id_, dest, std::move(msg));
   }
@@ -194,6 +199,13 @@ bool MvNodeBase::commit(Transaction& tx) {
   return finish(tx, votes);
 }
 
+void MvNodeBase::abort(Transaction& tx) {
+  // A read-only transaction that gives up left the same visible-read
+  // traces as one that commits.
+  enqueue_remove(tx);
+  TwoPhaseNode::abort(tx);
+}
+
 void MvNodeBase::load(Key key, Value value) {
   store_.load(key, std::move(value), ctx_.num_nodes);
 }
@@ -204,9 +216,9 @@ void MvNodeBase::load(Key key, Value value) {
 
 void MvNodeBase::on_other(Message&& msg) {
   if (auto* prop = std::get_if<PropagateMessage>(&msg)) {
-    on_propagate(*prop);
+    on_propagate(std::move(*prop));
   } else if (auto* rem = std::get_if<RemoveMessage>(&msg)) {
-    on_remove(*rem);
+    on_remove(std::move(*rem));
   } else if (auto* resend = std::get_if<net::ResendRequest>(&msg)) {
     on_resend_request(*resend);
   } else {
@@ -332,7 +344,14 @@ void MvNodeBase::apply_decide_locked(DecideMessage& m) {
   stats_.decides_applied.add();
 }
 
-void MvNodeBase::on_propagate(const PropagateMessage& m) {
+void MvNodeBase::on_propagate(PropagateMessage&& m) {
+  // The Remove batch riding on the range applies at once, outside
+  // site_mu_, whether or not the range itself can.
+  if (!m.removed_txs.empty()) {
+    apply_removes(m.removed_txs, m.removed_keys);
+    m.removed_txs.clear();
+    m.removed_keys.clear();
+  }
   // Alg. 6 lines 1-4, generalized to ranges: the range is applicable once
   // siteVC has reached from_seq - 1 (no seq in (from_seq, to_seq] carries
   // a Decide for this node, so the whole range applies atomically).
@@ -450,12 +469,12 @@ void MvNodeBase::prune_commit_log_locked() {
 }
 
 void MvNodeBase::flush_timer_tick() {
-  flush_propagation();
+  flush(/*all_removes=*/false);
   ctx_.network->schedule(ctx_.config.propagate_flush_interval,
                          [this] { flush_timer_tick(); });
 }
 
-void MvNodeBase::flush_propagation() {
+void MvNodeBase::flush(bool all_removes) {
   Outbox flushes;
   {
     std::lock_guard<std::mutex> lock(site_mu_);
@@ -465,8 +484,43 @@ void MvNodeBase::flush_propagation() {
     }
     prune_commit_log_locked();
   }
+  attach_removes(flushes);
+  // No virtual call on this path: the first tick may run while a derived
+  // constructor is still executing. Walter's batches are simply empty.
+  std::vector<std::pair<NodeId, RemoveBatch>> alone;
+  {
+    std::lock_guard<std::mutex> lock(remove_mu_);
+    for (NodeId d = 0; d < ctx_.num_nodes; ++d) {
+      RemoveBatch& pending = removes_[d];
+      if (pending.ids.empty()) continue;
+      // This node's own batch goes every tick; another node's once no
+      // Propagate has taken it for a while.
+      if (d == id_ || all_removes || ++pending.ticks >= kRemoveMaxTicks) {
+        alone.emplace_back(d, std::exchange(pending, RemoveBatch{}));
+      }
+    }
+  }
   for (auto& [dest, msg] : flushes) {
     ctx_.network->send(id_, dest, std::move(msg));
+  }
+  ship_removes(std::move(alone));
+}
+
+void MvNodeBase::attach_removes(Outbox& out) {
+  {
+    std::lock_guard<std::mutex> lock(remove_mu_);
+    for (auto& [dest, msg] : out) {
+      auto* prop = std::get_if<PropagateMessage>(&msg);
+      if (prop == nullptr || removes_[dest].ids.empty()) continue;
+      RemoveBatch batch = std::exchange(removes_[dest], RemoveBatch{});
+      prop->removed_txs = std::move(batch.ids);
+      prop->removed_keys = std::move(batch.keys);
+    }
+  }
+  for (auto& [dest, msg] : out) {
+    if (auto* prop = std::get_if<PropagateMessage>(&msg)) {
+      sort_unique(prop->removed_keys);
+    }
   }
 }
 
@@ -517,12 +571,56 @@ void MvNodeBase::on_resend_request(const net::ResendRequest& m) {
   }
 }
 
-void MvNodeBase::on_remove(const RemoveMessage& m) {
-  // Alg. 6 lines 5-10: drop the finished read-only transaction's id from
-  // every version-access-set on this node — its own reads via the batched
-  // key list, stamped copies via the reverse index.
-  store_.remove_tx(m.tx, m.keys);
+void MvNodeBase::enqueue_remove(const Transaction& tx) {
+  if (!track_antideps() || !tx.read_only() ||
+      tx.read_registrations().empty()) {
+    return;
+  }
+  std::vector<std::pair<NodeId, RemoveBatch>> full;
+  {
+    std::lock_guard<std::mutex> lock(remove_mu_);
+    for (RemoveBatch& batch : removes_) batch.ids.push_back(tx.id());
+    for (const auto& [site, key] : tx.read_registrations()) {
+      removes_[site].keys.push_back(key);
+    }
+    for (NodeId d = 0; d < ctx_.num_nodes; ++d) {
+      if (removes_[d].ids.size() >= kRemoveBatch) {
+        full.emplace_back(d, std::exchange(removes_[d], RemoveBatch{}));
+      }
+    }
+  }
+  ship_removes(std::move(full));
+}
+
+void MvNodeBase::ship_removes(
+    std::vector<std::pair<NodeId, RemoveBatch>> batches) {
+  for (auto& [dest, batch] : batches) {
+    sort_unique(batch.keys);
+    if (dest == id_) {
+      apply_removes(batch.ids, batch.keys);
+      continue;
+    }
+    RemoveMessage m;
+    m.tx = batch.ids.front();
+    m.keys = std::move(batch.keys);
+    m.more_txs.assign(batch.ids.begin() + 1, batch.ids.end());
+    ctx_.network->send(id_, dest, std::move(m));
+  }
+}
+
+void MvNodeBase::apply_removes(std::span<const TxId> txs,
+                               std::span<const Key> keys) {
+  // Alg. 6 lines 5-10 for a batch: drop the finished read-only
+  // transactions' ids from every version-access-set on this node — their
+  // own reads via the key list, stamped copies via the reverse index.
+  store_.remove_txs(txs, keys);
   stats_.removes_processed.add();
+}
+
+void MvNodeBase::on_remove(RemoveMessage&& m) {
+  std::vector<TxId> ids = std::move(m.more_txs);
+  ids.push_back(m.tx);
+  apply_removes(ids, m.keys);
 }
 
 VectorClock MvNodeBase::site_vc() const {

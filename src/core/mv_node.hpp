@@ -7,7 +7,7 @@
 //                      selects with the per-origin scalar rule.
 //   track_antideps() - FW-KV maintains version-access-sets, collects them
 //                      during prepare, stamps them at decide, and sends
-//                      Remove messages; Walter does none of that.
+//                      batched Remove messages; Walter does none of that.
 //
 // Everything else — preferred sites, per-node sequence numbers, in-order
 // Decide/Propagate application (Alg. 5 line 16 / Alg. 6 line 2) — is common
@@ -18,6 +18,7 @@
 #include <deque>
 #include <map>
 #include <mutex>
+#include <span>
 #include <vector>
 
 #include "core/two_phase.hpp"
@@ -33,6 +34,7 @@ class MvNodeBase : public TwoPhaseNode {
   void begin(Transaction& tx) override;
   std::optional<Value> read(Transaction& tx, Key key) override;
   bool commit(Transaction& tx) override;
+  void abort(Transaction& tx) override;
   void load(Key key, Value value) override;
 
   // ---- NodeEndpoint ----
@@ -44,10 +46,9 @@ class MvNodeBase : public TwoPhaseNode {
   store::MVStore& mv_store() { return store_; }
   const store::MVStore& mv_store() const { return store_; }
 
-  /// Immediately flush all pending propagation batches (used by
+  /// Immediately flush all pending propagation and Remove batches (used by
   /// Cluster::quiesce so tests observe a settled cluster).
-  void flush_propagation();
-  void quiesce_flush() override { flush_propagation(); }
+  void quiesce_flush() override { flush(/*all_removes=*/true); }
 
  protected:
   /// FW-KV: true. Walter: false.
@@ -64,8 +65,8 @@ class MvNodeBase : public TwoPhaseNode {
   void fill_yes_vote(const HeldLocks& held, net::VoteReply& vote) override;
 
  private:
-  void on_propagate(const net::PropagateMessage& m);
-  void on_remove(const net::RemoveMessage& m);
+  void on_propagate(net::PropagateMessage&& m);
+  void on_remove(net::RemoveMessage&& m);
   void on_resend_request(const net::ResendRequest& m);
 
   // In-order application machinery. All require site_mu_ held.
@@ -132,6 +133,44 @@ class MvNodeBase : public TwoPhaseNode {
   void collect_ranges_locked(NodeId dest, Outbox& out);
   void prune_commit_log_locked();
   void flush_timer_tick();
+  /// Sends every node its pending Propagate ranges. A Remove batch that no
+  /// Propagate took goes out on its own once it has waited
+  /// kRemoveMaxTicks timer ticks, or at once if `all_removes`.
+  void flush(bool all_removes);
+
+  // ---- outgoing Remove batching (FW-KV; guarded by remove_mu_) ----
+  //
+  // A finished read-only transaction's id can sit in access sets on any
+  // node: where it read, and wherever a writer stamped it (Alg. 5 line 19).
+  // So every id goes into every node's batch, while the keys it read go
+  // only into the batch of the site that served them. A batch rides on the
+  // next Propagate to its node, so reaching every node costs no message
+  // while this node commits updates. A batch that reaches kRemoveBatch ids
+  // first is sent alone by the finishing client thread (stale ids make
+  // every writer of a hot key carry them), and the periodic flush sends a
+  // batch alone after kRemoveMaxTicks ticks. This node's own batch is
+  // applied by a direct call at kRemoveBatch ids and at every flush.
+  static constexpr std::size_t kRemoveBatch = 4;
+  static constexpr std::uint32_t kRemoveMaxTicks = 10;
+  struct RemoveBatch {
+    std::vector<TxId> ids;
+    std::vector<Key> keys;
+    std::uint32_t ticks = 0;  // flush ticks this batch has waited
+  };
+  std::mutex remove_mu_;
+  std::vector<RemoveBatch> removes_;  // per destination
+
+  /// Adds a finished read-only transaction to the batches (no-op for
+  /// Walter and for transactions that registered no read).
+  void enqueue_remove(const Transaction& tx);
+  /// Moves each destination's pending batch onto a Propagate bound there
+  /// in `out`. Called without site_mu_: the two locks are never nested.
+  void attach_removes(Outbox& out);
+  /// Sends each batch to its destination as a RemoveMessage, or applies it
+  /// here if the destination is this node.
+  void ship_removes(std::vector<std::pair<NodeId, RemoveBatch>> batches);
+  /// Alg. 6 lines 5-10 for a batch arriving at this node.
+  void apply_removes(std::span<const TxId> txs, std::span<const Key> keys);
 };
 
 /// The paper's contribution: fresh first-reads per site, visible reads with

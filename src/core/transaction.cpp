@@ -1,6 +1,6 @@
 #include "core/transaction.hpp"
 
-#include <algorithm>
+#include <utility>
 
 namespace fwkv {
 
@@ -32,22 +32,6 @@ void Transaction::cache_read(Key key, Value value) {
 
 void Transaction::record_read_key(NodeId site, Key key) {
   read_registrations_.emplace_back(site, key);
-}
-
-std::vector<std::pair<NodeId, std::vector<Key>>>
-Transaction::registrations_by_site() const {
-  // Transactions touch a handful of sites; a flat scan beats a map.
-  std::vector<std::pair<NodeId, std::vector<Key>>> grouped;
-  for (const auto& [site, key] : read_registrations_) {
-    auto it = std::find_if(grouped.begin(), grouped.end(),
-                           [s = site](const auto& g) { return g.first == s; });
-    if (it == grouped.end()) {
-      grouped.emplace_back(site, std::vector<Key>{key});
-    } else {
-      it->second.push_back(key);
-    }
-  }
-  return grouped;
 }
 
 void Transaction::record_validation(Key key, VersionId version) {

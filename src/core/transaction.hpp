@@ -47,17 +47,12 @@ class Transaction {
 
   /// T.readKeys — the per-transaction registration buffer: (site, key) for
   /// every key a read-only transaction read, in read order (Alg. 2 line 11).
-  /// Flushed once at commit as one batched Remove per contacted site
-  /// (Alg. 4 lines 3-5), so reader deregistration costs one message and one
-  /// index access per site instead of per key.
+  /// At commit or abort each key joins the Remove batch bound for its site,
+  /// so reader deregistration needs no per-read reverse-index entry.
   const std::vector<std::pair<NodeId, Key>>& read_registrations() const {
     return read_registrations_;
   }
   void record_read_key(NodeId site, Key key);
-
-  /// Group the registration buffer by site for the commit-time flush.
-  std::vector<std::pair<NodeId, std::vector<Key>>> registrations_by_site()
-      const;
 
   /// 2PC-baseline read validation set: key -> version observed.
   const std::map<Key, VersionId>& validation_set() const {

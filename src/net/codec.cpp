@@ -141,6 +141,20 @@ std::vector<TxId> decode_txids(Decoder& d) {
   return ids;
 }
 
+void encode_keys(Encoder& e, const std::vector<Key>& keys) {
+  e.put_u32(static_cast<std::uint32_t>(keys.size()));
+  for (Key k : keys) e.put_u64(k);
+}
+
+std::vector<Key> decode_keys(Decoder& d) {
+  const std::uint32_t n = d.get_u32();
+  std::vector<Key> keys;
+  if (!d.ok() || n > (1u << 24)) return keys;
+  keys.reserve(n);
+  for (std::uint32_t i = 0; i < n; ++i) keys.push_back(d.get_u64());
+  return keys;
+}
+
 struct EncodeVisitor {
   Encoder& e;
 
@@ -192,11 +206,13 @@ struct EncodeVisitor {
     e.put_u32(m.origin);
     e.put_u64(m.from_seq);
     e.put_u64(m.to_seq);
+    encode_txids(e, m.removed_txs);
+    encode_keys(e, m.removed_keys);
   }
   void operator()(const RemoveMessage& m) const {
     e.put_u64(m.tx.raw);
-    e.put_u32(static_cast<std::uint32_t>(m.keys.size()));
-    for (Key k : m.keys) e.put_u64(k);
+    encode_keys(e, m.keys);
+    encode_txids(e, m.more_txs);
   }
   void operator()(const DecideAck& m) const { e.put_u64(m.rpc_id); }
   void operator()(const ResendRequest& m) const {
@@ -297,17 +313,16 @@ std::optional<Message> decode_message(const std::vector<std::uint8_t>& bytes) {
       m.origin = d.get_u32();
       m.from_seq = d.get_u64();
       m.to_seq = d.get_u64();
-      out = m;
+      m.removed_txs = decode_txids(d);
+      m.removed_keys = decode_keys(d);
+      out = std::move(m);
       break;
     }
     case MessageType::kRemove: {
       RemoveMessage m;
       m.tx = TxId{d.get_u64()};
-      const std::uint32_t n = d.get_u32();
-      if (d.ok() && n <= (1u << 24)) {
-        m.keys.reserve(n);
-        for (std::uint32_t i = 0; i < n; ++i) m.keys.push_back(d.get_u64());
-      }
+      m.keys = decode_keys(d);
+      m.more_txs = decode_txids(d);
       out = std::move(m);
       break;
     }

@@ -143,6 +143,9 @@ LongForkResult run_long_fork_probe(const LongForkProbeConfig& config) {
         log.record(value, now_ns());
         ++value;
       }
+      if (config.update_interval.count() > 0) {
+        std::this_thread::sleep_for(config.update_interval);
+      }
     }
   };
 

@@ -48,6 +48,10 @@ struct LongForkProbeConfig {
   std::chrono::nanoseconds one_way_latency{std::chrono::microseconds(20)};
   std::chrono::nanoseconds propagate_extra_delay{std::chrono::milliseconds(1)};
   std::uint32_t readers = 4;
+  /// Pause of each updater after a commit (0: back to back). Back-to-back
+  /// commits are microseconds apart, far closer than the propagation lag,
+  /// so nearly every first-contact Walter read is stale at any delay.
+  std::chrono::nanoseconds update_interval{0};
 };
 
 LongForkResult run_long_fork_probe(const LongForkProbeConfig& config);

@@ -109,8 +109,8 @@ ReadResult MVStore::read_read_only(Key key, const VectorClock& tvc,
   if (e == nullptr) return {};
   // Exclusive: select_read_only inserts the reader id into the chosen
   // version's access set (visible read, Alg. 3 line 8). No reverse-index
-  // registration here — the client flushes its read-key buffer in one
-  // batched Remove per site, and remove_tx erases the id through that list.
+  // registration here — the reader's Remove batch carries this key, and
+  // remove_txs erases the id through that list.
   e->latch.lock();
   ReadResult r = e->chain.select_read_only(tvc, has_read, reader);
   e->latch.unlock();
@@ -202,7 +202,13 @@ void MVStore::install(Key key, Value value, const VectorClock& commit_vc,
   }
   e.latch.unlock();
   // Registrations happen after the latch is released (lock-order rule).
-  if (!stamped.empty()) register_readers(stamped, &e, vid);
+  if (stamped.empty()) return;
+  register_readers(stamped, &e, vid);
+  // A Remove that marked an id removed after the check above may also have
+  // searched the index before the registration landed: erase it here.
+  for (TxId id : stamped) {
+    if (recently_removed(id)) erase_stamps(id);
+  }
 }
 
 void MVStore::register_readers(std::span<const TxId> ids, Entry* entry,
@@ -225,33 +231,28 @@ void MVStore::register_readers(std::span<const TxId> ids, Entry* entry,
     for (; i < by_shard.size() && by_shard[i].first == shard_idx; ++i) {
       shard.map[by_shard[i].second].push_back(IndexRef{entry, version_id});
     }
+    shard.ids.store(shard.map.size(), std::memory_order_release);
   }
 }
 
-void MVStore::erase_tx_from_chain(Entry& e, TxId tx) {
-  e.latch.lock();
-  for (auto& v : e.chain.versions()) v.access_set_erase(tx);
-  e.latch.unlock();
+MVStore::IndexShard& MVStore::index_shard(TxId tx) const {
+  return *index_shards_[std::hash<TxId>{}(tx) % index_shards_.size()];
 }
 
-void MVStore::remove_tx(TxId tx, std::span<const Key> read_keys) {
-  note_removed(tx);
-  // The transaction's own visible-read traces: erase through its batched
-  // read-key list (flushed once per transaction by the Remove sender).
-  for (Key k : read_keys) {
-    Entry* e = find_entry(k);
-    if (e != nullptr) erase_tx_from_chain(*e, tx);
-  }
-  // Ids stamped onto other keys by committing writers (Alg. 5 line 19):
-  // the RO client cannot know those locations, so the reverse index does.
+void MVStore::erase_stamps(TxId tx) {
+  auto& shard = index_shard(tx);
+  // A shard that holds no stamped id at all is skipped without its lock.
+  // An install that registers after this load re-checks recently_removed,
+  // which the caller set first, so the skip cannot strand a stamp.
+  if (shard.ids.load(std::memory_order_acquire) == 0) return;
   std::vector<IndexRef> refs;
   {
-    auto& shard = *index_shards_[std::hash<TxId>{}(tx) % index_shards_.size()];
     std::lock_guard<std::mutex> lock(shard.mu);
     auto it = shard.map.find(tx);
     if (it == shard.map.end()) return;
     refs = std::move(it->second);
     shard.map.erase(it);
+    shard.ids.store(shard.map.size(), std::memory_order_release);
   }
   for (const IndexRef& ref : refs) {
     // Duplicate refs for the same version (or a version erased by both the
@@ -265,6 +266,26 @@ void MVStore::remove_tx(TxId tx, std::span<const Key> read_keys) {
     }
     ref.entry->latch.unlock();
   }
+}
+
+void MVStore::remove_txs(std::span<const TxId> txs,
+                         std::span<const Key> read_keys) {
+  // Marked first: an install from here on does not stamp these ids, or
+  // erases the stamp itself if it raced past its first check.
+  for (TxId tx : txs) note_removed(tx);
+  // The transactions' own visible-read traces, one latch per key.
+  for (Key k : read_keys) {
+    Entry* e = find_entry(k);
+    if (e == nullptr) continue;
+    e->latch.lock();
+    for (auto& v : e->chain.versions()) {
+      for (TxId tx : txs) v.access_set_erase(tx);
+    }
+    e->latch.unlock();
+  }
+  // Ids stamped onto other keys by committing writers (Alg. 5 line 19):
+  // the RO client cannot know those locations, so the reverse index does.
+  for (TxId tx : txs) erase_stamps(tx);
 }
 
 std::size_t MVStore::access_set_footprint() const {

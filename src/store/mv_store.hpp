@@ -15,9 +15,11 @@
 // key latch (registrations are applied after the latch is released), so the
 // store is free of lock-order cycles. The reverse index only tracks ids
 // stamped by committing update transactions (Alg. 5 line 19) — a read-only
-// transaction's own registrations are deregistered through the batched
-// key list its Remove carries (one flush per transaction, not one index
-// lock per read).
+// transaction's own registrations are deregistered through the key list
+// its Remove batch carries (one latch per key per batch, not one index
+// lock per read). Every node receives every finished read-only id, so
+// remove_txs marks each id removed once and skips the index shards that
+// hold no stamp at all.
 #pragma once
 
 #include <array>
@@ -157,7 +159,7 @@ class MVStore {
 
   /// FW-KV read-only rule; registers `reader` in the selected version's
   /// access set. Deregistration is the caller's duty: the finished
-  /// transaction's Remove must carry the keys it read here (remove_tx).
+  /// transaction's Remove must carry the keys it read here (remove_txs).
   ReadResult read_read_only(Key key, const VectorClock& tvc,
                             const std::vector<bool>& has_read, TxId reader);
 
@@ -188,12 +190,15 @@ class MVStore {
   void install(Key key, Value value, const VectorClock& commit_vc,
                NodeId origin, SeqNo seq, std::span<const TxId> collected);
 
-  /// Alg. 6 lines 5-10: erase `tx` from every access set on this node.
-  /// `read_keys` is the transaction's batched registration buffer (the keys
-  /// it read here); ids stamped onto other keys by committing writers are
-  /// found through the reverse index.
-  void remove_tx(TxId tx, std::span<const Key> read_keys);
-  void remove_tx(TxId tx) { remove_tx(tx, std::span<const Key>{}); }
+  /// Alg. 6 lines 5-10 for a batch of finished read-only transactions:
+  /// erase every id in `txs` from every access set on this node.
+  /// `read_keys` holds the keys they read here (each key is latched once
+  /// for the whole batch); ids stamped onto other keys by committing
+  /// writers are found through the reverse index.
+  void remove_txs(std::span<const TxId> txs, std::span<const Key> read_keys);
+  void remove_tx(TxId tx, std::span<const Key> read_keys = {}) {
+    remove_txs(std::span<const TxId>(&tx, 1), read_keys);
+  }
 
   /// Sum of access-set sizes across the node (space-overhead metric, §5.1).
   std::size_t access_set_footprint() const;
@@ -231,6 +236,8 @@ class MVStore {
   struct IndexShard {
     std::mutex mu;
     std::unordered_map<TxId, std::vector<IndexRef>> map;
+    /// map.size(), stored under mu; read without it to skip empty shards.
+    std::atomic<std::size_t> ids{0};
   };
 
   /// Striped removed-transaction memory: installs on different stripes
@@ -249,9 +256,11 @@ class MVStore {
   /// involved is locked once, not once per id.
   void register_readers(std::span<const TxId> ids, Entry* entry,
                         VersionId version_id);
+  IndexShard& index_shard(TxId tx) const;
+  /// Erases the stamped copies of `tx` found through the reverse index.
+  void erase_stamps(TxId tx);
   RemovedStripe& removed_stripe(TxId tx) const;
   void note_removed(TxId tx);
-  static void erase_tx_from_chain(Entry& e, TxId tx);
 
   /// Identity for the per-thread resolved-Entry cache; never reused across
   /// MVStore instances, so a stale slot can never satisfy a lookup against

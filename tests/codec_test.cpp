@@ -168,6 +168,18 @@ TEST(CodecTest, PropagateRoundTrip) {
   EXPECT_EQ(r.to_seq, 120u);
 }
 
+TEST(CodecTest, PropagateRoundTripWithRemovedIds) {
+  PropagateMessage m{4, 100, 120};
+  m.removed_txs = {TxId(1, 2, 3), TxId(4, 5, 6)};
+  m.removed_keys = {9, 0xffffffffffffull};
+  auto decoded = decode_message(encode_message(m));
+  ASSERT_TRUE(decoded.has_value());
+  const auto& r = std::get<PropagateMessage>(*decoded);
+  EXPECT_EQ(r.to_seq, 120u);
+  EXPECT_EQ(r.removed_txs, m.removed_txs);
+  EXPECT_EQ(r.removed_keys, m.removed_keys);
+}
+
 TEST(CodecTest, RemoveRoundTrip) {
   RemoveMessage m{TxId(7, 8, 9), {555, 7, 0xffffffffffffull}};
   auto decoded = decode_message(encode_message(m));
@@ -184,6 +196,20 @@ TEST(CodecTest, RemoveRoundTripEmptyKeyList) {
   const auto& r = std::get<RemoveMessage>(*decoded);
   EXPECT_EQ(r.tx, TxId(1, 2, 3));
   EXPECT_TRUE(r.keys.empty());
+}
+
+TEST(CodecTest, RemoveRoundTripBatchOfIds) {
+  RemoveMessage m;
+  m.tx = TxId(7, 8, 9);
+  m.keys = {3, 555};
+  m.more_txs = {TxId(1, 2, 3), TxId(0xffff, 0xffff, 0xffffffffu),
+                TxId(4, 5, 6)};
+  auto decoded = decode_message(encode_message(m));
+  ASSERT_TRUE(decoded.has_value());
+  const auto& r = std::get<RemoveMessage>(*decoded);
+  EXPECT_EQ(r.tx, TxId(7, 8, 9));
+  EXPECT_EQ(r.keys, (std::vector<Key>{3, 555}));
+  EXPECT_EQ(r.more_txs, m.more_txs);
 }
 
 TEST(CodecTest, EncodeIntoReusesBuffer) {
@@ -378,14 +404,22 @@ Message random_message(MessageType t, std::mt19937_64& rng) {
       for (auto& tx : m.collected_set) tx = TxId{rng()};
       return m;
     }
-    case MessageType::kPropagate:
-      return PropagateMessage{static_cast<NodeId>(rng() % 64),
-                              rng() % 100'000, rng() % 100'000};
+    case MessageType::kPropagate: {
+      PropagateMessage m{static_cast<NodeId>(rng() % 64), rng() % 100'000,
+                         rng() % 100'000};
+      m.removed_txs.resize(rng() % 4);
+      for (auto& tx : m.removed_txs) tx = TxId{rng()};
+      m.removed_keys.resize(rng() % 4);
+      for (auto& k : m.removed_keys) k = rng();
+      return m;
+    }
     case MessageType::kRemove: {
       RemoveMessage m;
       m.tx = TxId{rng()};
       m.keys.resize(rng() % 6);
       for (auto& k : m.keys) k = rng();
+      m.more_txs.resize(rng() % 5);
+      for (auto& tx : m.more_txs) tx = TxId{rng()};
       return m;
     }
     case MessageType::kDecideAck:

@@ -36,9 +36,13 @@ TEST(LongForkTest, WalterMissesSettledUpdatesUnderDelay) {
 }
 
 TEST(LongForkTest, WalterStalenessScalesWithDelay) {
+  // Updates 5 ms apart: at a 100 us delay a commit reaches the readers'
+  // nodes within about the 1 ms propagation flush, so most first-contact
+  // reads are fresh; at 10 ms every read misses the latest commit.
   auto short_delay = probe(Protocol::kWalter);
   short_delay.propagate_extra_delay = std::chrono::microseconds(100);
-  auto long_delay = probe(Protocol::kWalter);
+  short_delay.update_interval = std::chrono::milliseconds(5);
+  auto long_delay = short_delay;
   long_delay.propagate_extra_delay = std::chrono::milliseconds(10);
 
   auto quick = run_long_fork_probe(short_delay);

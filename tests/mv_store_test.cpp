@@ -211,6 +211,55 @@ TEST(MVStoreTest, ConcurrentInstallRacingRemove) {
   EXPECT_EQ(store.access_set_footprint(), 0u);
 }
 
+TEST(MVStoreTest, InstallRacingItsOnlyRemoveLeavesNoStamp) {
+  // Every id is removed exactly once, while an install that stamps it is in
+  // flight, and nothing reclaims afterwards. A Remove that marks the id
+  // between the install's removed-check and its index registration finds
+  // no index entry; the install itself must then erase the stamp.
+  MVStore store;
+  constexpr Key kKeys = 8;
+  constexpr std::uint32_t kIds = 20000;
+  for (Key k = 0; k < kKeys; ++k) store.load(k, "v", kNodes);
+  std::atomic<std::uint32_t> installing{0};
+
+  std::thread installer([&] {
+    for (std::uint32_t i = 1; i <= kIds; ++i) {
+      installing.store(i, std::memory_order_release);
+      VectorClock commit_vc(kNodes);
+      commit_vc[0] = i;
+      const std::vector<TxId> collected{TxId(5, 1, i)};
+      store.install(i % kKeys, "w", commit_vc, 0, i, collected);
+    }
+  });
+  std::thread remover([&] {
+    for (std::uint32_t i = 1; i <= kIds; ++i) {
+      while (installing.load(std::memory_order_acquire) < i) {
+      }
+      store.remove_tx(TxId(5, 1, i));
+    }
+  });
+  installer.join();
+  remover.join();
+  EXPECT_EQ(store.access_set_footprint(), 0u);
+}
+
+TEST(MVStoreTest, BatchedRemoveErasesReadsAndStampsOfEveryId) {
+  MVStore store;
+  store.load(1, "a", kNodes);
+  store.load(2, "b", kNodes);
+  store.read_read_only(1, zero(), no_mask(), kRo1);
+  store.read_read_only(2, zero(), no_mask(), kRo2);
+  VectorClock commit_vc(kNodes);
+  commit_vc[0] = 1;
+  store.install(3, "c", commit_vc, 0, 1, std::vector<TxId>{kRo1, kRo2});
+  ASSERT_EQ(store.access_set_footprint(), 4u);
+
+  store.remove_txs(std::vector<TxId>{kRo1, kRo2}, std::vector<Key>{1, 2});
+  EXPECT_EQ(store.access_set_footprint(), 0u);
+  EXPECT_TRUE(store.recently_removed(kRo1));
+  EXPECT_TRUE(store.recently_removed(kRo2));
+}
+
 TEST(MVStoreTest, SeqlockValidateMatchesLatchedPathUnderConcurrency) {
   // The lock-free validate lane must agree with chain state while installs
   // mutate it. Validity of the *current* clock flips with each install, so

@@ -86,21 +86,6 @@ TEST(TransactionTest, ReadKeysRecorded) {
   EXPECT_EQ(tx.read_registrations().size(), 2u);
 }
 
-TEST(TransactionTest, RegistrationBufferGroupsBySite) {
-  // The per-transaction registration buffer flushes as one batched Remove
-  // per contacted site: grouping must keep every key under its site.
-  Transaction tx(TxId(0, 0, 1), true, 3);
-  tx.record_read_key(1, 5);
-  tx.record_read_key(0, 9);
-  tx.record_read_key(1, 7);
-  auto grouped = tx.registrations_by_site();
-  ASSERT_EQ(grouped.size(), 2u);
-  EXPECT_EQ(grouped[0].first, 1u);
-  EXPECT_EQ(grouped[0].second, (std::vector<Key>{5, 7}));
-  EXPECT_EQ(grouped[1].first, 0u);
-  EXPECT_EQ(grouped[1].second, (std::vector<Key>{9}));
-}
-
 TEST(TransactionTest, ValidationSetKeepsFirstObservation) {
   Transaction tx(TxId(0, 0, 1), false, 2);
   tx.record_validation(5, 10);

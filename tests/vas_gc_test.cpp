@@ -1,0 +1,159 @@
+// Version-access-set garbage collection at cluster level (Alg. 4 line 4,
+// Alg. 6 lines 5-10): once a cluster has quiesced, no access set on any
+// node may still hold the id of a finished read-only transaction, whether
+// it committed or aborted, and wherever writers stamped it.
+#include <gtest/gtest.h>
+
+#include <atomic>
+#include <chrono>
+#include <string>
+#include <thread>
+#include <vector>
+
+#include "common/rng.hpp"
+#include "core/cluster.hpp"
+#include "core/mv_node.hpp"
+#include "core/session.hpp"
+
+namespace fwkv {
+namespace {
+
+std::size_t total_footprint(Cluster& cluster) {
+  std::size_t n = 0;
+  for (NodeId i = 0; i < cluster.num_nodes(); ++i) {
+    n += dynamic_cast<MvNodeBase&>(cluster.node(i))
+             .mv_store()
+             .access_set_footprint();
+  }
+  return n;
+}
+
+Key key_on(const Cluster& cluster, NodeId node, Key start = 0) {
+  Key k = start;
+  while (cluster.node_for_key(k) != node) ++k;
+  return k;
+}
+
+TEST(VasGcTest, StampOnANodeTheReaderNeverContactedIsReclaimed) {
+  // The reader reads x on node 1 only. A writer of x and y collects its id
+  // at x's prepare and stamps it onto the new y on node 2 (Alg. 5 line 19),
+  // so the reader's Remove has to reach node 2 as well.
+  ClusterConfig cfg;
+  cfg.num_nodes = 4;
+  Cluster cluster(cfg);
+  const Key x = key_on(cluster, 1);
+  const Key y = key_on(cluster, 2);
+  cluster.load(x, "x0");
+  cluster.load(y, "y0");
+
+  Session reader = cluster.make_session(0, 0);
+  Session writer = cluster.make_session(3, 0);
+  Transaction ro = reader.begin(true);
+  ASSERT_EQ(reader.read(ro, x), "x0");
+  Transaction up = writer.begin();
+  writer.write(up, x, "x1");
+  writer.write(up, y, "y1");
+  ASSERT_TRUE(writer.commit(up));
+  ASSERT_TRUE(cluster.quiesce());
+  ASSERT_GT(dynamic_cast<MvNodeBase&>(cluster.node(2))
+                .mv_store()
+                .access_set_footprint(),
+            0u)
+      << "the writer did not stamp the reader's id onto y";
+
+  ASSERT_TRUE(reader.commit(ro));
+  ASSERT_TRUE(cluster.quiesce());
+  EXPECT_EQ(total_footprint(cluster), 0u);
+}
+
+TEST(VasGcTest, ReadOnlyAbortLeavesNoStamps) {
+  ClusterConfig cfg;
+  cfg.num_nodes = 4;
+  Cluster cluster(cfg);
+  for (Key k = 0; k < 8; ++k) cluster.load(k, "v" + std::to_string(k));
+
+  Session session = cluster.make_session(0, 0);
+  Transaction ro = session.begin(true);
+  for (Key k = 0; k < 8; ++k) ASSERT_TRUE(session.read(ro, k).has_value());
+  ASSERT_EQ(total_footprint(cluster), 8u);
+  session.abort(ro);
+  ASSERT_TRUE(cluster.quiesce());
+  EXPECT_EQ(total_footprint(cluster), 0u)
+      << "an aborted read-only transaction left its visible reads behind";
+}
+
+TEST(VasGcTest, PeriodicFlushReclaimsWithoutQuiesce) {
+  // No Propagate is due (nothing commits an update), so only the periodic
+  // flush can carry the reader's id to the other nodes.
+  ClusterConfig cfg;
+  cfg.num_nodes = 4;
+  Cluster cluster(cfg);
+  for (Key k = 0; k < 8; ++k) cluster.load(k, "v");
+
+  Session session = cluster.make_session(0, 0);
+  Transaction ro = session.begin(true);
+  for (Key k = 0; k < 8; ++k) ASSERT_TRUE(session.read(ro, k).has_value());
+  ASSERT_TRUE(session.commit(ro));
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (total_footprint(cluster) != 0 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  EXPECT_EQ(total_footprint(cluster), 0u);
+}
+
+class QuiescedFootprintTest : public ::testing::TestWithParam<std::uint64_t> {
+};
+
+TEST_P(QuiescedFootprintTest, ContendedRunLeavesNoStamps) {
+  // 4 nodes at 0 us, one client per node, 2-key transactions over 200
+  // uniform keys, half of them read-only: writers collect and stamp
+  // read-only ids on every participant, and aborted updates are dropped.
+  constexpr Key kKeys = 200;
+  ClusterConfig cfg;
+  cfg.num_nodes = 4;
+  Cluster cluster(cfg);
+  for (Key k = 0; k < kKeys; ++k) cluster.load(k, "0");
+
+  std::atomic<bool> stop{false};
+  std::atomic<std::uint64_t> ro_commits{0};
+  std::atomic<std::uint64_t> upd_commits{0};
+  std::vector<std::thread> clients;
+  for (NodeId n = 0; n < cluster.num_nodes(); ++n) {
+    clients.emplace_back([&, n] {
+      Session session = cluster.make_session(n, n);
+      Rng rng(GetParam() * 1000 + n);
+      while (!stop.load(std::memory_order_relaxed)) {
+        const Key a = rng.next_below(kKeys);
+        Key b = rng.next_below(kKeys - 1);
+        if (b >= a) ++b;
+        const bool read_only = rng.next_bool(0.5);
+        Transaction tx = session.begin(read_only);
+        session.read(tx, a);
+        session.read(tx, b);
+        if (!read_only) {
+          session.write(tx, a, "a");
+          session.write(tx, b, "b");
+        }
+        if (session.commit(tx)) {
+          (read_only ? ro_commits : upd_commits).fetch_add(1);
+        }
+      }
+    });
+  }
+  std::this_thread::sleep_for(std::chrono::milliseconds(500));
+  stop = true;
+  for (auto& t : clients) t.join();
+  ASSERT_TRUE(cluster.quiesce());
+
+  ASSERT_GT(ro_commits.load(), 100u);
+  ASSERT_GT(upd_commits.load(), 100u);
+  EXPECT_EQ(total_footprint(cluster), 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, QuiescedFootprintTest,
+                         ::testing::Values(1, 2, 3));
+
+}  // namespace
+}  // namespace fwkv
