@@ -230,14 +230,15 @@ std::size_t MvNodeBase::pending_work() const {
   return pending_count_.load(std::memory_order_acquire);
 }
 
-void MvNodeBase::on_read_request(const ReadRequest& req) {
+ReadReturn MvNodeBase::serve_read(const ReadRequest& req) {
   stats_.reads_served.add();
   // Alg. 3 lines 3/12: read handlers share the key's lock with each other
   // and exclude update commit handlers. A read never gives up: it waits out
   // a concurrent prepare->decide window, since read-only transactions are
   // abort-free (§1). Decide handlers run inline on the delivering thread,
   // never queued behind a blocked read, so the Decide that releases the
-  // exclusive lock can always run.
+  // exclusive lock can always run. A waiting read is let in at the
+  // holder's release, before the key is locked exclusive again.
   while (!locks_.lock_shared(req.key, req.tx.id, ctx_.config.lock_timeout)) {
   }
   store::ReadResult r;
@@ -271,7 +272,7 @@ void MvNodeBase::on_read_request(const ReadRequest& req) {
     std::lock_guard<std::mutex> lock(site_mu_);
     ret.server_seq = site_vc_[id_];
   }
-  ctx_.network->send(id_, req.reply_to, std::move(ret));
+  return ret;
 }
 
 bool MvNodeBase::validate(const PrepareRequest& req, const HeldLocks& held) {

@@ -56,9 +56,10 @@ class MvNodeBase : public TwoPhaseNode {
   /// FW-KV: true. Walter: false.
   virtual bool track_antideps() const = 0;
 
-  // TwoPhaseNode hooks. Reads and prepares run on the node's executor, the
-  // other handlers inline on the delivering thread.
-  void on_read_request(const net::ReadRequest& req) override;
+  // TwoPhaseNode hooks. Prepares and remote reads run on the node's
+  // executor, a read from a session on this node on the session's thread,
+  // and the other handlers inline on the delivering thread.
+  net::ReadReturn serve_read(const net::ReadRequest& req) override;
   void on_decide(net::DecideMessage&& m) override;
   void on_other(net::Message&& msg) override;
   bool validate(const net::PrepareRequest& req, const HeldLocks& held) override;

@@ -102,6 +102,7 @@ TwoPhaseNode::TwoPhaseNode(NodeId id, ClusterContext& ctx)
 
 std::optional<net::ReadReturn> TwoPhaseNode::fetch(NodeId target,
                                                    net::ReadRequest req) {
+  if (target == id_) return serve_read(req);
   for (std::uint32_t a = 0; a < retry_.read_attempts; ++a) {
     const bool last = a + 1 == retry_.read_attempts;
     auto call = last ? ctx_.network->send_request(id_, target, std::move(req))
@@ -216,7 +217,7 @@ bool TwoPhaseNode::finish(Transaction& tx, const Votes& votes) {
 
 void TwoPhaseNode::handle_message(net::Message msg, NodeId /*from*/) {
   if (auto* read = std::get_if<net::ReadRequest>(&msg)) {
-    on_read_request(*read);
+    ctx_.network->send(id_, read->reply_to, serve_read(*read));
   } else if (auto* prep = std::get_if<PrepareRequest>(&msg)) {
     on_prepare(*prep);
   } else if (auto* dec = std::get_if<net::DecideMessage>(&msg)) {

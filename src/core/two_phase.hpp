@@ -6,6 +6,10 @@
 // the retry loops, vote folding, tx-id deduplication and locking live here
 // once. The reliable and the fault-injected network run the same code with
 // a different RetryPolicy.
+//
+// A read of a key on the coordinator's own node is served by a plain call on
+// the coordinator's thread and sends no message (in the paper a local read
+// costs no round).
 #pragma once
 
 #include <chrono>
@@ -100,8 +104,8 @@ class TwoPhaseNode : public KvNode {
  public:
   TwoPhaseNode(NodeId id, ClusterContext& ctx);
 
-  /// Routes ReadRequests, Prepares and Decides; anything else goes to
-  /// on_other.
+  /// Routes ReadRequests (replying with what serve_read returns), Prepares
+  /// and Decides; anything else goes to on_other.
   void handle_message(net::Message msg, NodeId from) final;
 
  protected:
@@ -119,9 +123,10 @@ class TwoPhaseNode : public KvNode {
   /// Messages to send, each with its destination.
   using Outbox = std::vector<std::pair<NodeId, net::Message>>;
 
-  /// Alg. 2 lines 6-7: a ReadRequest round trip. Reads are side-effect-free
-  /// until the reply is processed, so a lost request or reply is retried.
-  /// nullopt only if every attempt timed out.
+  /// Alg. 2 lines 6-7: a ReadRequest round trip, or a direct serve_read
+  /// call when `target` is this node. Reads are side-effect-free until the
+  /// reply is processed, so a lost request or reply is retried. nullopt
+  /// only if every attempt timed out.
   std::optional<net::ReadReturn> fetch(NodeId target, net::ReadRequest req);
 
   /// Alg. 4 lines 12-21: sends the Prepares and folds the votes. A missing
@@ -143,7 +148,9 @@ class TwoPhaseNode : public KvNode {
 
   // ---- participant ----
 
-  virtual void on_read_request(const net::ReadRequest& req) = 0;
+  /// Alg. 3: serves a read of a key this node owns. Runs on an executor
+  /// worker for a remote reader, or on the reading client's thread.
+  virtual net::ReadReturn serve_read(const net::ReadRequest& req) = 0;
   virtual void on_decide(net::DecideMessage&& m) = 0;
   /// Messages outside the 2PC rounds (PSI: Propagate, Remove, Resend).
   virtual void on_other(net::Message&& msg);

@@ -1,8 +1,9 @@
 // Per-node worker pool for the handlers that may block briefly on per-key
-// lock acquisition: reads (Alg. 3) and prepares (Alg. 5). The non-blocking
-// handlers (Decide, Propagate, Remove, ResendRequest) run inline on the
-// delivering thread instead, so a worker blocked on a lock can never starve
-// the Decide that will release it.
+// lock acquisition: prepares (Alg. 5) and reads (Alg. 3). A node's own
+// sessions read local keys by a direct call on the client thread instead.
+// The non-blocking handlers (Decide, Propagate, Remove, ResendRequest) run
+// inline on the delivering thread, so a worker blocked on a lock can never
+// starve the Decide that will release it.
 #pragma once
 
 #include <condition_variable>

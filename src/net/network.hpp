@@ -45,7 +45,8 @@ struct NetConfig {
   /// default in tests, off in throughput benchmarks.
   bool serialize_messages = false;
   /// Worker threads per node for read/prepare handlers (these may block
-  /// briefly on per-key locks). Decide/propagate/remove handlers are
+  /// briefly on per-key locks). A node's own sessions serve local reads by
+  /// a direct call instead. Decide/propagate/remove handlers are
   /// non-blocking and run inline on the delivering thread.
   std::size_t data_threads = 3;
   /// Deterministic fault injection (chaos testing). The default plan is
@@ -118,6 +119,8 @@ class SimNetwork {
   /// Pause a node at runtime: deliveries to `node` that would land within
   /// the next `duration` are deferred to the end of the window (inbox
   /// drains at resume, in per-link order). Usable without a FaultPlan.
+  /// Work that sends no message, such as the node's own sessions' local
+  /// reads, is not paused.
   void pause_node(NodeId node, std::chrono::nanoseconds duration);
 
   /// Total faults injected so far, by kind.

@@ -31,14 +31,14 @@ bool LockTable::lock_exclusive(Key key, TxId owner,
   for (;;) {
     LockState& st = s.locks[key];
     if (st.exclusive_owner == owner) return true;  // idempotent re-acquire
-    if (!st.exclusive_owner.valid() && st.shared_count == 0) {
+    if (st.idle()) {
       st.exclusive_owner = owner;
       return true;
     }
     if (s.cv.wait_until(lock, deadline) == std::cv_status::timeout) {
       // One final check: the state may have changed as we timed out.
       LockState& st2 = s.locks[key];
-      if (!st2.exclusive_owner.valid() && st2.shared_count == 0) {
+      if (st2.idle()) {
         st2.exclusive_owner = owner;
         return true;
       }
@@ -52,21 +52,27 @@ bool LockTable::lock_shared(Key key, TxId /*owner*/,
   Shard& s = shard_for(key);
   const auto deadline = std::chrono::steady_clock::now() + timeout;
   std::unique_lock<std::mutex> lock(s.mu);
-  for (;;) {
-    LockState& st = s.locks[key];
-    if (!st.exclusive_owner.valid()) {
-      ++st.shared_count;
-      return true;
-    }
-    if (s.cv.wait_until(lock, deadline) == std::cv_status::timeout) {
-      LockState& st2 = s.locks[key];
-      if (!st2.exclusive_owner.valid()) {
-        ++st2.shared_count;
-        return true;
-      }
-      return false;
-    }
+  LockState* st = &s.locks[key];
+  if (!st->exclusive_owner.valid()) {
+    ++st->shared_count;
+    return true;
   }
+  // Queue behind the holder. The entry outlives the wait: it is not idle
+  // while shared_waiting is non-zero, so no unlock erases it.
+  ++st->shared_waiting;
+  bool got = s.cv.wait_until(lock, deadline, [st] {
+    return !st->exclusive_owner.valid();
+  });
+  --st->shared_waiting;
+  if (got) {
+    ++st->shared_count;
+  } else if (st->idle()) {
+    s.locks.erase(key);
+  }
+  lock.unlock();
+  // A writer held back by this waiter may go now.
+  if (!got) s.cv.notify_all();
+  return got;
 }
 
 void LockTable::unlock_exclusive(Key key, TxId owner) {
@@ -78,7 +84,7 @@ void LockTable::unlock_exclusive(Key key, TxId owner) {
     assert(it->second.exclusive_owner == owner);
     (void)owner;
     it->second.exclusive_owner = kInvalidTxId;
-    if (it->second.shared_count == 0) s.locks.erase(it);
+    if (it->second.idle()) s.locks.erase(it);
   }
   s.cv.notify_all();
 }
@@ -91,9 +97,7 @@ void LockTable::unlock_shared(Key key, TxId /*owner*/) {
     assert(it != s.locks.end());
     assert(it->second.shared_count > 0);
     --it->second.shared_count;
-    if (it->second.shared_count == 0 && !it->second.exclusive_owner.valid()) {
-      s.locks.erase(it);
-    }
+    if (it->second.idle()) s.locks.erase(it);
   }
   s.cv.notify_all();
 }

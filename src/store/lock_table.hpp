@@ -10,6 +10,11 @@
 //
 // Acquisition of multiple keys must be performed in sorted key order by the
 // caller; combined with timeouts this makes the table deadlock-free.
+//
+// Readers are not starved: a fresh exclusive acquisition also waits while
+// shared callers are queued behind the current exclusive holder, so a
+// writer that releases and re-locks a key in a loop lets the waiting
+// readers in at its next release.
 #pragma once
 
 #include <chrono>
@@ -29,8 +34,9 @@ class LockTable {
  public:
   explicit LockTable(std::size_t shards = 64);
 
-  /// Acquire an exclusive lock; blocks up to `timeout`. Re-acquisition by
-  /// the current exclusive owner succeeds immediately (idempotent).
+  /// Acquire an exclusive lock; blocks up to `timeout` while the key is
+  /// held or shared callers wait for it. Re-acquisition by the current
+  /// exclusive owner succeeds immediately (idempotent).
   bool lock_exclusive(Key key, TxId owner, std::chrono::nanoseconds timeout);
 
   /// Acquire a shared lock; blocks up to `timeout` while an exclusive
@@ -53,6 +59,15 @@ class LockTable {
   struct LockState {
     TxId exclusive_owner = kInvalidTxId;
     std::uint32_t shared_count = 0;
+    /// lock_shared callers blocked behind the exclusive holder.
+    std::uint32_t shared_waiting = 0;
+
+    /// Nobody holds or waits to share the key: a fresh exclusive
+    /// acquisition may take it, and the entry may be erased.
+    bool idle() const {
+      return !exclusive_owner.valid() && shared_count == 0 &&
+             shared_waiting == 0;
+    }
   };
   struct Shard {
     mutable std::mutex mu;

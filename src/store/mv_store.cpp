@@ -258,11 +258,8 @@ void MVStore::erase_stamps(TxId tx) {
     // Duplicate refs for the same version (or a version erased by both the
     // key-list pass and this one) degrade to no-op erases.
     ref.entry->latch.lock();
-    for (auto& v : ref.entry->chain.versions()) {
-      if (v.id == ref.version_id) {
-        v.access_set_erase(tx);
-        break;
-      }
+    if (Version* v = ref.entry->chain.find(ref.version_id)) {
+      v->access_set_erase(tx);
     }
     ref.entry->latch.unlock();
   }

@@ -27,6 +27,12 @@ Version& VersionChain::install(Value value, VectorClock vc, NodeId origin,
   return versions_.back();
 }
 
+Version* VersionChain::find(VersionId id) {
+  if (versions_.empty() || id < versions_.front().id) return nullptr;
+  const std::size_t at = id - versions_.front().id;
+  return at < versions_.size() ? &versions_[at] : nullptr;
+}
+
 ReadResult VersionChain::to_result(const Version& v) const {
   ReadResult r;
   r.found = true;

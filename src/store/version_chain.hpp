@@ -37,6 +37,11 @@ class VersionChain {
   const Version& latest() const { return versions_.back(); }
   Version& latest() { return versions_.back(); }
 
+  /// The version with id `id`, or null if it was pruned. Ids run
+  /// consecutively from the oldest version to the latest, so this is an
+  /// index computation, not a search.
+  Version* find(VersionId id);
+
   /// Append a new version; id is assigned (previous id + 1).
   Version& install(Value value, VectorClock vc, NodeId origin, SeqNo seq);
 

@@ -78,7 +78,7 @@ void TwoPcNode::load(Key key, Value value) {
   store_.load(key, std::move(value));
 }
 
-void TwoPcNode::on_read_request(const ReadRequest& req) {
+ReadReturn TwoPcNode::serve_read(const ReadRequest& req) {
   stats_.reads_served.add();
   ReadReturn ret;
   ret.rpc_id = req.rpc_id;
@@ -88,7 +88,7 @@ void TwoPcNode::on_read_request(const ReadRequest& req) {
     ret.version_id = item->version;
     ret.latest_id = item->version;
   }
-  ctx_.network->send(id_, req.reply_to, std::move(ret));
+  return ret;
 }
 
 bool TwoPcNode::validate(const PrepareRequest& req, const HeldLocks& /*held*/) {

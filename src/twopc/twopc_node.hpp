@@ -29,7 +29,7 @@ class TwoPcNode final : public TwoPhaseNode {
   store::SVStore& sv_store() { return store_; }
 
  protected:
-  void on_read_request(const net::ReadRequest& req) override;
+  net::ReadReturn serve_read(const net::ReadRequest& req) override;
   void on_decide(net::DecideMessage&& m) override;
   bool validate(const net::PrepareRequest& req, const HeldLocks& held) override;
 

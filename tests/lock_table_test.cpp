@@ -85,6 +85,46 @@ TEST(LockTableTest, TimedWaitSucceedsWhenReleased) {
   locks.unlock_exclusive(1, kTx2);
 }
 
+TEST(LockTableTest, WaitingReaderGetsInAtTheNextRelease) {
+  // A writer that releases and at once re-locks the key must not starve a
+  // reader queued behind it: the reader gets the key at the first release.
+  LockTable locks;
+  ASSERT_TRUE(locks.lock_exclusive(1, kTx1, 1ms));
+  std::atomic<bool> waiting{false};
+  std::atomic<bool> got{false};
+  std::atomic<int> releases{0};
+  int acquired_after = -1;
+  std::thread reader([&] {
+    waiting = true;
+    if (locks.lock_shared(1, kTx2, 10s)) {
+      acquired_after = releases.load();
+      got = true;
+      locks.unlock_shared(1, kTx2);
+    }
+  });
+  while (!waiting) std::this_thread::yield();
+  std::this_thread::sleep_for(20ms);  // let the reader block on the key
+
+  for (int i = 0; i < 10000 && !got; ++i) {
+    releases.fetch_add(1);
+    locks.unlock_exclusive(1, kTx1);
+    ASSERT_TRUE(locks.lock_exclusive(1, kTx1, 10s));
+  }
+  locks.unlock_exclusive(1, kTx1);
+  reader.join();
+  ASSERT_TRUE(got.load());
+  EXPECT_EQ(acquired_after, 1);
+}
+
+TEST(LockTableTest, TimedOutReaderNoLongerHoldsBackWriters) {
+  LockTable locks;
+  ASSERT_TRUE(locks.lock_exclusive(1, kTx1, 1ms));
+  EXPECT_FALSE(locks.lock_shared(1, kTx2, 2ms));
+  locks.unlock_exclusive(1, kTx1);
+  EXPECT_TRUE(locks.lock_exclusive(1, kTx2, 1ms));
+  locks.unlock_exclusive(1, kTx2);
+}
+
 TEST(LockTableTest, MultiKeyAllOrNothing) {
   LockTable locks;
   ASSERT_TRUE(locks.lock_exclusive(2, kTx1, 1ms));

@@ -2,6 +2,9 @@
 // commit machinery, in-order application, propagation batching.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <map>
+#include <mutex>
 #include <stdexcept>
 #include <thread>
 
@@ -27,6 +30,39 @@ Key key_on(const Cluster& cluster, NodeId node, Key start = 0) {
   Key k = start;
   while (cluster.node_for_key(k) != node) ++k;
   return k;
+}
+
+/// Counts the messages the network sends, by type, from the moment it is
+/// constructed (through the send hook).
+class SentCounter {
+ public:
+  explicit SentCounter(Cluster& cluster) {
+    cluster.network().set_send_hook(
+        [this](NodeId, NodeId, const net::Message& m) {
+          std::lock_guard<std::mutex> lock(mu_);
+          ++counts_[net::type_of(m)];
+        });
+  }
+  std::uint64_t operator[](net::MessageType t) const {
+    std::lock_guard<std::mutex> lock(mu_);
+    auto it = counts_.find(t);
+    return it == counts_.end() ? 0 : it->second;
+  }
+
+ private:
+  mutable std::mutex mu_;
+  std::map<net::MessageType, std::uint64_t> counts_;
+};
+
+std::string protocol_name(const ::testing::TestParamInfo<Protocol>& info) {
+  switch (info.param) {
+    case Protocol::kFwKv:
+      return "FwKv";
+    case Protocol::kWalter:
+      return "Walter";
+    default:
+      return "TwoPC";
+  }
 }
 
 class ProtocolTest : public ::testing::TestWithParam<Protocol> {};
@@ -187,16 +223,100 @@ TEST_P(ProtocolTest, StatsCountCommitsAndReads) {
 INSTANTIATE_TEST_SUITE_P(AllProtocols, ProtocolTest,
                          ::testing::Values(Protocol::kFwKv, Protocol::kWalter,
                                            Protocol::kTwoPC),
-                         [](const auto& info) {
-                           switch (info.param) {
-                             case Protocol::kFwKv:
-                               return "FwKv";
-                             case Protocol::kWalter:
-                               return "Walter";
-                             default:
-                               return "TwoPC";
-                           }
-                         });
+                         protocol_name);
+
+// ---- A read of a key on the session's own node is a direct call ----
+
+class OwnSiteTest : public ::testing::TestWithParam<Protocol> {};
+
+TEST_P(OwnSiteTest, ReadOfAnOwnKeySendsNoMessage) {
+  Cluster cluster(base_config(GetParam()));
+  const Key own = key_on(cluster, 0);
+  const Key remote = key_on(cluster, 1);
+  cluster.load(own, "o");
+  cluster.load(remote, "r");
+  Session s = cluster.make_session(0, 0);
+  SentCounter sent(cluster);
+
+  auto tx = s.begin(true);
+  EXPECT_EQ(s.read(tx, own), "o");
+  EXPECT_EQ(sent[net::MessageType::kReadRequest], 0u);
+  EXPECT_EQ(sent[net::MessageType::kReadReturn], 0u);
+  EXPECT_EQ(cluster.aggregate_stats().reads_served, 1u)
+      << "the direct read must still count as served";
+
+  // A remote read still takes its round trip.
+  EXPECT_EQ(s.read(tx, remote), "r");
+  EXPECT_EQ(sent[net::MessageType::kReadRequest], 1u);
+  EXPECT_EQ(sent[net::MessageType::kReadReturn], 1u);
+  EXPECT_EQ(cluster.aggregate_stats().reads_served, 2u);
+  EXPECT_TRUE(s.commit(tx));
+}
+
+TEST_P(OwnSiteTest, MixedPrepareFoldsBothVotes) {
+  // The coordinator's own site and a remote site vote on one transaction
+  // whose reads of the own key took the direct path: both yes commits; a no
+  // on either side aborts, and the other side's locks are released by the
+  // abort Decide.
+  Cluster cluster(base_config(GetParam()));
+  const Key own = key_on(cluster, 0);
+  const Key remote = key_on(cluster, 1);
+  cluster.load(own, "o0");
+  cluster.load(remote, "r0");
+  Session s = cluster.make_session(0, 0);
+  Session other = cluster.make_session(2, 0);
+
+  auto overwrite = [&](Key k, const std::string& v) {
+    auto tx = other.begin();
+    ASSERT_TRUE(other.read(tx, k).has_value());
+    other.write(tx, k, v);
+    ASSERT_TRUE(other.commit(tx));
+    ASSERT_TRUE(cluster.quiesce());
+  };
+  auto read_both = [&](Transaction& tx) {
+    ASSERT_TRUE(s.read(tx, own).has_value());
+    ASSERT_TRUE(s.read(tx, remote).has_value());
+  };
+
+  auto both_yes = s.begin();
+  read_both(both_yes);
+  s.write(both_yes, own, "o1");
+  s.write(both_yes, remote, "r1");
+  ASSERT_TRUE(s.commit(both_yes));
+  ASSERT_TRUE(cluster.quiesce());
+
+  // The remote participant votes no: the own site's yes-vote is undone.
+  auto remote_no = s.begin();
+  read_both(remote_no);
+  overwrite(remote, "r2");
+  s.write(remote_no, own, "o-lost");
+  s.write(remote_no, remote, "r-lost");
+  EXPECT_FALSE(s.commit(remote_no));
+  EXPECT_EQ(remote_no.abort_reason(), AbortReason::kValidation);
+  ASSERT_TRUE(cluster.quiesce());
+  overwrite(own, "o3");  // the own key is lockable again
+
+  // The own site votes no: the remote yes-vote is undone.
+  auto own_no = s.begin();
+  read_both(own_no);
+  overwrite(own, "o4");
+  s.write(own_no, own, "o-lost");
+  s.write(own_no, remote, "r-lost");
+  EXPECT_FALSE(s.commit(own_no));
+  EXPECT_EQ(own_no.abort_reason(), AbortReason::kValidation);
+  ASSERT_TRUE(cluster.quiesce());
+  overwrite(remote, "r5");  // the remote key is lockable again
+
+  auto check = s.begin(true);
+  EXPECT_EQ(s.read(check, own), "o4");
+  EXPECT_EQ(s.read(check, remote), "r5");
+  s.commit(check);
+}
+
+INSTANTIATE_TEST_SUITE_P(AllProtocols, OwnSiteTest,
+                         ::testing::Values(Protocol::kFwKv, Protocol::kWalter,
+                                           Protocol::kTwoPC),
+                         protocol_name);
 
 // ---- PSI-specific machinery ----
 
@@ -305,6 +425,47 @@ TEST_P(PsiProtocolTest, ReadOnlyTransactionsNeverAbort) {
   EXPECT_GT(stats.ro_commits, 0u);
 }
 
+TEST_P(PsiProtocolTest, OwnKeyReadWaitsForAPreparedWriter) {
+  // A writer on node 1 has prepared the key at node 0 (holding its lock)
+  // and its Decide is held back. A read of the key by a session on node 0
+  // runs on the session's thread, sends nothing, and must wait for the
+  // Decide instead of reading around the prepared write. (2PC-baseline
+  // reads take no lock; its prepare validates them instead.)
+  Cluster cluster(base_config(GetParam()));
+  const Key k = key_on(cluster, 0);
+  cluster.load(k, "old");
+  Session reader = cluster.make_session(0, 0);
+  Session writer = cluster.make_session(1, 0);
+  auto up = writer.begin();
+  writer.write(up, k, "new");
+  const TxId writer_id = up.id();
+
+  std::atomic<bool> deciding{false};
+  std::atomic<bool> decide_sent{false};
+  std::atomic<int> reads_sent{0};
+  cluster.network().set_send_hook(
+      [&](NodeId, NodeId to, const net::Message& m) {
+        if (std::holds_alternative<net::ReadRequest>(m)) ++reads_sent;
+        const auto* d = std::get_if<net::DecideMessage>(&m);
+        if (d == nullptr || to != 0 || d->tx != writer_id) return;
+        deciding = true;
+        std::this_thread::sleep_for(50ms);  // k stays prepared meanwhile
+        decide_sent = true;
+      });
+  std::thread commit([&] { EXPECT_TRUE(writer.commit(up)); });
+  while (!deciding) std::this_thread::yield();
+
+  auto ro = reader.begin(true);
+  auto v = reader.read(ro, k);
+  EXPECT_TRUE(decide_sent.load()) << "the read did not wait for the Decide";
+  EXPECT_EQ(reads_sent.load(), 0);
+  // FW-KV's first read returns the installed version. Walter's snapshot
+  // was fixed before the commit applied here, so it keeps the old one.
+  EXPECT_EQ(v, GetParam() == Protocol::kFwKv ? "new" : "old");
+  commit.join();
+  EXPECT_TRUE(reader.commit(ro));
+}
+
 INSTANTIATE_TEST_SUITE_P(PsiProtocols, PsiProtocolTest,
                          ::testing::Values(Protocol::kFwKv, Protocol::kWalter),
                          [](const auto& info) {
@@ -366,6 +527,36 @@ TEST(FwKvTest, CollectedSetReachesCoordinatorStats) {
   EXPECT_EQ(stats.collected_count, 1u);
   EXPECT_GE(stats.collected_sum, 1u) << "anti-dependency was not collected";
   ro_session.commit(ro);
+}
+
+TEST(FwKvTest, OwnAndRemoteVotesBothContributeCollectedIds) {
+  // Alg. 4 line 19 over a mixed prepare: one open reader sits in the own
+  // key's access set, another in the remote key's. The writer's collected
+  // set is the union of its direct vote and the remote vote.
+  Cluster cluster(base_config(Protocol::kFwKv));
+  const Key own = key_on(cluster, 0);
+  const Key remote = key_on(cluster, 1);
+  cluster.load(own, "o");
+  cluster.load(remote, "r");
+  Session r1 = cluster.make_session(2, 0);
+  Session r2 = cluster.make_session(2, 1);
+  auto ro1 = r1.begin(true);
+  auto ro2 = r2.begin(true);
+  ASSERT_TRUE(r1.read(ro1, own).has_value());
+  ASSERT_TRUE(r2.read(ro2, remote).has_value());
+
+  Session up = cluster.make_session(0, 0);
+  auto tx = up.begin();
+  up.write(tx, own, "o1");
+  up.write(tx, remote, "r1");
+  ASSERT_TRUE(up.commit(tx));
+  ASSERT_TRUE(cluster.quiesce());
+
+  auto stats = cluster.aggregate_stats();
+  EXPECT_EQ(stats.collected_count, 1u);
+  EXPECT_EQ(stats.collected_sum, 2u) << "a vote's collected ids were lost";
+  r1.commit(ro1);
+  r2.commit(ro2);
 }
 
 TEST(FwKvTest, SecondSessionWithSameLabelKeepsItsAntiDependency) {

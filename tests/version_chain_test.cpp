@@ -33,6 +33,22 @@ TEST(VersionChainTest, InstallAssignsMonotonicIds) {
   EXPECT_EQ(chain.latest().id, 3u);
 }
 
+TEST(VersionChainTest, FindLocatesVersionsById) {
+  VersionChain chain;
+  EXPECT_EQ(chain.find(1), nullptr);
+  for (SeqNo s = 1; s <= 5; ++s) add(chain, 2, 0, s);
+  ASSERT_NE(chain.find(3), nullptr);
+  EXPECT_EQ(chain.find(3)->id, 3u);
+  EXPECT_EQ(chain.find(5)->id, 5u);
+  EXPECT_EQ(chain.find(0), nullptr);
+  EXPECT_EQ(chain.find(6), nullptr);
+  // Pruned from the front: the oldest id is gone, the rest still resolve.
+  chain.versions().pop_front();
+  EXPECT_EQ(chain.find(1), nullptr);
+  EXPECT_EQ(chain.find(2)->id, 2u);
+  EXPECT_EQ(chain.find(5)->id, 5u);
+}
+
 TEST(VersionChainTest, GcRespectsRetentionThenBoundsChain) {
   VersionChain chain;
   for (SeqNo s = 1; s <= VersionChain::kMaxVersions + 40; ++s) {
