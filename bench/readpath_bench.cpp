@@ -10,7 +10,8 @@
 //                 lookup cost dominates);
 //   read_mostly - YCSB-B-shaped: 95% update-transaction reads, 5% installs
 //                 with collected-set stamping plus a validate per install;
-//   validate    - pure prepare-path validation (the seqlock fast lane).
+//   validate    - pure prepare-path validation over the hot keys (shared
+//                 entry latch).
 //
 // Output is JSON ({"bench":"readpath","runs":[...]}): one run object per
 // (mix, threads) point with ops/sec. --append merges into an existing file

@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # Build with ThreadSanitizer and run the tier-1 ctest suite under it.
 #
-# The lock-light read lane (per-entry seqlock snapshots, reader-writer entry
-# latches, striped removed-set) must be proven race-clean on every change,
+# The store's locking (reader-writer entry latches, shard maps, reverse-index
+# shards, striped removed-set) must be proven race-clean on every change,
 # not assumed: this is the proof. Any TSan report fails the run.
 #
 # `-L chaos` runs the chaos-labelled suites instead: the seed-parameterized

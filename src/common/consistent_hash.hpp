@@ -10,6 +10,9 @@
 
 namespace fwkv {
 
+/// Virtual nodes per physical node on a ring built with the default.
+inline constexpr std::uint32_t kRingVnodes = 128;
+
 /// Consistent-hash ring with virtual nodes. Every node in the cluster builds
 /// the same ring locally (same seeds), so site(k) needs no coordination.
 ///
@@ -19,7 +22,7 @@ namespace fwkv {
 class ConsistentHashRing final : public KeyMapper {
  public:
   explicit ConsistentHashRing(std::uint32_t num_nodes,
-                              std::uint32_t vnodes_per_node = 128);
+                              std::uint32_t vnodes_per_node = kRingVnodes);
 
   /// Preferred node for `key` ("site(k)" in Alg. 2).
   NodeId node_for(Key key) const override;

@@ -14,7 +14,7 @@ Cluster::Cluster(ClusterConfig config)
       mapper_(config.mapper
                   ? config.mapper
                   : std::make_shared<const ConsistentHashRing>(
-                        config.num_nodes, config.ring_vnodes)),
+                        config.num_nodes)),
       network_(std::make_unique<net::SimNetwork>(config.num_nodes,
                                                  config.net)) {
   assert(config_.num_nodes > 0);

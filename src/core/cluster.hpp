@@ -29,8 +29,6 @@ struct ClusterConfig {
   Protocol protocol = Protocol::kFwKv;
   net::NetConfig net;
   ProtocolConfig protocol_config;
-  /// Virtual nodes per physical node on the default consistent-hash ring.
-  std::uint32_t ring_vnodes = 128;
   /// Custom key placement (e.g. TPC-C's warehouse-home placement). When
   /// null a ConsistentHashRing over num_nodes is used.
   std::shared_ptr<const KeyMapper> mapper;

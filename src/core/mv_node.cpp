@@ -239,7 +239,7 @@ ReadReturn MvNodeBase::serve_read(const ReadRequest& req) {
   // never queued behind a blocked read, so the Decide that releases the
   // exclusive lock can always run. A waiting read is let in at the
   // holder's release, before the key is locked exclusive again.
-  while (!locks_.lock_shared(req.key, req.tx.id, ctx_.config.lock_timeout)) {
+  while (!locks_.lock_shared(req.key, req.tx.id, kLockTimeout)) {
   }
   store::ReadResult r;
   if (!fresh_reads()) {

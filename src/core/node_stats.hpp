@@ -42,10 +42,6 @@ struct NodeStats {
   std::uint64_t total_commits() const {
     return ro_commits.get() + update_commits.get();
   }
-  std::uint64_t total_aborts() const {
-    return aborts_lock.get() + aborts_validation.get() +
-           aborts_vote_timeout.get();
-  }
 
   struct Snapshot;
   Snapshot snapshot() const;
@@ -96,9 +92,6 @@ struct NodeStats::Snapshot {
   std::uint64_t resend_misses = 0;
 
   std::uint64_t total_commits() const { return ro_commits + update_commits; }
-  std::uint64_t total_aborts() const {
-    return aborts_lock + aborts_validation + aborts_vote_timeout;
-  }
   double mean_collected_set() const {
     return collected_count == 0 ? 0.0
                                 : static_cast<double>(collected_sum) /

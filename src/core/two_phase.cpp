@@ -268,13 +268,13 @@ void TwoPhaseNode::on_prepare(const PrepareRequest& req) {
                     held.shared.end());
 
   if (!locks_.lock_all_exclusive(held.exclusive, req.tx,
-                                 ctx_.config.lock_timeout)) {
+                                 kLockTimeout)) {
     vote.fail_reason = VoteFail::kLock;
   } else {
     std::size_t shared_got = 0;
     while (shared_got < held.shared.size() &&
            locks_.lock_shared(held.shared[shared_got], req.tx,
-                              ctx_.config.lock_timeout)) {
+                              kLockTimeout)) {
       ++shared_got;
     }
     if (shared_got < held.shared.size()) {

@@ -31,7 +31,7 @@ bool FaultPlan::active() const {
   for (const auto& f : message) {
     if (f.drop > 0.0 || f.duplicate > 0.0 || f.reorder > 0.0) return true;
   }
-  return !partitions.empty() || !pauses.empty();
+  return !partitions.empty();
 }
 
 FaultPlan FaultPlan::uniform(std::uint64_t seed, double drop, double duplicate,
@@ -78,18 +78,6 @@ bool FaultInjector::partitioned(NodeId from, NodeId to,
     if (hit && in_window(now_ns, p.start, p.duration)) return true;
   }
   return false;
-}
-
-std::int64_t FaultInjector::pause_end(NodeId node,
-                                      std::int64_t delivery_ns) const {
-  std::int64_t end = delivery_ns;
-  for (const auto& p : plan_.pauses) {
-    if (p.node != node) continue;
-    if (!in_window(delivery_ns, p.start, p.duration)) continue;
-    const std::int64_t w_end = (p.start + p.duration).count();
-    if (p.duration.count() > 0 && w_end > end) end = w_end;
-  }
-  return end;
 }
 
 FaultInjector::Decision FaultInjector::decide(NodeId from, NodeId to,

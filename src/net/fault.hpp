@@ -1,8 +1,8 @@
 // Deterministic fault injection for the simulated network.
 //
 // The paper's system model (§2.1) assumes reliable asynchronous channels;
-// a production deployment gets message loss, duplication, reordering,
-// partitions and stalled nodes. A FaultPlan describes those adversities and
+// a production deployment gets message loss, duplication, reordering and
+// partitions. A FaultPlan describes those adversities and
 // the FaultInjector applies them inside SimNetwork's send path so that the
 // protocols can be exercised — and their PSI guarantees checked — under
 // adverse delivery schedules, reproducibly.
@@ -15,10 +15,11 @@
 // chaos tests print ("reproduce with seed N") and what the determinism test
 // in net_test.cpp pins.
 //
-// Partitions and pauses are wall-clock windows relative to the network's
-// construction: inside a partition window the link drops everything; inside
-// a pause window deliveries *to* the paused node are deferred until the
-// window closes (a stalled process whose inbox drains at resume).
+// Partitions are wall-clock windows relative to the network's construction:
+// inside a partition window the link drops everything. A stalled node is
+// not part of the plan: SimNetwork::pause_node defers the deliveries to a
+// node until its pause ends (a stalled process whose inbox drains at
+// resume), with or without a plan.
 #pragma once
 
 #include <array>
@@ -50,14 +51,6 @@ struct LinkPartition {
   bool bidirectional = true;
 };
 
-/// A node stall: deliveries to `node` that would land inside
-/// [start, start + duration) are deferred to the end of the window.
-struct NodePauseWindow {
-  NodeId node = 0;
-  std::chrono::nanoseconds start{0};
-  std::chrono::nanoseconds duration{0};
-};
-
 struct FaultPlan {
   /// Master seed; the entire drop/dup/reorder schedule derives from it.
   std::uint64_t seed = 1;
@@ -67,7 +60,6 @@ struct FaultPlan {
   /// receives. Bounded so that "eventually delivered" stays bounded.
   std::chrono::nanoseconds reorder_max_extra{std::chrono::microseconds(500)};
   std::vector<LinkPartition> partitions;
-  std::vector<NodePauseWindow> pauses;
 
   /// True when any knob can actually perturb a delivery. When false the
   /// whole fault layer is compiled out of the send path (no-op guarantee).
@@ -123,10 +115,6 @@ class FaultInjector {
     std::uint64_t index = 0;
   };
   Decision decide(NodeId from, NodeId to, MessageType t, std::int64_t now_ns);
-
-  /// Latest end of any plan pause window covering `delivery_ns` at `node`
-  /// (elapsed-ns since epoch); returns `delivery_ns` when none applies.
-  std::int64_t pause_end(NodeId node, std::int64_t delivery_ns) const;
 
   const FaultPlan& plan() const { return plan_; }
 

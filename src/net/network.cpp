@@ -23,7 +23,7 @@ SimNetwork::SimNetwork(std::uint32_t num_nodes, NetConfig config)
       pause_until_ns_(new std::atomic<std::int64_t>[num_nodes]) {
   nodes_.resize(num_nodes);
   for (auto& lanes : nodes_) {
-    lanes.data = std::make_unique<Executor>(config_.data_threads);
+    lanes.data = std::make_unique<Executor>(kDataThreads);
   }
   for (std::uint32_t i = 0; i < num_nodes; ++i) {
     pause_until_ns_[i].store(0, std::memory_order_relaxed);
@@ -121,17 +121,14 @@ void SimNetwork::send(NodeId from, NodeId to, Message m) {
 
 void SimNetwork::enqueue(NodeId from, NodeId to, Message m,
                          std::chrono::nanoseconds latency) {
-  if (injector_ || any_pause_.load(std::memory_order_relaxed)) {
-    // Pause deferral: a delivery landing inside a pause window of the
-    // destination is pushed to the window's end. All deferred messages of a
-    // link share that deadline, so the DelayQueue's submission-order
-    // tie-break drains the inbox in send order at resume.
+  if (any_pause_.load(std::memory_order_relaxed)) {
+    // Pause deferral: a delivery landing before the destination's pause
+    // ends is pushed to that end. All deferred messages of a link share
+    // that deadline, so the DelayQueue's submission-order tie-break drains
+    // the inbox in send order at resume.
     const std::int64_t deliver_at = elapsed_ns() + latency.count();
-    std::int64_t end = deliver_at;
-    if (injector_) end = injector_->pause_end(to, deliver_at);
-    const std::int64_t runtime_end =
+    const std::int64_t end =
         pause_until_ns_[to].load(std::memory_order_acquire);
-    if (runtime_end > deliver_at && runtime_end > end) end = runtime_end;
     if (end > deliver_at) {
       note_fault({from, to, type_of(m), 0, FaultKind::kPauseDeferral,
                   end - deliver_at});

@@ -29,6 +29,12 @@
 
 namespace fwkv::net {
 
+/// Worker threads per node for read/prepare handlers (these may block
+/// briefly on per-key locks). A node's own sessions serve local reads by a
+/// direct call instead. Decide/propagate/remove handlers are non-blocking
+/// and run inline on the delivering thread.
+inline constexpr std::size_t kDataThreads = 3;
+
 struct NetConfig {
   /// One-way delivery latency applied to every message.
   std::chrono::nanoseconds one_way_latency{std::chrono::microseconds(20)};
@@ -44,11 +50,6 @@ struct NetConfig {
   /// Round-trip every message through the binary codec. Costs CPU; on by
   /// default in tests, off in throughput benchmarks.
   bool serialize_messages = false;
-  /// Worker threads per node for read/prepare handlers (these may block
-  /// briefly on per-key locks). A node's own sessions serve local reads by
-  /// a direct call instead. Decide/propagate/remove handlers are
-  /// non-blocking and run inline on the delivering thread.
-  std::size_t data_threads = 3;
   /// Deterministic fault injection (chaos testing). The default plan is
   /// inert, in which case the fault layer is never consulted on the send
   /// path (no-op guarantee for benchmarks and the existing test suite).
@@ -161,7 +162,7 @@ class SimNetwork {
  private:
   void deliver(NodeId from, NodeId to, Message m);
   /// Counts the message in flight and hands it to the timer (or delivers
-  /// inline at zero latency). Applies pause-window deferral.
+  /// inline at zero latency). Applies pause_node deferral.
   void enqueue(NodeId from, NodeId to, Message m,
                std::chrono::nanoseconds latency);
   void note_fault(const FaultEvent& ev);
@@ -200,7 +201,7 @@ class SimNetwork {
   std::atomic<std::uint64_t> jitter_state_{0x9E3779B97F4A7C15ull};
 
   // Fault layer. injector_ stays null for an inert plan so the send path
-  // pays one branch. pause_until_ns_ holds runtime pause_node() windows;
+  // pays one branch. pause_until_ns_ holds the pause_node() windows;
   // any_pause_ makes the common no-pause case a relaxed bool load.
   const std::chrono::steady_clock::time_point epoch_;
   std::unique_ptr<FaultInjector> injector_;

@@ -7,41 +7,8 @@
 
 namespace fwkv::store {
 
-namespace {
-
-// ---------------------------------------------------------------------------
-// Per-thread resolved-Entry cache.
-//
-// Entries are created on demand and never destroyed while their store lives
-// (shard maps only ever insert), so an Entry* resolved once stays valid for
-// the store's lifetime. Each executor thread keeps a small direct-mapped
-// cache of (store, key) -> Entry*; repeated touches of a hot key skip the
-// shard shared_mutex entirely. Slots are tagged with a store id drawn from a
-// process-global counter, so a slot left over from a destroyed store can
-// never satisfy a lookup against a new one (even at the same address).
-// ---------------------------------------------------------------------------
-
-struct EntryCacheSlot {
-  std::uint64_t store_id = 0;
-  Key key = 0;
-  void* entry = nullptr;
-};
-
-constexpr std::size_t kEntryCacheSlots = 256;  // power of two
-thread_local EntryCacheSlot t_entry_cache[kEntryCacheSlots];
-
-std::atomic<std::uint64_t> g_next_store_id{1};
-
-std::size_t cache_slot(std::uint64_t store_id, std::uint64_t key_hash) {
-  return (key_hash ^ (store_id * 0x9E3779B97F4A7C15ull)) &
-         (kEntryCacheSlots - 1);
-}
-
-}  // namespace
-
 MVStore::MVStore(std::size_t shards, std::size_t removed_capacity)
-    : store_id_(g_next_store_id.fetch_add(1, std::memory_order_relaxed)),
-      removed_stripe_cap_(std::max<std::size_t>(
+    : removed_stripe_cap_(std::max<std::size_t>(
           1, removed_capacity / kRemovedStripes)) {
   assert(shards > 0);
   map_shards_.reserve(shards);
@@ -55,21 +22,10 @@ MVStore::MVStore(std::size_t shards, std::size_t removed_capacity)
 MVStore::~MVStore() = default;
 
 MVStore::Entry* MVStore::find_entry(Key key) const {
-  const std::uint64_t h = hash_key(key);
-  EntryCacheSlot& slot = t_entry_cache[cache_slot(store_id_, h)];
-  if (slot.store_id == store_id_ && slot.key == key) {
-    return static_cast<Entry*>(slot.entry);
-  }
-  const auto& shard = *map_shards_[h % map_shards_.size()];
-  Entry* e = nullptr;
-  {
-    std::shared_lock<std::shared_mutex> lock(shard.mu);
-    auto it = shard.map.find(key);
-    if (it != shard.map.end()) e = it->second.get();
-  }
-  // Negative results are not cached: the key may be created at any moment.
-  if (e != nullptr) slot = EntryCacheSlot{store_id_, key, e};
-  return e;
+  const auto& shard = *map_shards_[hash_key(key) % map_shards_.size()];
+  std::shared_lock<std::shared_mutex> lock(shard.mu);
+  auto it = shard.map.find(key);
+  return it == shard.map.end() ? nullptr : it->second.get();
 }
 
 MVStore::Entry& MVStore::get_or_create_entry(Key key) {
@@ -84,10 +40,8 @@ MVStore::Entry& MVStore::get_or_create_entry(Key key) {
 void MVStore::load(Key key, Value value, std::size_t cluster_size) {
   Entry& e = get_or_create_entry(key);
   e.latch.lock();
-  Version& v =
-      e.chain.install(std::move(value), VectorClock(cluster_size),
-                      /*origin=*/0, /*seq=*/0);
-  e.latest.publish(v.id, v.origin, 0);
+  e.chain.install(std::move(value), VectorClock(cluster_size), /*origin=*/0,
+                  /*seq=*/0);
   e.latch.unlock();
 }
 
@@ -140,15 +94,6 @@ ReadResult MVStore::read_walter(Key key, const VectorClock& tvc) const {
 bool MVStore::validate_key(Key key, const VectorClock& tvc) const {
   Entry* e = find_entry(key);
   if (e == nullptr) return true;  // blind insert of a fresh key
-  VersionId id = 0;
-  NodeId origin = 0;
-  SeqNo vc_origin = 0;
-  if (e->latest.try_read(id, origin, vc_origin) && origin < tvc.size()) {
-    // Alg. 5 lines 28-32 over the snapshot: id 0 means no version has been
-    // installed yet (vacuously valid, matching chain.validate on empty).
-    if (id == 0) return true;
-    return vc_origin <= tvc[origin];
-  }
   e->latch.lock_shared();
   const bool ok = e->chain.validate(tvc);
   e->latch.unlock_shared();
@@ -158,14 +103,6 @@ bool MVStore::validate_key(Key key, const VectorClock& tvc) const {
 bool MVStore::validate_key_version(Key key, VersionId observed) const {
   Entry* e = find_entry(key);
   if (e == nullptr) return observed == 0;
-  VersionId id = 0;
-  NodeId origin = 0;
-  SeqNo vc_origin = 0;
-  if (e->latest.try_read(id, origin, vc_origin)) {
-    // An entry that exists but has no version yet never validates (the
-    // observed id refers to a version this entry does not carry).
-    return id != 0 && id == observed;
-  }
   e->latch.lock_shared();
   const bool ok = !e->chain.empty() && e->chain.latest().id == observed;
   e->latch.unlock_shared();
@@ -197,8 +134,6 @@ void MVStore::install(Key key, Value value, const VectorClock& commit_vc,
       if (recently_removed(id)) continue;  // the RO tx already finished
       if (v.stamp_insert(id)) stamped.push_back(id);
     }
-    e.latest.publish(v.id, origin,
-                     origin < commit_vc.size() ? commit_vc[origin] : 0);
   }
   e.latch.unlock();
   // Registrations happen after the latch is released (lock-order rule).

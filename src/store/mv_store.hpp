@@ -3,13 +3,13 @@
 // O(entries-for-this-tx) instead of O(store).
 //
 // Synchronization layers, innermost to outermost:
-//   1. shard maps (shared_mutex)       - key lookup / creation; a per-thread
-//      resolved-Entry cache short-circuits repeat lookups (entries are
-//      immortal for the store's lifetime, so cached pointers never dangle);
+//   1. shard maps (shared_mutex)       - key lookup / creation;
 //   2. per-key latch (EntryLatch)      - reader-writer: chain/VAS mutation
-//      takes it exclusive, chain-scanning reads take it shared, and
-//      prepare-path validation usually skips it entirely via the per-entry
-//      seqlock snapshot of the latest version (LatestSnap);
+//      (including a read-only read's stamp) takes it exclusive, other reads
+//      and validation take it shared. It is the only lock on a key inside
+//      the store; validation needs no lock-free lane because it runs while
+//      the prepare holds the key exclusive in the LockTable, so no install
+//      can race it;
 //   3. LockTable (owned by the node)   - transactional isolation windows.
 // The reverse index has its own shards and is never held together with a
 // key latch (registrations are applied after the latch is released), so the
@@ -98,46 +98,6 @@ class EntryLatch {
   std::atomic<std::uint32_t> state_{0};
 };
 
-/// Seqlock-published snapshot of the facts validation needs about a key's
-/// latest version. All fields are atomics (relaxed accesses bracketed by the
-/// sequence counter), so the lock-free read lane is data-race-free by
-/// construction — ThreadSanitizer-clean, not just "probably fine".
-/// id == 0 means "no version installed yet" (version ids start at 1).
-struct LatestSnap {
-  std::atomic<std::uint64_t> seq{0};  // even = stable, odd = write in flight
-  std::atomic<VersionId> id{0};
-  std::atomic<NodeId> origin{0};
-  std::atomic<SeqNo> vc_origin{0};  // latest.vc[latest.origin]
-
-  /// Writer side; callers hold the entry latch exclusive, so writers never
-  /// race each other.
-  void publish(VersionId id_in, NodeId origin_in, SeqNo vc_origin_in) {
-    const std::uint64_t s = seq.load(std::memory_order_relaxed);
-    seq.store(s + 1, std::memory_order_relaxed);
-    std::atomic_thread_fence(std::memory_order_release);
-    id.store(id_in, std::memory_order_relaxed);
-    origin.store(origin_in, std::memory_order_relaxed);
-    vc_origin.store(vc_origin_in, std::memory_order_relaxed);
-    seq.store(s + 2, std::memory_order_release);
-  }
-
-  /// Reader side: false if a concurrent publish kept the snapshot unstable
-  /// (caller falls back to the latched path).
-  bool try_read(VersionId& id_out, NodeId& origin_out,
-                SeqNo& vc_origin_out) const {
-    for (int attempt = 0; attempt < 4; ++attempt) {
-      const std::uint64_t s1 = seq.load(std::memory_order_acquire);
-      if (s1 & 1) continue;
-      id_out = id.load(std::memory_order_relaxed);
-      origin_out = origin.load(std::memory_order_relaxed);
-      vc_origin_out = vc_origin.load(std::memory_order_relaxed);
-      std::atomic_thread_fence(std::memory_order_acquire);
-      if (seq.load(std::memory_order_relaxed) == s1) return true;
-    }
-    return false;
-  }
-};
-
 class MVStore {
  public:
   /// Transactions whose Remove already ran: late collected-set stamping for
@@ -172,13 +132,10 @@ class MVStore {
   ReadResult read_walter(Key key, const VectorClock& tvc) const;
 
   /// Alg. 5 validate() over one written key (clock rule, blind writes).
-  /// Served from the seqlock snapshot when stable; latch-free in the common
-  /// case.
   bool validate_key(Key key, const VectorClock& tvc) const;
 
   /// Validation by version identity for read-modify-write keys: true iff
-  /// the latest version is still the one the transaction observed. Also
-  /// seqlock-served.
+  /// the latest version is still the one the transaction observed.
   bool validate_key_version(Key key, VersionId observed) const;
 
   /// Alg. 5 lines 8-10: union of access sets across the written keys.
@@ -220,7 +177,6 @@ class MVStore {
  private:
   struct Entry {
     mutable EntryLatch latch;
-    LatestSnap latest;
     VersionChain chain;
   };
   struct MapShard {
@@ -261,11 +217,6 @@ class MVStore {
   void erase_stamps(TxId tx);
   RemovedStripe& removed_stripe(TxId tx) const;
   void note_removed(TxId tx);
-
-  /// Identity for the per-thread resolved-Entry cache; never reused across
-  /// MVStore instances, so a stale slot can never satisfy a lookup against
-  /// a different (or reincarnated) store.
-  const std::uint64_t store_id_;
 
   std::vector<std::unique_ptr<MapShard>> map_shards_;
   std::vector<std::unique_ptr<IndexShard>> index_shards_;
