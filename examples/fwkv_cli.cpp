@@ -1,9 +1,9 @@
 // Command-line experiment driver: run any protocol/workload combination
-// without writing code.
+// without writing code. For example (each command is one shell line):
 //
-//   $ ./build/examples/fwkv_cli --protocol fwkv --workload ycsb \
+//   $ ./build/examples/fwkv_cli --protocol fwkv --workload ycsb
 //         --nodes 10 --keys 50000 --ro 0.2 --ms 1000 --delay-us 1000
-//   $ ./build/examples/fwkv_cli --protocol walter --workload tpcc \
+//   $ ./build/examples/fwkv_cli --protocol walter --workload tpcc
 //         --nodes 5 --warehouses 8 --ro 0.5
 #include <cstring>
 #include <iostream>
@@ -166,7 +166,9 @@ int main(int argc, char** argv) {
               << " removes=" << n.removes_processed
               << " buffered=" << n.events_buffered
               << " aborts(lock/val/vote)=" << n.aborts_lock << "/"
-              << n.aborts_validation << "/" << n.aborts_vote_timeout << "\n";
+              << n.aborts_validation << "/" << n.aborts_vote_timeout
+              << " doomed=" << n.doomed_aborts
+              << " catch-up-timeouts=" << n.catch_up_timeouts << "\n";
     for (int t = 0; t < static_cast<int>(net::kNumMessageTypes); ++t) {
       const auto mt = static_cast<net::MessageType>(t);
       std::cout << "  " << net::type_name(mt) << ": "

@@ -90,6 +90,9 @@ std::optional<Value> MvNodeBase::read(Transaction& tx, Key key) {
     // saw. The id check closes that hole; blind writes still use the
     // clock rule.
     tx.record_validation(key, rr->version_id);
+    if (rr->version_id != rr->latest_id) {
+      tx.record_missed_latest(key, std::move(rr->latest_vc));
+    }
   }
   tx.record_read_freshness(rr->version_id, rr->latest_id);
   tx.cache_read(key, rr->value);
@@ -103,6 +106,28 @@ bool MvNodeBase::commit(Transaction& tx) {
   if (tx.write_set().empty()) {
     enqueue_remove(tx);
     return finish(tx, Votes{});
+  }
+
+  // A read-modify-write whose read missed the newest version of its key
+  // can never pass version-identity validation. Abort it without a
+  // Prepare, and hold the client until this node's siteVC covers that
+  // version's commit: the retry's snapshot (Alg. 1) then includes it, and
+  // Alg. 3 line 14 no longer excludes it. The wait only delays the client
+  // and changes no protocol rule; without it the retries spin until the
+  // lagging Propagate arrives.
+  VectorClock missed;
+  for (const auto& [key, latest_vc] : tx.missed_latest()) {
+    if (tx.write_set().count(key) == 0) continue;
+    if (missed.empty()) {
+      missed = latest_vc;
+    } else {
+      missed.merge(latest_vc);
+    }
+  }
+  if (!missed.empty()) {
+    stats_.doomed_aborts.add();
+    catch_up(missed);
+    return finish(tx, Votes{false, AbortReason::kValidation, {}});
   }
 
   // Alg. 4 lines 9-21: 2PC over the preferred sites of the write-set.
@@ -268,6 +293,7 @@ ReadReturn MvNodeBase::serve_read(const ReadRequest& req) {
   ret.version_vc = std::move(r.vc);
   ret.version_id = r.id;
   ret.latest_id = r.latest_id;
+  ret.latest_vc = std::move(r.latest_vc);
   if (fresh_reads()) {
     std::lock_guard<std::mutex> lock(site_mu_);
     ret.server_seq = site_vc_[id_];
@@ -398,7 +424,7 @@ void MvNodeBase::drain_pending_locked(NodeId origin) {
     // before the seq was covered by another path (gap replay); discard
     // them instead of leaving them to wedge quiescence.
     auto it = queue.begin();
-    if (it == queue.end() || it->first > site_vc_[origin] + 1) return;
+    if (it == queue.end() || it->first > site_vc_[origin] + 1) break;
     const SeqNo at = it->first;
     PendingEvent ev = std::move(it->second);
     queue.erase(it);
@@ -416,6 +442,17 @@ void MvNodeBase::drain_pending_locked(NodeId origin) {
       stats_.dup_drops.add();
     }
   }
+  if (catch_up_waiters_ > 0) site_cv_.notify_all();
+}
+
+void MvNodeBase::catch_up(const VectorClock& target) {
+  std::unique_lock<std::mutex> lock(site_mu_);
+  ++catch_up_waiters_;
+  const bool covered =
+      site_cv_.wait_for(lock, ctx_.config.gap_request_delay,
+                        [&] { return target.leq(site_vc_); });
+  --catch_up_waiters_;
+  if (!covered) stats_.catch_up_timeouts.add();
 }
 
 void MvNodeBase::owed_locked(NodeId dest, SeqNo from, SeqNo to, bool replay,

@@ -15,6 +15,7 @@
 #pragma once
 
 #include <atomic>
+#include <condition_variable>
 #include <deque>
 #include <map>
 #include <mutex>
@@ -56,9 +57,10 @@ class MvNodeBase : public TwoPhaseNode {
   /// FW-KV: true. Walter: false.
   virtual bool track_antideps() const = 0;
 
-  // TwoPhaseNode hooks. Prepares and remote reads run on the node's
-  // executor, a read from a session on this node on the session's thread,
-  // and the other handlers inline on the delivering thread.
+  // TwoPhaseNode hooks. They run on the delivering thread: a read or
+  // prepare sent at zero delay on the sending client's thread, one that
+  // comes off the timer on this node's executor. A read from a session on
+  // this node is a direct call on the session's thread.
   net::ReadReturn serve_read(const net::ReadRequest& req) override;
   void on_decide(net::DecideMessage&& m) override;
   void on_other(net::Message&& msg) override;
@@ -72,7 +74,14 @@ class MvNodeBase : public TwoPhaseNode {
 
   // In-order application machinery. All require site_mu_ held.
   void apply_decide_locked(net::DecideMessage& m);
+  /// Applies the buffered events of `origin` that have become in order,
+  /// then wakes the catch-up waiters. Every siteVC advance ends here.
   void drain_pending_locked(NodeId origin);
+
+  /// Blocks the calling client until siteVC covers `target`, or for at most
+  /// gap_request_delay. Used after a doomed attempt (see commit), so that
+  /// the retry's snapshot includes the version the attempt could not see.
+  void catch_up(const VectorClock& target);
 
   store::MVStore store_;
 
@@ -82,6 +91,9 @@ class MvNodeBase : public TwoPhaseNode {
   mutable std::mutex site_mu_;
   VectorClock site_vc_;
   SeqNo curr_seq_ = 0;
+  /// Clients in catch_up(); the appliers notify site_cv_ only if nonzero.
+  std::condition_variable site_cv_;
+  std::uint32_t catch_up_waiters_ = 0;
 
   struct PendingEvent {
     bool is_decide = false;

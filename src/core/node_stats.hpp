@@ -15,6 +15,11 @@ struct NodeStats {
   Counter aborts_lock;
   Counter aborts_validation;
   Counter aborts_vote_timeout;
+  // Update transactions aborted before prepare because they write a key
+  // they read stale (counted in aborts_validation too), and how many of
+  // the siteVC catch-up waits after them ran into their bound.
+  Counter doomed_aborts;
+  Counter catch_up_timeouts;
 
   // Fig. 6: size of T.collectedSet after merging participant votes, per
   // update transaction that passed prepare.
@@ -52,6 +57,8 @@ struct NodeStats {
     aborts_lock.reset();
     aborts_validation.reset();
     aborts_vote_timeout.reset();
+    doomed_aborts.reset();
+    catch_up_timeouts.reset();
     collected_set_size.reset();
     reads_served.reset();
     versions_installed.reset();
@@ -75,6 +82,8 @@ struct NodeStats::Snapshot {
   std::uint64_t aborts_lock = 0;
   std::uint64_t aborts_validation = 0;
   std::uint64_t aborts_vote_timeout = 0;
+  std::uint64_t doomed_aborts = 0;
+  std::uint64_t catch_up_timeouts = 0;
   std::uint64_t collected_count = 0;
   std::uint64_t collected_sum = 0;
   std::uint64_t collected_max = 0;
@@ -104,6 +113,8 @@ struct NodeStats::Snapshot {
     aborts_lock += o.aborts_lock;
     aborts_validation += o.aborts_validation;
     aborts_vote_timeout += o.aborts_vote_timeout;
+    doomed_aborts += o.doomed_aborts;
+    catch_up_timeouts += o.catch_up_timeouts;
     collected_count += o.collected_count;
     collected_sum += o.collected_sum;
     collected_max = collected_max > o.collected_max ? collected_max
@@ -130,6 +141,8 @@ inline NodeStats::Snapshot NodeStats::snapshot() const {
   s.aborts_lock = aborts_lock.get();
   s.aborts_validation = aborts_validation.get();
   s.aborts_vote_timeout = aborts_vote_timeout.get();
+  s.doomed_aborts = doomed_aborts.get();
+  s.catch_up_timeouts = catch_up_timeouts.get();
   s.collected_count = collected_set_size.count();
   s.collected_sum = collected_set_size.sum();
   s.collected_max = collected_set_size.max();

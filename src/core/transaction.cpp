@@ -38,6 +38,10 @@ void Transaction::record_validation(Key key, VersionId version) {
   validation_set_.emplace(key, version);
 }
 
+void Transaction::record_missed_latest(Key key, VectorClock latest_vc) {
+  missed_latest_.emplace_back(key, std::move(latest_vc));
+}
+
 void Transaction::record_read_freshness(VersionId returned, VersionId latest) {
   ++reads_issued_;
   if (latest > returned) {

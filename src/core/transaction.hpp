@@ -60,6 +60,15 @@ class Transaction {
   }
   void record_validation(Key key, VersionId version);
 
+  /// Update transactions: every key whose read returned an older version
+  /// than the newest one at its site, with that newest version's commit
+  /// clock. Writing such a key dooms the commit: version-identity
+  /// validation (§4.4) can never pass.
+  const std::vector<std::pair<Key, VectorClock>>& missed_latest() const {
+    return missed_latest_;
+  }
+  void record_missed_latest(Key key, VectorClock latest_vc);
+
   // Per-transaction freshness instrumentation (Ext. A experiment): a read
   // is stale when the returned version is older than the newest installed
   // version at the serving node at read time.
@@ -86,6 +95,7 @@ class Transaction {
   std::unordered_map<Key, Value> read_cache_;
   std::vector<std::pair<NodeId, Key>> read_registrations_;
   std::map<Key, VersionId> validation_set_;
+  std::vector<std::pair<Key, VectorClock>> missed_latest_;
 
   std::uint32_t reads_issued_ = 0;
   std::uint64_t freshness_gap_sum_ = 0;

@@ -9,7 +9,8 @@
 //
 // A read of a key on the coordinator's own node is served by a plain call on
 // the coordinator's thread and sends no message (in the paper a local read
-// costs no round).
+// costs no round). A request sent at zero delay is handled on the
+// coordinator's thread too, inside the send (see SimNetwork).
 #pragma once
 
 #include <chrono>
@@ -148,8 +149,9 @@ class TwoPhaseNode : public KvNode {
 
   // ---- participant ----
 
-  /// Alg. 3: serves a read of a key this node owns. Runs on an executor
-  /// worker for a remote reader, or on the reading client's thread.
+  /// Alg. 3: serves a read of a key this node owns. Runs on the reading
+  /// client's thread (a direct call, or a request sent at zero delay), or
+  /// on an executor worker for a request that came off the timer.
   virtual net::ReadReturn serve_read(const net::ReadRequest& req) = 0;
   virtual void on_decide(net::DecideMessage&& m) = 0;
   /// Messages outside the 2PC rounds (PSI: Propagate, Remove, Resend).

@@ -171,6 +171,7 @@ struct EncodeVisitor {
     e.put_vc(m.version_vc);
     e.put_u64(m.version_id);
     e.put_u64(m.latest_id);
+    e.put_vc(m.latest_vc);
     e.put_u64(m.server_seq);
   }
   void operator()(const PrepareRequest& m) const {
@@ -261,6 +262,7 @@ std::optional<Message> decode_message(const std::vector<std::uint8_t>& bytes) {
       m.version_vc = d.get_vc();
       m.version_id = d.get_u64();
       m.latest_id = d.get_u64();
+      m.latest_vc = d.get_vc();
       m.server_seq = d.get_u64();
       out = std::move(m);
       break;

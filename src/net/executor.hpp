@@ -1,9 +1,11 @@
 // Per-node worker pool for the handlers that may block briefly on per-key
-// lock acquisition: prepares (Alg. 5) and reads (Alg. 3). A node's own
-// sessions read local keys by a direct call on the client thread instead.
-// The non-blocking handlers (Decide, Propagate, Remove, ResendRequest) run
-// inline on the delivering thread, so a worker blocked on a lock can never
-// starve the Decide that will release it.
+// lock acquisition, prepares (Alg. 5) and reads (Alg. 3), when they come
+// off the DelayQueue timer: a timer blocked on a lock would starve the
+// Decide that releases it. Every other delivery runs on the delivering
+// thread: a zero-delay request on its sender's (client) thread, which
+// waits for the reply anyway, and the non-blocking handlers (Decide,
+// Propagate, Remove, ResendRequest) wherever they land. A node's own
+// sessions read local keys by a direct call.
 #pragma once
 
 #include <condition_variable>

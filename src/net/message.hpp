@@ -57,6 +57,11 @@ struct ReadReturn {
   /// Freshness instrumentation: id of the newest version present when the
   /// read was served (latest_id - version_id is the staleness gap, §2.4).
   VersionId latest_id = 0;
+  /// Commit clock of that newest version, filled only when the read was
+  /// stale (version_id != latest_id). A read-modify-write of the key can
+  /// then never validate; its coordinator aborts it without a Prepare and
+  /// waits until its siteVC covers this clock before the retry begins.
+  VectorClock latest_vc;
   /// The serving node's own siteVC entry at read time. Fig. 2: "T1 also
   /// updates T1.VC[2] to the latest timestamp of N2" — the reader's clock
   /// entry for the contacted site advances to the site's current sequence

@@ -137,10 +137,10 @@ void SimNetwork::enqueue(NodeId from, NodeId to, Message m,
   }
   in_flight_.fetch_add(1, std::memory_order_acq_rel);
   if (latency.count() == 0) {
-    deliver(from, to, std::move(m));
+    deliver(from, to, std::move(m), /*from_timer=*/false);
   } else {
     timer_.run_after(latency, [this, from, to, m = std::move(m)]() mutable {
-      deliver(from, to, std::move(m));
+      deliver(from, to, std::move(m), /*from_timer=*/true);
     });
   }
 }
@@ -183,7 +183,8 @@ void SimNetwork::set_fault_hook(FaultHook hook) {
   fault_hook_ = std::move(hook);
 }
 
-void SimNetwork::deliver(NodeId from, NodeId to, Message m) {
+void SimNetwork::deliver(NodeId from, NodeId to, Message m,
+                         bool from_timer) {
   // Replies complete pending RPCs without touching the endpoint.
   std::uint64_t rpc_id = 0;
   if (const auto* rr = std::get_if<ReadReturn>(&m)) {
@@ -218,17 +219,16 @@ void SimNetwork::deliver(NodeId from, NodeId to, Message m) {
   auto& lanes = nodes_[to];
   assert(lanes.endpoint != nullptr);
   const MessageType t = type_of(m);
-  const bool control = t == MessageType::kDecide ||
-                       t == MessageType::kPropagate ||
-                       t == MessageType::kRemove ||
-                       t == MessageType::kResendRequest;
-  if (control) {
-    // Control handlers (decide/propagate/remove) are non-blocking by
-    // design (in-order application is event-driven, Alg. 5 line 16 /
-    // Alg. 6 line 2 waits are buffered) — run them inline on the
-    // delivering thread. Only read/prepare handlers, which may wait on
-    // per-key locks, need worker threads; the split guarantees a blocked
-    // read can never starve the decide that will release its lock.
+  const bool may_block =
+      t == MessageType::kReadRequest || t == MessageType::kPrepareRequest;
+  if (!from_timer || !may_block) {
+    // Every handler runs on the delivering thread, except a read or
+    // prepare that comes off the timer. Those may wait on per-key locks,
+    // and a timer blocked behind one would starve the Decide that
+    // releases the lock. The other handlers never block (in-order
+    // application buffers, Alg. 5 line 16 / Alg. 6 line 2). A zero-delay
+    // request is delivered on its sender's thread: only coordinators on
+    // client threads send requests, and they block on the reply anyway.
     lanes.endpoint->handle_message(std::move(m), from);
     in_flight_.fetch_sub(1, std::memory_order_acq_rel);
     return;

@@ -29,10 +29,11 @@
 
 namespace fwkv::net {
 
-/// Worker threads per node for read/prepare handlers (these may block
-/// briefly on per-key locks). A node's own sessions serve local reads by a
-/// direct call instead. Decide/propagate/remove handlers are non-blocking
-/// and run inline on the delivering thread.
+/// Worker threads per node for the read and prepare handlers that come off
+/// the DelayQueue timer (these may block briefly on per-key locks, and the
+/// timer must not). Every other delivery runs its handler on the
+/// delivering thread: zero-delay requests on their sender's thread, and
+/// the non-blocking Decide/Propagate/Remove handlers wherever they land.
 inline constexpr std::size_t kDataThreads = 3;
 
 struct NetConfig {
@@ -58,8 +59,9 @@ struct NetConfig {
   FaultPlan faults;
 };
 
-/// Implemented by protocol nodes; invoked on the destination node's
-/// executor or inline on the delivering thread.
+/// Implemented by protocol nodes; invoked on the delivering thread, or on
+/// the destination node's executor for a read or prepare that comes off
+/// the timer.
 class NodeEndpoint {
  public:
   virtual ~NodeEndpoint() = default;
@@ -160,7 +162,10 @@ class SimNetwork {
                     std::chrono::nanoseconds wan);
 
  private:
-  void deliver(NodeId from, NodeId to, Message m);
+  /// Completes an RPC with a reply, or runs the destination's handler:
+  /// on this thread, or on its executor for a read or prepare that comes
+  /// off the timer (`from_timer`).
+  void deliver(NodeId from, NodeId to, Message m, bool from_timer);
   /// Counts the message in flight and hands it to the timer (or delivers
   /// inline at zero latency). Applies pause_node deferral.
   void enqueue(NodeId from, NodeId to, Message m,

@@ -87,6 +87,9 @@ struct ReadResult {
   /// Freshness instrumentation: id of the newest installed version at the
   /// time the read was served.
   VersionId latest_id = 0;
+  /// Commit clock of that newest version when it is not the one returned
+  /// (a stale read); empty otherwise.
+  VectorClock latest_vc;
 };
 
 }  // namespace fwkv::store

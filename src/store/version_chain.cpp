@@ -40,6 +40,7 @@ ReadResult VersionChain::to_result(const Version& v) const {
   r.vc = v.vc;
   r.id = v.id;
   r.latest_id = versions_.back().id;
+  if (r.id != r.latest_id) r.latest_vc = versions_.back().vc;
   return r;
 }
 

@@ -88,6 +88,7 @@ TEST(CodecTest, ReadReturnRoundTrip) {
   m.version_vc = vc({1, 2});
   m.version_id = 99;
   m.latest_id = 101;
+  m.latest_vc = vc({1, 5});  // a stale read carries the newest version's clock
 
   auto decoded = decode_message(encode_message(m));
   ASSERT_TRUE(decoded.has_value());
@@ -96,6 +97,7 @@ TEST(CodecTest, ReadReturnRoundTrip) {
   EXPECT_EQ(r.value, m.value);
   EXPECT_EQ(r.version_id, 99u);
   EXPECT_EQ(r.latest_id, 101u);
+  EXPECT_EQ(r.latest_vc, m.latest_vc);
 }
 
 TEST(CodecTest, PrepareRoundTrip) {
@@ -364,6 +366,7 @@ Message random_message(MessageType t, std::mt19937_64& rng) {
       m.version_vc = random_vc(rng);
       m.version_id = rng();
       m.latest_id = rng();
+      if (rng() % 2 == 0) m.latest_vc = random_vc(rng);
       m.server_seq = rng() % 100'000;
       return m;
     }

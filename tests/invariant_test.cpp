@@ -124,6 +124,30 @@ INSTANTIATE_TEST_SUITE_P(
       return name + (info.param.propagate_delay.count() > 0 ? "Delayed" : "");
     });
 
+class ZeroDelayMoneyConservationTest
+    : public ::testing::TestWithParam<Protocol> {};
+
+TEST_P(ZeroDelayMoneyConservationTest, TotalBalanceIsInvariant) {
+  // At 0 us every read and prepare runs on the sending client's thread,
+  // concurrently with the other clients' handlers on theirs, and an
+  // all-local retry is cheap enough to meet a stale read again and again.
+  ClusterConfig cfg;
+  cfg.num_nodes = 3;
+  cfg.protocol = GetParam();
+  cfg.net.one_way_latency = std::chrono::microseconds(0);
+  Cluster cluster(cfg);
+  run_money_conservation(cluster, 300ms, protocol_name(GetParam()));
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllProtocols, ZeroDelayMoneyConservationTest,
+    ::testing::Values(Protocol::kFwKv, Protocol::kWalter, Protocol::kTwoPC),
+    [](const auto& info) {
+      std::string name = protocol_name(info.param);
+      name.erase(std::remove(name.begin(), name.end(), '-'), name.end());
+      return name;
+    });
+
 #ifdef FWKV_CHAOS_SUITE
 // Chaos variant: conservation must survive 5% drop/duplicate/reorder on
 // every message class plus a healing partition. Exercises timeout aborts,

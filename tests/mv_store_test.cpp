@@ -260,9 +260,9 @@ TEST(MVStoreTest, BatchedRemoveErasesReadsAndStampsOfEveryId) {
   EXPECT_TRUE(store.recently_removed(kRo2));
 }
 
-TEST(MVStoreTest, SeqlockValidateMatchesLatchedPathUnderConcurrency) {
-  // The lock-free validate lane must agree with chain state while installs
-  // mutate it. Validity of the *current* clock flips with each install, so
+TEST(MVStoreTest, ValidateMatchesConcurrentInstalls) {
+  // Validation under the shared entry latch must agree with chain state
+  // while installs mutate it. Validity of the *current* clock flips with each install, so
   // check the invariants that hold at all times instead of exact values.
   MVStore store;
   store.load(1, "v", kNodes);

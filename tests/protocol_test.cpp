@@ -3,8 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <future>
 #include <map>
 #include <mutex>
+#include <optional>
 #include <stdexcept>
 #include <thread>
 
@@ -218,6 +220,90 @@ TEST_P(ProtocolTest, StatsCountCommitsAndReads) {
   EXPECT_EQ(stats.update_commits, 5u);
   EXPECT_EQ(stats.ro_commits, 3u);
   EXPECT_EQ(stats.reads_served, 8u);
+}
+
+// ---- Where a request's handler runs ----
+
+/// Sits in front of one node and records the thread that runs each
+/// ReadRequest and PrepareRequest handler. Declare it before the cluster:
+/// the network keeps a pointer to it.
+class ThreadRecorder final : public net::NodeEndpoint {
+ public:
+  void wrap(Cluster& cluster, NodeId id) {
+    node_ = &cluster.node(id);
+    cluster.network().register_endpoint(id, this);
+  }
+
+  void handle_message(net::Message msg, NodeId from) override {
+    const net::MessageType t = net::type_of(msg);
+    if (t == net::MessageType::kReadRequest ||
+        t == net::MessageType::kPrepareRequest) {
+      std::lock_guard<std::mutex> lock(mu_);
+      threads_[t] = std::this_thread::get_id();
+    }
+    node_->handle_message(std::move(msg), from);
+  }
+
+  std::size_t pending_work() const override { return node_->pending_work(); }
+
+  std::optional<std::thread::id> thread_of(net::MessageType t) const {
+    std::lock_guard<std::mutex> lock(mu_);
+    auto it = threads_.find(t);
+    if (it == threads_.end()) return std::nullopt;
+    return it->second;
+  }
+
+ private:
+  net::NodeEndpoint* node_ = nullptr;
+  mutable std::mutex mu_;
+  std::map<net::MessageType, std::thread::id> threads_;
+};
+
+/// A session on node 0 reads and writes a key of node 1, so both the read
+/// and the prepare are requests to node 1.
+void remote_read_modify_write(Cluster& cluster) {
+  const Key k = key_on(cluster, 1);
+  cluster.load(k, "v0");
+  Session s = cluster.make_session(0, 0);
+  auto tx = s.begin();
+  ASSERT_EQ(s.read(tx, k), "v0");
+  s.write(tx, k, "v1");
+  ASSERT_TRUE(s.commit(tx));
+  ASSERT_TRUE(cluster.quiesce());
+}
+
+TEST_P(ProtocolTest, ZeroLatencyRequestRunsOnTheCallersThread) {
+  ThreadRecorder node1;
+  auto cfg = base_config(GetParam());
+  cfg.net.one_way_latency = 0ns;
+  Cluster cluster(cfg);
+  node1.wrap(cluster, 1);
+  remote_read_modify_write(cluster);
+  EXPECT_EQ(node1.thread_of(net::MessageType::kReadRequest),
+            std::this_thread::get_id());
+  EXPECT_EQ(node1.thread_of(net::MessageType::kPrepareRequest),
+            std::this_thread::get_id());
+}
+
+TEST_P(ProtocolTest, DelayedRequestRunsOnTheExecutor) {
+  // Off the timer, a request that may wait on a lock is handed to the
+  // node's executor: neither the caller nor the timer thread runs it.
+  ThreadRecorder node1;
+  Cluster cluster(base_config(GetParam()));  // 20 us one way
+  node1.wrap(cluster, 1);
+  std::promise<std::thread::id> timer;
+  cluster.network().schedule(0ns, [&] {
+    timer.set_value(std::this_thread::get_id());
+  });
+  const std::thread::id timer_thread = timer.get_future().get();
+  remote_read_modify_write(cluster);
+  for (auto t :
+       {net::MessageType::kReadRequest, net::MessageType::kPrepareRequest}) {
+    const auto ran_on = node1.thread_of(t);
+    ASSERT_TRUE(ran_on.has_value()) << net::type_name(t);
+    EXPECT_NE(*ran_on, std::this_thread::get_id()) << net::type_name(t);
+    EXPECT_NE(*ran_on, timer_thread) << net::type_name(t);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(AllProtocols, ProtocolTest,
@@ -503,6 +589,80 @@ TEST(FwKvTest, FreshFirstReadAcrossNodes) {
   EXPECT_EQ(r.read(ro, b), "b1");
   EXPECT_TRUE(r.commit(ro));
   EXPECT_EQ(ro.stale_reads(), 0u);
+}
+
+TEST(FwKvTest, StaleReadModifyWriteAbortsWithoutPrepareAndWaitsForSiteVc) {
+  // Node 0 learns of node 1's commit only through a held-back Propagate,
+  // but node 2 learned of it through its Decide, and node 2's next commit
+  // installs a version of node 0's key `b` whose clock covers it. An
+  // all-local read-modify-write on node 0 then reads `b` stale (Alg. 3
+  // line 14 excludes the new version) and can never validate.
+  auto cfg = base_config(Protocol::kFwKv);
+  cfg.net.propagate_extra_delay = 500ms;
+  // The catch-up wait is bounded by gap_request_delay; here it must
+  // outlast the held-back Propagate.
+  cfg.protocol_config.gap_request_delay = 10s;
+  Cluster cluster(cfg);
+  const Key a = key_on(cluster, 0);
+  const Key b = key_on(cluster, 0, a + 1);
+  const Key y = key_on(cluster, 2);
+  cluster.load(a, "a0");
+  cluster.load(b, "b0");
+  cluster.load(y, "y0");
+  auto& node0 = dynamic_cast<MvNodeBase&>(cluster.node(0));
+  auto& node2 = dynamic_cast<MvNodeBase&>(cluster.node(2));
+  auto wait_for = [](auto&& done) {
+    for (int i = 0; i < 5000 && !done(); ++i) std::this_thread::sleep_for(1ms);
+    return done();
+  };
+
+  Session s1 = cluster.make_session(1, 0);
+  auto t1 = s1.begin();
+  s1.write(t1, y, "y1");
+  ASSERT_TRUE(s1.commit(t1));
+  ASSERT_TRUE(wait_for([&] { return node2.site_vc()[1] == 1; }));
+  Session s2 = cluster.make_session(2, 0);
+  auto t2 = s2.begin();
+  s2.write(t2, b, "b1");
+  ASSERT_TRUE(s2.commit(t2));
+  ASSERT_TRUE(wait_for([&] { return node0.site_vc()[2] == 1; }));
+
+  std::atomic<int> prepares{0};
+  cluster.network().set_send_hook(
+      [&](NodeId, NodeId, const net::Message& m) {
+        if (std::holds_alternative<net::PrepareRequest>(m)) ++prepares;
+      });
+  Session s0 = cluster.make_session(0, 0);
+  auto doomed = s0.begin();
+  ASSERT_EQ(s0.read(doomed, a), "a0");
+  ASSERT_EQ(node0.site_vc()[1], 0u) << "the Propagate was not held back";
+  ASSERT_EQ(s0.read(doomed, b), "b0");
+  ASSERT_EQ(doomed.stale_reads(), 1u);
+  s0.write(doomed, b, "b2");
+  EXPECT_FALSE(s0.commit(doomed));
+  EXPECT_EQ(doomed.abort_reason(), AbortReason::kValidation);
+  EXPECT_EQ(prepares.load(), 0) << "a doomed attempt must not prepare";
+  EXPECT_EQ(node0.site_vc()[1], 1u)
+      << "commit returned before siteVC covered the missed version";
+
+  int attempts = 0;
+  bool committed = false;
+  while (!committed && attempts < 3) {
+    ++attempts;
+    auto tx = s0.begin();
+    ASSERT_TRUE(s0.read(tx, a).has_value());
+    ASSERT_EQ(s0.read(tx, b), "b1");
+    s0.write(tx, b, "b2");
+    committed = s0.commit(tx);
+  }
+  EXPECT_TRUE(committed);
+  EXPECT_EQ(attempts, 1);
+  EXPECT_EQ(prepares.load(), 1);
+  cluster.network().set_send_hook(nullptr);
+  ASSERT_TRUE(cluster.quiesce(5s));
+  const auto stats = cluster.aggregate_stats();
+  EXPECT_EQ(stats.doomed_aborts, 1u);
+  EXPECT_EQ(stats.catch_up_timeouts, 0u);
 }
 
 TEST(FwKvTest, CollectedSetReachesCoordinatorStats) {
