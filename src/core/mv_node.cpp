@@ -255,8 +255,8 @@ std::size_t MvNodeBase::pending_work() const {
   return pending_count_.load(std::memory_order_acquire);
 }
 
-ReadReturn MvNodeBase::serve_read(const ReadRequest& req) {
-  stats_.reads_served.add();
+std::optional<ReadReturn> MvNodeBase::serve_read(const ReadRequest& req,
+                                                 bool wait) {
   // Alg. 3 lines 3/12: read handlers share the key's lock with each other
   // and exclude update commit handlers. A read never gives up: it waits out
   // a concurrent prepare->decide window, since read-only transactions are
@@ -264,8 +264,17 @@ ReadReturn MvNodeBase::serve_read(const ReadRequest& req) {
   // never queued behind a blocked read, so the Decide that releases the
   // exclusive lock can always run. A waiting read is let in at the
   // holder's release, before the key is locked exclusive again.
-  while (!locks_.lock_shared(req.key, req.tx.id, kLockTimeout)) {
+  if (wait) {
+    while (!locks_.lock_shared(req.key, req.tx.id, kLockTimeout)) {
+    }
+  } else if (!locks_.try_lock_shared(req.key, req.tx.id)) {
+    return std::nullopt;
   }
+  return serve_locked(req);
+}
+
+ReadReturn MvNodeBase::serve_locked(const ReadRequest& req) {
+  stats_.reads_served.add();
   store::ReadResult r;
   if (!fresh_reads()) {
     // Walter: no read/update distinction and no access-set maintenance.

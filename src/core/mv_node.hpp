@@ -59,15 +59,20 @@ class MvNodeBase : public TwoPhaseNode {
 
   // TwoPhaseNode hooks. They run on the delivering thread: a read or
   // prepare sent at zero delay on the sending client's thread, one that
-  // comes off the timer on this node's executor. A read from a session on
-  // this node is a direct call on the session's thread.
-  net::ReadReturn serve_read(const net::ReadRequest& req) override;
+  // comes off the timer on the timer, unless it would wait for a lock, and
+  // then on this node's executor. A read from a session on this node is a
+  // direct call on the session's thread.
+  std::optional<net::ReadReturn> serve_read(const net::ReadRequest& req,
+                                            bool wait) override;
   void on_decide(net::DecideMessage&& m) override;
   void on_other(net::Message&& msg) override;
   bool validate(const net::PrepareRequest& req, const HeldLocks& held) override;
   void fill_yes_vote(const HeldLocks& held, net::VoteReply& vote) override;
 
  private:
+  /// Alg. 3's version selection for `req`, with its key's shared lock
+  /// held; releases the lock.
+  net::ReadReturn serve_locked(const net::ReadRequest& req);
   void on_propagate(net::PropagateMessage&& m);
   void on_remove(net::RemoveMessage&& m);
   void on_resend_request(const net::ResendRequest& m);

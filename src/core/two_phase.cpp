@@ -102,7 +102,7 @@ TwoPhaseNode::TwoPhaseNode(NodeId id, ClusterContext& ctx)
 
 std::optional<net::ReadReturn> TwoPhaseNode::fetch(NodeId target,
                                                    net::ReadRequest req) {
-  if (target == id_) return serve_read(req);
+  if (target == id_) return serve_read(req, /*wait=*/true);
   for (std::uint32_t a = 0; a < retry_.read_attempts; ++a) {
     const bool last = a + 1 == retry_.read_attempts;
     auto call = last ? ctx_.network->send_request(id_, target, std::move(req))
@@ -215,36 +215,46 @@ bool TwoPhaseNode::finish(Transaction& tx, const Votes& votes) {
 // TwoPhaseNode: participant.
 // ---------------------------------------------------------------------------
 
-void TwoPhaseNode::handle_message(net::Message msg, NodeId /*from*/) {
+void TwoPhaseNode::handle_message(net::Message msg, NodeId from) {
+  // Reads and prepares may wait for key locks, except on the timer, which
+  // must never block: there they run only if their locks are free at once,
+  // and otherwise go whole to the executor, which runs this again.
+  const bool wait = !ctx_.network->on_timer();
   if (auto* read = std::get_if<net::ReadRequest>(&msg)) {
-    ctx_.network->send(id_, read->reply_to, serve_read(*read));
+    if (auto ret = serve_read(*read, wait)) {
+      ctx_.network->send(id_, read->reply_to, std::move(*ret));
+      return;
+    }
   } else if (auto* prep = std::get_if<PrepareRequest>(&msg)) {
-    on_prepare(*prep);
+    if (on_prepare(*prep, wait)) return;
   } else if (auto* dec = std::get_if<net::DecideMessage>(&msg)) {
     on_decide(std::move(*dec));
+    return;
   } else {
     on_other(std::move(msg));
+    return;
   }
+  ctx_.network->offload(id_, from, std::move(msg));
 }
 
 void TwoPhaseNode::on_other(net::Message&& /*msg*/) {
   assert(false && "replies are routed by the network, not here");
 }
 
-void TwoPhaseNode::on_prepare(const PrepareRequest& req) {
+bool TwoPhaseNode::on_prepare(const PrepareRequest& req, bool wait) {
   VoteReply vote;
   vote.rpc_id = req.rpc_id;
   HeldLocks held;
   switch (participants_.begin_prepare(req.tx, held)) {
     case ParticipantTable::Begin::kDrop:
       stats_.dup_drops.add();
-      return;
+      return true;
     case ParticipantTable::Begin::kRevote:
       stats_.dup_drops.add();
       vote.ok = true;
       fill_yes_vote(held, vote);
       ctx_.network->send(id_, req.reply_to, std::move(vote));
-      return;
+      return true;
     case ParticipantTable::Begin::kFresh:
       break;
   }
@@ -267,39 +277,45 @@ void TwoPhaseNode::on_prepare(const PrepareRequest& req) {
   held.shared.erase(std::unique(held.shared.begin(), held.shared.end()),
                     held.shared.end());
 
-  if (!locks_.lock_all_exclusive(held.exclusive, req.tx,
-                                 kLockTimeout)) {
+  if (!acquire(req.tx, held, wait)) {
+    participants_.abandon(req.tx);
+    if (!wait) return false;
     vote.fail_reason = VoteFail::kLock;
+  } else if (!validate(req, held)) {
+    release(req.tx, held);
+    participants_.abandon(req.tx);
+    vote.fail_reason = VoteFail::kValidation;
   } else {
-    std::size_t shared_got = 0;
-    while (shared_got < held.shared.size() &&
-           locks_.lock_shared(held.shared[shared_got], req.tx,
-                              kLockTimeout)) {
-      ++shared_got;
-    }
-    if (shared_got < held.shared.size()) {
-      held.shared.resize(shared_got);
+    fill_yes_vote(held, vote);
+    vote.ok = participants_.publish(req.tx, held);
+    if (!vote.ok) {
+      // A (necessarily abort) Decide raced past while we validated:
+      // release now, since nothing will decide this tx again.
       release(req.tx, held);
       vote.fail_reason = VoteFail::kLock;
-    } else if (!validate(req, held)) {
-      release(req.tx, held);
-      vote.fail_reason = VoteFail::kValidation;
-    } else {
-      vote.ok = true;
-      fill_yes_vote(held, vote);
     }
   }
-
-  if (!vote.ok) {
-    participants_.abandon(req.tx);
-  } else if (!participants_.publish(req.tx, held)) {
-    // A (necessarily abort) Decide raced past while we validated: release
-    // now, since nothing will decide this tx again.
-    release(req.tx, held);
-    vote.ok = false;
-    vote.fail_reason = VoteFail::kLock;
-  }
   ctx_.network->send(id_, req.reply_to, std::move(vote));
+  return true;
+}
+
+bool TwoPhaseNode::acquire(TxId tx, const HeldLocks& held, bool wait) {
+  const bool exclusive =
+      wait ? locks_.lock_all_exclusive(held.exclusive, tx, kLockTimeout)
+           : locks_.try_lock_all_exclusive(held.exclusive, tx);
+  if (!exclusive) return false;
+  std::size_t shared_got = 0;
+  while (shared_got < held.shared.size() &&
+         (wait ? locks_.lock_shared(held.shared[shared_got], tx, kLockTimeout)
+               : locks_.try_lock_shared(held.shared[shared_got], tx))) {
+    ++shared_got;
+  }
+  if (shared_got == held.shared.size()) return true;
+  for (std::size_t i = 0; i < shared_got; ++i) {
+    locks_.unlock_shared(held.shared[i], tx);
+  }
+  locks_.unlock_all_exclusive(held.exclusive, tx);
+  return false;
 }
 
 void TwoPhaseNode::release_prepared(TxId tx) {

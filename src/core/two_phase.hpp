@@ -10,7 +10,9 @@
 // A read of a key on the coordinator's own node is served by a plain call on
 // the coordinator's thread and sends no message (in the paper a local read
 // costs no round). A request sent at zero delay is handled on the
-// coordinator's thread too, inside the send (see SimNetwork).
+// coordinator's thread too, inside the send. A delayed request is handled
+// on the network's timer thread if every lock it needs is free at once,
+// and on the node's executor only if it would wait (see SimNetwork).
 #pragma once
 
 #include <chrono>
@@ -106,7 +108,8 @@ class TwoPhaseNode : public KvNode {
   TwoPhaseNode(NodeId id, ClusterContext& ctx);
 
   /// Routes ReadRequests (replying with what serve_read returns), Prepares
-  /// and Decides; anything else goes to on_other.
+  /// and Decides; anything else goes to on_other. On the timer a read or
+  /// prepare that would wait for a lock is offloaded to the executor.
   void handle_message(net::Message msg, NodeId from) final;
 
  protected:
@@ -150,9 +153,12 @@ class TwoPhaseNode : public KvNode {
   // ---- participant ----
 
   /// Alg. 3: serves a read of a key this node owns. Runs on the reading
-  /// client's thread (a direct call, or a request sent at zero delay), or
-  /// on an executor worker for a request that came off the timer.
-  virtual net::ReadReturn serve_read(const net::ReadRequest& req) = 0;
+  /// client's thread (a direct call, or a request sent at zero delay), on
+  /// the timer for a delayed request, or on an executor worker for a
+  /// delayed request that would wait. Unless `wait`, returns nullopt,
+  /// having done nothing, when the read would wait for a lock.
+  virtual std::optional<net::ReadReturn> serve_read(
+      const net::ReadRequest& req, bool wait) = 0;
   virtual void on_decide(net::DecideMessage&& m) = 0;
   /// Messages outside the 2PC rounds (PSI: Propagate, Remove, Resend).
   virtual void on_other(net::Message&& msg);
@@ -176,7 +182,13 @@ class TwoPhaseNode : public KvNode {
  private:
   /// Alg. 5 lines 1-13: deduplicates, locks (exclusive on written keys,
   /// shared on validated keys that are not written), validates, and votes.
-  void on_prepare(const net::PrepareRequest& req);
+  /// Unless `wait`, a prepare that would wait for a lock releases what it
+  /// took, forgets the tx and returns false without voting.
+  bool on_prepare(const net::PrepareRequest& req, bool wait);
+  /// Takes `held`'s locks for `tx`, exclusive then shared, each in sorted
+  /// key order: waiting up to kLockTimeout per key if `wait`, else not at
+  /// all. All or nothing.
+  bool acquire(TxId tx, const HeldLocks& held, bool wait);
 
   /// Sends every request and waits for every reply. Attempt k waits
   /// wait * 2^k for each missing reply, then re-sends it and counts a

@@ -1,6 +1,15 @@
 #include "net/delay_queue.hpp"
 
+#ifdef __linux__
+#include <sys/prctl.h>
+#endif
+
 namespace fwkv::net {
+
+namespace {
+// The queue whose dispatcher is the calling thread, if any.
+thread_local const DelayQueue* t_dispatching = nullptr;
+}  // namespace
 
 DelayQueue::DelayQueue() : thread_([this] { loop(); }) {}
 
@@ -12,13 +21,19 @@ void DelayQueue::run_after(std::chrono::nanoseconds delay,
 }
 
 void DelayQueue::run_at(Clock::time_point when, std::function<void()> fn) {
+  bool earliest = false;
   {
     std::lock_guard<std::mutex> lock(mu_);
     if (stop_) return;
+    earliest = queue_.empty() || when < queue_.top().when;
     queue_.push(Entry{when, next_seq_++, std::move(fn)});
   }
-  cv_.notify_one();
+  // The dispatcher sleeps until the earliest deadline; any later entry is
+  // seen when it wakes, so only a new earliest one needs to wake it.
+  if (earliest) cv_.notify_one();
 }
+
+bool DelayQueue::on_dispatcher_thread() const { return t_dispatching == this; }
 
 std::size_t DelayQueue::pending() const {
   std::lock_guard<std::mutex> lock(mu_);
@@ -36,6 +51,13 @@ void DelayQueue::shutdown() {
 }
 
 void DelayQueue::loop() {
+  t_dispatching = this;
+#ifdef __linux__
+  // Linux lets a timed wait end up to the thread's timer slack (50 us by
+  // default) late, which is more than a whole simulated LAN hop. The slack
+  // is a per-thread attribute; this sets the dispatcher's own to 1 ns.
+  prctl(PR_SET_TIMERSLACK, 1UL, 0UL, 0UL, 0UL);
+#endif
   std::unique_lock<std::mutex> lock(mu_);
   while (true) {
     if (stop_) return;

@@ -16,7 +16,9 @@ namespace fwkv::net {
 
 /// Single-threaded scheduler: run_at(t, fn) executes fn on the dispatcher
 /// thread at (or shortly after) time t. Entries with equal deadlines run in
-/// submission order, which keeps same-latency FIFO channels FIFO.
+/// submission order, which keeps same-latency FIFO channels FIFO. The
+/// dispatcher runs with a minimal timer slack, and a submission wakes it
+/// only when it becomes the earliest deadline.
 class DelayQueue {
  public:
   using Clock = std::chrono::steady_clock;
@@ -29,6 +31,9 @@ class DelayQueue {
 
   void run_after(std::chrono::nanoseconds delay, std::function<void()> fn);
   void run_at(Clock::time_point when, std::function<void()> fn);
+
+  /// True on this queue's dispatcher thread, i.e. inside an entry's fn.
+  bool on_dispatcher_thread() const;
 
   /// Number of entries not yet dispatched (for quiescence checks in tests).
   std::size_t pending() const;

@@ -1,11 +1,12 @@
-// Per-node worker pool for the handlers that may block briefly on per-key
-// lock acquisition, prepares (Alg. 5) and reads (Alg. 3), when they come
-// off the DelayQueue timer: a timer blocked on a lock would starve the
-// Decide that releases it. Every other delivery runs on the delivering
+// Per-node worker pool for the prepares (Alg. 5) and reads (Alg. 3) that
+// come off the DelayQueue timer and would wait for a per-key lock: a timer
+// blocked on a lock would starve the Decide that releases it (see
+// SimNetwork::offload). Every other delivery runs on the delivering
 // thread: a zero-delay request on its sender's (client) thread, which
-// waits for the reply anyway, and the non-blocking handlers (Decide,
-// Propagate, Remove, ResendRequest) wherever they land. A node's own
-// sessions read local keys by a direct call.
+// waits for the reply anyway, a delayed request whose locks are free on
+// the timer, and the non-blocking handlers (Decide, Propagate, Remove,
+// ResendRequest) wherever they land. A node's own sessions read local keys
+// by a direct call.
 #pragma once
 
 #include <condition_variable>

@@ -137,10 +137,10 @@ void SimNetwork::enqueue(NodeId from, NodeId to, Message m,
   }
   in_flight_.fetch_add(1, std::memory_order_acq_rel);
   if (latency.count() == 0) {
-    deliver(from, to, std::move(m), /*from_timer=*/false);
+    deliver(from, to, std::move(m));
   } else {
     timer_.run_after(latency, [this, from, to, m = std::move(m)]() mutable {
-      deliver(from, to, std::move(m), /*from_timer=*/true);
+      deliver(from, to, std::move(m));
     });
   }
 }
@@ -183,8 +183,7 @@ void SimNetwork::set_fault_hook(FaultHook hook) {
   fault_hook_ = std::move(hook);
 }
 
-void SimNetwork::deliver(NodeId from, NodeId to, Message m,
-                         bool from_timer) {
+void SimNetwork::deliver(NodeId from, NodeId to, Message m) {
   // Replies complete pending RPCs without touching the endpoint.
   std::uint64_t rpc_id = 0;
   if (const auto* rr = std::get_if<ReadReturn>(&m)) {
@@ -216,28 +215,28 @@ void SimNetwork::deliver(NodeId from, NodeId to, Message m,
     return;
   }
 
+  // Every handler runs on the delivering thread: a zero-delay request on
+  // its sender's thread (only coordinators on client threads send
+  // requests, and they block on the reply anyway), everything else on the
+  // timer. A handler on the timer that would wait for a lock offloads its
+  // message instead (see offload).
+  assert(nodes_[to].endpoint != nullptr);
+  nodes_[to].endpoint->handle_message(std::move(m), from);
+  in_flight_.fetch_sub(1, std::memory_order_acq_rel);
+}
+
+bool SimNetwork::on_timer() const { return timer_.on_dispatcher_thread(); }
+
+void SimNetwork::offload(NodeId to, NodeId from, Message m) {
   auto& lanes = nodes_[to];
-  assert(lanes.endpoint != nullptr);
-  const MessageType t = type_of(m);
-  const bool may_block =
-      t == MessageType::kReadRequest || t == MessageType::kPrepareRequest;
-  if (!from_timer || !may_block) {
-    // Every handler runs on the delivering thread, except a read or
-    // prepare that comes off the timer. Those may wait on per-key locks,
-    // and a timer blocked behind one would starve the Decide that
-    // releases the lock. The other handlers never block (in-order
-    // application buffers, Alg. 5 line 16 / Alg. 6 line 2). A zero-delay
-    // request is delivered on its sender's thread: only coordinators on
-    // client threads send requests, and they block on the reply anyway.
-    lanes.endpoint->handle_message(std::move(m), from);
-    in_flight_.fetch_sub(1, std::memory_order_acq_rel);
-    return;
-  }
-  auto task = [this, endpoint = lanes.endpoint, from, m = std::move(m)]() mutable {
-    endpoint->handle_message(std::move(m), from);
-    in_flight_.fetch_sub(1, std::memory_order_acq_rel);
-  };
-  lanes.data->submit(std::move(task));
+  // Counted in flight until it has run, so that quiescence cannot be
+  // seen between the timer's delivery and the executor's.
+  in_flight_.fetch_add(1, std::memory_order_acq_rel);
+  lanes.data->submit(
+      [this, endpoint = lanes.endpoint, from, m = std::move(m)]() mutable {
+        endpoint->handle_message(std::move(m), from);
+        in_flight_.fetch_sub(1, std::memory_order_acq_rel);
+      });
 }
 
 std::chrono::nanoseconds SimNetwork::latency_for(const Message& m,

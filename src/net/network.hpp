@@ -29,11 +29,12 @@
 
 namespace fwkv::net {
 
-/// Worker threads per node for the read and prepare handlers that come off
-/// the DelayQueue timer (these may block briefly on per-key locks, and the
-/// timer must not). Every other delivery runs its handler on the
+/// Worker threads per node for the read and prepare handlers that would
+/// wait for a per-key lock on the DelayQueue timer, which must never block
+/// (see SimNetwork::offload). Every other delivery runs its handler on the
 /// delivering thread: zero-delay requests on their sender's thread, and
-/// the non-blocking Decide/Propagate/Remove handlers wherever they land.
+/// delayed requests whose locks are free, like the non-blocking
+/// Decide/Propagate/Remove handlers, on the timer.
 inline constexpr std::size_t kDataThreads = 3;
 
 struct NetConfig {
@@ -59,9 +60,10 @@ struct NetConfig {
   FaultPlan faults;
 };
 
-/// Implemented by protocol nodes; invoked on the delivering thread, or on
-/// the destination node's executor for a read or prepare that comes off
-/// the timer.
+/// Implemented by protocol nodes; invoked on the delivering thread. On the
+/// timer (SimNetwork::on_timer) a handler must not wait: a read or prepare
+/// that would wait for a lock hands its message to SimNetwork::offload,
+/// which invokes handle_message again on the node's executor.
 class NodeEndpoint {
  public:
   virtual ~NodeEndpoint() = default;
@@ -140,6 +142,17 @@ class SimNetwork {
   /// periodic propagation flush). Dropped silently after shutdown.
   void schedule(std::chrono::nanoseconds delay, std::function<void()> fn);
 
+  /// True on the timer thread, which delivers every delayed message and
+  /// must never block: one wait there stalls every node's deliveries,
+  /// including the Decide that would end the wait.
+  bool on_timer() const;
+
+  /// Delivers `m` to `to`'s endpoint again, on `to`'s executor, where its
+  /// handler may wait. A handler on the timer calls this, in place of
+  /// handling `m`, when it would wait for a lock. `m` counts as in flight
+  /// until that second delivery has returned.
+  void offload(NodeId to, NodeId from, Message m);
+
   /// Test hook: observe every message at send time (called inline).
   using SendHook =
       std::function<void(NodeId from, NodeId to, const Message& m)>;
@@ -162,10 +175,9 @@ class SimNetwork {
                     std::chrono::nanoseconds wan);
 
  private:
-  /// Completes an RPC with a reply, or runs the destination's handler:
-  /// on this thread, or on its executor for a read or prepare that comes
-  /// off the timer (`from_timer`).
-  void deliver(NodeId from, NodeId to, Message m, bool from_timer);
+  /// Completes an RPC with a reply, or runs the destination's handler on
+  /// this thread.
+  void deliver(NodeId from, NodeId to, Message m);
   /// Counts the message in flight and hands it to the timer (or delivers
   /// inline at zero latency). Applies pause_node deferral.
   void enqueue(NodeId from, NodeId to, Message m,

@@ -75,6 +75,25 @@ bool LockTable::lock_shared(Key key, TxId /*owner*/,
   return got;
 }
 
+bool LockTable::try_lock_exclusive(Key key, TxId owner) {
+  Shard& s = shard_for(key);
+  std::lock_guard<std::mutex> lock(s.mu);
+  auto [it, fresh] = s.locks.try_emplace(key);
+  LockState& st = it->second;
+  if (!fresh && st.exclusive_owner != owner && !st.idle()) return false;
+  st.exclusive_owner = owner;
+  return true;
+}
+
+bool LockTable::try_lock_shared(Key key, TxId /*owner*/) {
+  Shard& s = shard_for(key);
+  std::lock_guard<std::mutex> lock(s.mu);
+  auto [it, fresh] = s.locks.try_emplace(key);
+  if (!fresh && it->second.exclusive_owner.valid()) return false;
+  ++it->second.shared_count;
+  return true;
+}
+
 void LockTable::unlock_exclusive(Key key, TxId owner) {
   Shard& s = shard_for(key);
   {
@@ -105,12 +124,24 @@ void LockTable::unlock_shared(Key key, TxId /*owner*/) {
 bool LockTable::lock_all_exclusive(std::span<const Key> sorted_keys,
                                    TxId owner,
                                    std::chrono::nanoseconds per_key_timeout) {
+  return lock_all(sorted_keys, owner, [&](Key k) {
+    return lock_exclusive(k, owner, per_key_timeout);
+  });
+}
+
+bool LockTable::try_lock_all_exclusive(std::span<const Key> sorted_keys,
+                                       TxId owner) {
+  return lock_all(sorted_keys, owner,
+                  [&](Key k) { return try_lock_exclusive(k, owner); });
+}
+
+template <typename LockOne>
+bool LockTable::lock_all(std::span<const Key> sorted_keys, TxId owner,
+                         LockOne lock_one) {
   assert(std::is_sorted(sorted_keys.begin(), sorted_keys.end()));
   for (std::size_t i = 0; i < sorted_keys.size(); ++i) {
-    if (!lock_exclusive(sorted_keys[i], owner, per_key_timeout)) {
-      for (std::size_t j = 0; j < i; ++j) {
-        unlock_exclusive(sorted_keys[j], owner);
-      }
+    if (!lock_one(sorted_keys[i])) {
+      unlock_all_exclusive(sorted_keys.first(i), owner);
       return false;
     }
   }

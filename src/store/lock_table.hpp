@@ -43,6 +43,13 @@ class LockTable {
   /// holder is present.
   bool lock_shared(Key key, TxId owner, std::chrono::nanoseconds timeout);
 
+  /// Non-blocking forms of the two calls above, for a thread that must
+  /// never wait: they succeed exactly when the blocking call would succeed
+  /// at once, and on failure leave the table as it was (no queued reader
+  /// is recorded, no waiter is woken).
+  bool try_lock_exclusive(Key key, TxId owner);
+  bool try_lock_shared(Key key, TxId owner);
+
   void unlock_exclusive(Key key, TxId owner);
   void unlock_shared(Key key, TxId owner);
 
@@ -50,6 +57,8 @@ class LockTable {
   /// the keys already acquired are released and false is returned.
   bool lock_all_exclusive(std::span<const Key> sorted_keys, TxId owner,
                           std::chrono::nanoseconds per_key_timeout);
+  /// All-or-nothing try_lock_exclusive over sorted keys.
+  bool try_lock_all_exclusive(std::span<const Key> sorted_keys, TxId owner);
   void unlock_all_exclusive(std::span<const Key> keys, TxId owner);
 
   /// True iff `owner` holds the exclusive lock on `key` (test helper).
@@ -77,6 +86,11 @@ class LockTable {
 
   Shard& shard_for(Key key);
   const Shard& shard_for(Key key) const;
+  /// Takes every key with `lock_one`; on a failure releases the keys
+  /// already taken and returns false.
+  template <typename LockOne>
+  bool lock_all(std::span<const Key> sorted_keys, TxId owner,
+                LockOne lock_one);
 
   std::vector<std::unique_ptr<Shard>> shards_;
 };

@@ -78,7 +78,9 @@ void TwoPcNode::load(Key key, Value value) {
   store_.load(key, std::move(value));
 }
 
-ReadReturn TwoPcNode::serve_read(const ReadRequest& req) {
+std::optional<ReadReturn> TwoPcNode::serve_read(const ReadRequest& req,
+                                                bool /*wait*/) {
+  // Locks nothing: the read is validated at prepare, under the lock.
   stats_.reads_served.add();
   ReadReturn ret;
   ret.rpc_id = req.rpc_id;

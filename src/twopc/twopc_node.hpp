@@ -29,7 +29,8 @@ class TwoPcNode final : public TwoPhaseNode {
   store::SVStore& sv_store() { return store_; }
 
  protected:
-  net::ReadReturn serve_read(const net::ReadRequest& req) override;
+  std::optional<net::ReadReturn> serve_read(const net::ReadRequest& req,
+                                            bool wait) override;
   void on_decide(net::DecideMessage&& m) override;
   bool validate(const net::PrepareRequest& req, const HeldLocks& held) override;
 

@@ -13,6 +13,7 @@ using namespace std::chrono_literals;
 
 const TxId kTx1(1, 0, 1);
 const TxId kTx2(2, 0, 1);
+const TxId kTx3(3, 0, 1);
 
 TEST(LockTableTest, ExclusiveBasics) {
   LockTable locks;
@@ -137,6 +138,92 @@ TEST(LockTableTest, MultiKeyAllOrNothing) {
   locks.unlock_all_exclusive(std::vector<Key>{1, 2, 3}, kTx1);
 
   EXPECT_TRUE(locks.lock_all_exclusive(keys, kTx2, 2ms));
+  locks.unlock_all_exclusive(keys, kTx2);
+}
+
+TEST(LockTableTest, TryAcquiresFailWhereTheBlockingCallsWouldWait) {
+  LockTable locks;
+  // Held exclusive: only the owner's re-acquisition succeeds.
+  ASSERT_TRUE(locks.lock_exclusive(1, kTx1, 1ms));
+  EXPECT_FALSE(locks.try_lock_exclusive(1, kTx2));
+  EXPECT_FALSE(locks.try_lock_shared(1, kTx2));
+  EXPECT_TRUE(locks.try_lock_exclusive(1, kTx1));
+  locks.unlock_exclusive(1, kTx1);
+  // Held shared: readers share, writers are kept out.
+  ASSERT_TRUE(locks.try_lock_shared(1, kTx1));
+  EXPECT_TRUE(locks.try_lock_shared(1, kTx2));
+  EXPECT_FALSE(locks.try_lock_exclusive(1, kTx2));
+  locks.unlock_shared(1, kTx1);
+  locks.unlock_shared(1, kTx2);
+  // Free again: nothing was left behind.
+  EXPECT_TRUE(locks.try_lock_exclusive(1, kTx2));
+  locks.unlock_exclusive(1, kTx2);
+}
+
+TEST(LockTableTest, TryAcquiresNeverWait) {
+  // The key is released 200 ms after the tries start. A try that waited
+  // any time at all would see that release and succeed.
+  LockTable locks;
+  ASSERT_TRUE(locks.lock_exclusive(1, kTx1, 1ms));
+  std::thread releaser([&] {
+    std::this_thread::sleep_for(200ms);
+    locks.unlock_exclusive(1, kTx1);
+  });
+  const auto t0 = std::chrono::steady_clock::now();
+  const bool got_exclusive = locks.try_lock_exclusive(1, kTx2);
+  const bool got_shared = locks.try_lock_shared(1, kTx2);
+  const auto took = std::chrono::steady_clock::now() - t0;
+  releaser.join();
+  EXPECT_FALSE(got_exclusive);
+  EXPECT_FALSE(got_shared);
+  EXPECT_LT(took, 200ms);
+}
+
+TEST(LockTableTest, FailedTrySharedQueuesNoReader) {
+  // A blocked lock_shared holds later writers back until it is served; a
+  // failed try must not, or the next writer would wait for a phantom.
+  LockTable locks;
+  ASSERT_TRUE(locks.lock_exclusive(1, kTx1, 1ms));
+  EXPECT_FALSE(locks.try_lock_shared(1, kTx2));
+  locks.unlock_exclusive(1, kTx1);
+  EXPECT_TRUE(locks.try_lock_exclusive(1, kTx2));
+  locks.unlock_exclusive(1, kTx2);
+}
+
+TEST(LockTableTest, TryExclusiveFailsWhileAReaderIsQueued) {
+  // As lock_exclusive: a reader queued behind the holder gets the key at
+  // its release, before any fresh writer.
+  LockTable locks;
+  ASSERT_TRUE(locks.lock_exclusive(1, kTx1, 1ms));
+  std::atomic<bool> waiting{false};
+  std::atomic<bool> done{false};
+  std::thread reader([&] {
+    waiting = true;
+    ASSERT_TRUE(locks.lock_shared(1, kTx2, 10s));
+    while (!done) std::this_thread::yield();
+    locks.unlock_shared(1, kTx2);
+  });
+  while (!waiting) std::this_thread::yield();
+  std::this_thread::sleep_for(20ms);  // let the reader block on the key
+  locks.unlock_exclusive(1, kTx1);
+  // The reader is either still queued or holds the key shared.
+  EXPECT_FALSE(locks.try_lock_exclusive(1, kTx3));
+  done = true;
+  reader.join();
+  EXPECT_TRUE(locks.try_lock_exclusive(1, kTx3));
+  locks.unlock_exclusive(1, kTx3);
+}
+
+TEST(LockTableTest, TryMultiKeyAllOrNothing) {
+  LockTable locks;
+  ASSERT_TRUE(locks.lock_exclusive(2, kTx1, 1ms));
+  std::vector<Key> keys{1, 2, 3};
+  EXPECT_FALSE(locks.try_lock_all_exclusive(keys, kTx2));
+  // Key 1 must have been rolled back, and key 3 never taken.
+  EXPECT_TRUE(locks.try_lock_exclusive(1, kTx1));
+  EXPECT_TRUE(locks.try_lock_exclusive(3, kTx1));
+  locks.unlock_all_exclusive(keys, kTx1);
+  EXPECT_TRUE(locks.try_lock_all_exclusive(keys, kTx2));
   locks.unlock_all_exclusive(keys, kTx2);
 }
 

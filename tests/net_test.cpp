@@ -57,6 +57,36 @@ TEST(DelayQueueTest, OrdersByDeadlineThenSubmission) {
   EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
 }
 
+TEST(DelayQueueTest, EarlierEntryPushedWhileSleepingRunsFirst) {
+  // The dispatcher sleeps until the +50 ms entry; a +1 ms entry pushed
+  // meanwhile must wake it.
+  DelayQueue q;
+  std::mutex mu;
+  std::vector<int> order;
+  std::atomic<int> ran{0};
+  q.run_after(50ms, [&] {
+    std::lock_guard<std::mutex> lock(mu);
+    order.push_back(2);
+    ++ran;
+  });
+  std::this_thread::sleep_for(5ms);
+  const auto t0 = Clock::now();
+  std::atomic<std::int64_t> early_after_ms{-1};
+  q.run_after(1ms, [&] {
+    early_after_ms = std::chrono::duration_cast<std::chrono::milliseconds>(
+                         Clock::now() - t0)
+                         .count();
+    std::lock_guard<std::mutex> lock(mu);
+    order.push_back(1);
+    ++ran;
+  });
+  for (int i = 0; i < 2000 && ran < 2; ++i) std::this_thread::sleep_for(1ms);
+  ASSERT_EQ(ran.load(), 2);
+  std::lock_guard<std::mutex> lock(mu);
+  EXPECT_EQ(order, (std::vector<int>{1, 2}));
+  EXPECT_LT(early_after_ms.load(), 25);
+}
+
 TEST(DelayQueueTest, PendingCount) {
   DelayQueue q;
   q.run_after(1h, [] {});

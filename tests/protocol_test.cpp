@@ -285,24 +285,26 @@ TEST_P(ProtocolTest, ZeroLatencyRequestRunsOnTheCallersThread) {
             std::this_thread::get_id());
 }
 
-TEST_P(ProtocolTest, DelayedRequestRunsOnTheExecutor) {
-  // Off the timer, a request that may wait on a lock is handed to the
-  // node's executor: neither the caller nor the timer thread runs it.
-  ThreadRecorder node1;
-  Cluster cluster(base_config(GetParam()));  // 20 us one way
-  node1.wrap(cluster, 1);
+/// The id of the network's timer thread.
+std::thread::id timer_thread(Cluster& cluster) {
   std::promise<std::thread::id> timer;
   cluster.network().schedule(0ns, [&] {
     timer.set_value(std::this_thread::get_id());
   });
-  const std::thread::id timer_thread = timer.get_future().get();
+  return timer.get_future().get();
+}
+
+TEST_P(ProtocolTest, DelayedRequestRunsOnTheTimerWhenItsLocksAreFree) {
+  // Off the timer, a request whose locks are all free is handled where it
+  // lands: on the timer thread, with no hand-off to the executor.
+  ThreadRecorder node1;
+  Cluster cluster(base_config(GetParam()));  // 20 us one way
+  node1.wrap(cluster, 1);
+  const std::thread::id timer = timer_thread(cluster);
   remote_read_modify_write(cluster);
   for (auto t :
        {net::MessageType::kReadRequest, net::MessageType::kPrepareRequest}) {
-    const auto ran_on = node1.thread_of(t);
-    ASSERT_TRUE(ran_on.has_value()) << net::type_name(t);
-    EXPECT_NE(*ran_on, std::this_thread::get_id()) << net::type_name(t);
-    EXPECT_NE(*ran_on, timer_thread) << net::type_name(t);
+    EXPECT_EQ(node1.thread_of(t), timer) << net::type_name(t);
   }
 }
 
@@ -407,6 +409,67 @@ INSTANTIATE_TEST_SUITE_P(AllProtocols, OwnSiteTest,
 // ---- PSI-specific machinery ----
 
 class PsiProtocolTest : public ::testing::TestWithParam<Protocol> {};
+
+TEST_P(PsiProtocolTest, DelayedRequestOnALockedKeyRunsOnTheExecutor) {
+  // A writer on node 0 prepares a key of node 1 and its Decide takes
+  // kSlow to arrive. A read of the key from node 2 comes off the timer
+  // while the prepare holds the key exclusive: it must wait, so it goes to
+  // node 1's executor, and the timer keeps running meanwhile. (A
+  // 2PC-baseline read locks nothing, so it never waits.)
+  constexpr auto kSlow = 300ms;
+  auto cfg = base_config(GetParam());
+  cfg.net.link_latency.assign(
+      3, std::vector<std::chrono::nanoseconds>(3, cfg.net.one_way_latency));
+  cfg.net.link_latency[0][1] = kSlow;
+  ThreadRecorder node1;
+  Cluster cluster(cfg);
+  node1.wrap(cluster, 1);
+  const std::thread::id timer = timer_thread(cluster);
+  const Key k = key_on(cluster, 1);
+  cluster.load(k, "v0");
+
+  Session writer = cluster.make_session(0, 0);
+  auto wtx = writer.begin();
+  writer.write(wtx, k, "v1");
+  // Returns once the vote is in and the Decides are sent: node 1 holds the
+  // key exclusive until the Decide lands, kSlow from now.
+  ASSERT_TRUE(writer.commit(wtx));
+  // Walter's snapshot must include the write for the read to return it.
+  auto& node2 = dynamic_cast<MvNodeBase&>(cluster.node(2));
+  for (int i = 0; i < 1000 && node2.site_vc()[0] == 0; ++i) {
+    std::this_thread::sleep_for(100us);
+  }
+  ASSERT_EQ(node2.site_vc()[0], 1u);
+
+  Session reader = cluster.make_session(2, 1);
+  std::thread::id reader_thread;
+  auto read = std::async(std::launch::async, [&] {
+    reader_thread = std::this_thread::get_id();
+    auto tx = reader.begin(true);
+    auto v = reader.read(tx, k);
+    reader.commit(tx);
+    return v;
+  });
+  // The timer tried the read first; wait for the executor's retry.
+  for (int i = 0; i < 1000; ++i) {
+    auto ran_on = node1.thread_of(net::MessageType::kReadRequest);
+    if (ran_on.has_value() && *ran_on != timer) break;
+    std::this_thread::sleep_for(100us);
+  }
+  std::promise<void> probe;
+  cluster.network().schedule(0ns, [&] { probe.set_value(); });
+  EXPECT_EQ(probe.get_future().wait_for(kSlow / 3), std::future_status::ready)
+      << "the timer waited for the read";
+  EXPECT_EQ(read.wait_for(0s), std::future_status::timeout)
+      << "the read did not wait for the Decide";
+
+  EXPECT_EQ(read.get(), "v1");
+  const auto ran_on = node1.thread_of(net::MessageType::kReadRequest);
+  ASSERT_TRUE(ran_on.has_value());
+  EXPECT_NE(*ran_on, timer);
+  EXPECT_NE(*ran_on, reader_thread);
+  EXPECT_TRUE(cluster.quiesce());
+}
 
 TEST_P(PsiProtocolTest, SiteVcAdvancesWithLocalCommits) {
   Cluster cluster(base_config(GetParam()));
