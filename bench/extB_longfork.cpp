@@ -26,7 +26,6 @@ int main() {
   for (Protocol p : {Protocol::kFwKv, Protocol::kWalter}) {
     runtime::LongForkProbeConfig cfg;
     cfg.protocol = p;
-    cfg.duration = std::chrono::milliseconds(800);
     auto result = runtime::run_long_fork_probe(cfg);
     table.add_row({protocol_name(p), std::to_string(result.snapshots),
                    std::to_string(result.updates_committed),

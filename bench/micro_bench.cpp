@@ -7,6 +7,8 @@
 //   * lock table, codec, consistent hashing, workload generators
 #include <benchmark/benchmark.h>
 
+#include <span>
+
 #include "common/consistent_hash.hpp"
 #include "common/rng.hpp"
 #include "common/vector_clock.hpp"
@@ -111,7 +113,8 @@ void BM_MVStoreReadOnlyWithRemove(benchmark::State& state) {
     TxId reader(1, 1, ++seq);
     auto r = store.read_read_only(1, tvc, mask, reader);
     benchmark::DoNotOptimize(r);
-    store.remove_tx(reader);
+    const TxId watermark(1, 1, seq + 1);
+    store.finish_below(std::span<const TxId>(&watermark, 1));
   }
 }
 BENCHMARK(BM_MVStoreReadOnlyWithRemove);

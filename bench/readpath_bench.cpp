@@ -52,16 +52,18 @@ struct BenchRng {
   }
 };
 
-// The deregistration API changed from remove_tx(tx) (reverse index only) to
-// remove_tx(tx, read_keys) (per-transaction batched flush). Detect which one
-// this tree provides so the same bench source measures both sides.
+// Deregistration moved from remove_tx(tx, read_keys) (an id list plus the
+// keys read) to finish_below(watermarks) (the session's watermark passes the
+// id). Detect which one this tree provides so the same bench source
+// measures both sides.
 template <typename Store>
 void deregister(Store& s, TxId tx, const std::vector<Key>& keys) {
-  if constexpr (requires { s.remove_tx(tx, std::span<const Key>(keys)); }) {
-    s.remove_tx(tx, std::span<const Key>(keys));
-  } else {
+  if constexpr (requires { s.finish_below(std::span<const TxId>()); }) {
     (void)keys;
-    s.remove_tx(tx);
+    const TxId watermark(tx.node(), tx.session(), tx.local_seq() + 1);
+    s.finish_below(std::span<const TxId>(&watermark, 1));
+  } else {
+    s.remove_tx(tx, std::span<const Key>(keys));
   }
 }
 

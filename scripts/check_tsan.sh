@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
 # Build with ThreadSanitizer and run the tier-1 ctest suite under it.
 #
-# The store's locking (reader-writer entry latches, shard maps, reverse-index
-# shards, striped removed-set) must be proven race-clean on every change,
-# not assumed: this is the proof. Any TSan report fails the run.
+# The store's locking (reader-writer entry latches, shard maps, the
+# session-sharded reverse index and its watermarks) must be proven
+# race-clean on every change, not assumed: this is the proof. Any TSan
+# report fails the run.
 #
 # `-L chaos` runs the chaos-labelled suites instead: the seed-parameterized
 # fault-injection property tests (psi_history_chaos_test,

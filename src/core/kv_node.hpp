@@ -40,8 +40,14 @@ class KvNode : public net::NodeEndpoint {
   virtual bool commit(Transaction& tx) = 0;
 
   /// Client-initiated abort: releases nothing (locks are only taken during
-  /// commit) but tells read-only bookkeeping to clean up.
-  virtual void abort(Transaction& tx) { tx.mark_aborted(AbortReason::kUserAbort); }
+  /// commit).
+  void abort(Transaction& tx) { tx.mark_aborted(AbortReason::kUserAbort); }
+
+  /// A session of this node moved its watermark past a read-only
+  /// transaction: every transaction of the session below `low` (its node,
+  /// session and lowest open seq) has finished, so FW-KV can reclaim their
+  /// visible-read traces. Called by Session; default: nothing to reclaim.
+  virtual void publish_watermark(TxId /*low*/) {}
 
   // ---- data loading (pre-run, single-writer) ----
   virtual void load(Key key, Value value) = 0;

@@ -17,15 +17,6 @@ using net::RemoveMessage;
 using net::VoteReply;
 using net::WriteEntry;
 
-namespace {
-
-void sort_unique(std::vector<Key>& keys) {
-  std::sort(keys.begin(), keys.end());
-  keys.erase(std::unique(keys.begin(), keys.end()), keys.end());
-}
-
-}  // namespace
-
 MvNodeBase::MvNodeBase(NodeId id, ClusterContext& ctx)
     : TwoPhaseNode(id, ctx),
       site_vc_(ctx.num_nodes),
@@ -59,11 +50,6 @@ std::optional<Value> MvNodeBase::read(Transaction& tx, Key key) {
   if (auto cached = tx.cached_read(key)) return cached;
 
   const NodeId target = ctx_.mapper->node_for(key);  // Alg. 2 line 5
-  if (tx.read_only() && track_antideps()) {
-    // Alg. 2 lines 10-12: buffer (site, key) for the Remove batch. Recorded
-    // before the request: a read whose reply is lost may still register.
-    tx.record_read_key(target, key);
-  }
   ReadRequest req;
   req.tx = net::TxDescriptor{tx.id(), tx.read_only(), tx.vc(), tx.has_read()};
   req.key = key;
@@ -100,13 +86,10 @@ std::optional<Value> MvNodeBase::read(Transaction& tx, Key key) {
 }
 
 bool MvNodeBase::commit(Transaction& tx) {
-  // Alg. 4 lines 2-8: read-only commit is a local decision plus async
-  // cleanup of the transaction's visible-read traces, which here joins the
-  // Remove batches instead of a Remove per read site (see enqueue_remove).
-  if (tx.write_set().empty()) {
-    enqueue_remove(tx);
-    return finish(tx, Votes{});
-  }
+  // Alg. 4 lines 2-8: read-only commit is a local decision. The async
+  // cleanup of its visible-read traces follows from its session's
+  // watermark (see publish_watermark), not from a Remove per read site.
+  if (tx.write_set().empty()) return finish(tx, Votes{});
 
   // A read-modify-write whose read missed the newest version of its key
   // can never pass version-identity validation. Abort it without a
@@ -222,13 +205,6 @@ bool MvNodeBase::commit(Transaction& tx) {
   // Alg. 4 line 27: the asynchronous Propagate to all other nodes is
   // batched; the periodic flush (flush_timer_tick) carries it.
   return finish(tx, votes);
-}
-
-void MvNodeBase::abort(Transaction& tx) {
-  // A read-only transaction that gives up left the same visible-read
-  // traces as one that commits.
-  enqueue_remove(tx);
-  TwoPhaseNode::abort(tx);
 }
 
 void MvNodeBase::load(Key key, Value value) {
@@ -383,10 +359,9 @@ void MvNodeBase::apply_decide_locked(DecideMessage& m) {
 void MvNodeBase::on_propagate(PropagateMessage&& m) {
   // The Remove batch riding on the range applies at once, outside
   // site_mu_, whether or not the range itself can.
-  if (!m.removed_txs.empty()) {
-    apply_removes(m.removed_txs, m.removed_keys);
-    m.removed_txs.clear();
-    m.removed_keys.clear();
+  if (!m.watermarks.empty()) {
+    apply_watermarks(m.watermarks);
+    m.watermarks.clear();
   }
   // Alg. 6 lines 1-4, generalized to ranges: the range is applicable once
   // siteVC has reached from_seq - 1 (no seq in (from_seq, to_seq] carries
@@ -533,17 +508,17 @@ void MvNodeBase::flush(bool all_removes) {
   }
   attach_removes(flushes);
   // No virtual call on this path: the first tick may run while a derived
-  // constructor is still executing. Walter's batches are simply empty.
-  std::vector<std::pair<NodeId, RemoveBatch>> alone;
+  // constructor is still executing. Walter's batches are never due.
+  std::vector<std::pair<NodeId, RemoveMessage>> alone;
   {
     std::lock_guard<std::mutex> lock(remove_mu_);
     for (NodeId d = 0; d < ctx_.num_nodes; ++d) {
       RemoveBatch& pending = removes_[d];
-      if (pending.ids.empty()) continue;
+      if (pending.sent == moves_) continue;
       // This node's own batch goes every tick; another node's once no
       // Propagate has taken it for a while.
       if (d == id_ || all_removes || ++pending.ticks >= kRemoveMaxTicks) {
-        alone.emplace_back(d, std::exchange(pending, RemoveBatch{}));
+        alone.emplace_back(d, take_batch_locked(d));
       }
     }
   }
@@ -554,20 +529,11 @@ void MvNodeBase::flush(bool all_removes) {
 }
 
 void MvNodeBase::attach_removes(Outbox& out) {
-  {
-    std::lock_guard<std::mutex> lock(remove_mu_);
-    for (auto& [dest, msg] : out) {
-      auto* prop = std::get_if<PropagateMessage>(&msg);
-      if (prop == nullptr || removes_[dest].ids.empty()) continue;
-      RemoveBatch batch = std::exchange(removes_[dest], RemoveBatch{});
-      prop->removed_txs = std::move(batch.ids);
-      prop->removed_keys = std::move(batch.keys);
-    }
-  }
+  std::lock_guard<std::mutex> lock(remove_mu_);
   for (auto& [dest, msg] : out) {
-    if (auto* prop = std::get_if<PropagateMessage>(&msg)) {
-      sort_unique(prop->removed_keys);
-    }
+    auto* prop = std::get_if<PropagateMessage>(&msg);
+    if (prop == nullptr || removes_[dest].sent == moves_) continue;
+    prop->watermarks = take_batch_locked(dest).watermarks;
   }
 }
 
@@ -618,56 +584,56 @@ void MvNodeBase::on_resend_request(const net::ResendRequest& m) {
   }
 }
 
-void MvNodeBase::enqueue_remove(const Transaction& tx) {
-  if (!track_antideps() || !tx.read_only() ||
-      tx.read_registrations().empty()) {
-    return;
-  }
-  std::vector<std::pair<NodeId, RemoveBatch>> full;
+void MvNodeBase::publish_watermark(TxId low) {
+  if (!track_antideps()) return;
+  std::vector<std::pair<NodeId, RemoveMessage>> full;
   {
     std::lock_guard<std::mutex> lock(remove_mu_);
-    for (RemoveBatch& batch : removes_) batch.ids.push_back(tx.id());
-    for (const auto& [site, key] : tx.read_registrations()) {
-      removes_[site].keys.push_back(key);
-    }
+    watermarks_[low.session()] = Watermark{low, ++moves_};
+    newest_ = low;
     for (NodeId d = 0; d < ctx_.num_nodes; ++d) {
-      if (removes_[d].ids.size() >= kRemoveBatch) {
-        full.emplace_back(d, std::exchange(removes_[d], RemoveBatch{}));
+      if (moves_ - removes_[d].sent >= kRemoveBatch) {
+        full.emplace_back(d, take_batch_locked(d));
       }
     }
   }
   ship_removes(std::move(full));
 }
 
+RemoveMessage MvNodeBase::take_batch_locked(NodeId dest) {
+  RemoveBatch& batch = removes_[dest];
+  RemoveMessage m;
+  // newest_ moved after the last send here, so it names this message
+  // apart from every earlier one to dest.
+  m.tx = newest_;
+  for (const auto& [slot, w] : watermarks_) {
+    if (w.moved > batch.sent) m.watermarks.push_back(w.low);
+  }
+  batch = RemoveBatch{moves_, 0};
+  return m;
+}
+
 void MvNodeBase::ship_removes(
-    std::vector<std::pair<NodeId, RemoveBatch>> batches) {
-  for (auto& [dest, batch] : batches) {
-    sort_unique(batch.keys);
+    std::vector<std::pair<NodeId, RemoveMessage>> batches) {
+  for (auto& [dest, m] : batches) {
     if (dest == id_) {
-      apply_removes(batch.ids, batch.keys);
-      continue;
+      apply_watermarks(m.watermarks);
+    } else {
+      ctx_.network->send(id_, dest, std::move(m));
     }
-    RemoveMessage m;
-    m.tx = batch.ids.front();
-    m.keys = std::move(batch.keys);
-    m.more_txs.assign(batch.ids.begin() + 1, batch.ids.end());
-    ctx_.network->send(id_, dest, std::move(m));
   }
 }
 
-void MvNodeBase::apply_removes(std::span<const TxId> txs,
-                               std::span<const Key> keys) {
-  // Alg. 6 lines 5-10 for a batch: drop the finished read-only
-  // transactions' ids from every version-access-set on this node — their
-  // own reads via the key list, stamped copies via the reverse index.
-  store_.remove_txs(txs, keys);
+void MvNodeBase::apply_watermarks(std::span<const TxId> watermarks) {
+  // Alg. 6 lines 5-10 for every finished id of the sender's sessions:
+  // drop them from every version-access-set on this node through the
+  // reverse index.
+  store_.finish_below(watermarks);
   stats_.removes_processed.add();
 }
 
 void MvNodeBase::on_remove(RemoveMessage&& m) {
-  std::vector<TxId> ids = std::move(m.more_txs);
-  ids.push_back(m.tx);
-  apply_removes(ids, m.keys);
+  apply_watermarks(m.watermarks);
 }
 
 VectorClock MvNodeBase::site_vc() const {

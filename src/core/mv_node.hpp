@@ -6,8 +6,9 @@
 //                      Alg. 3; Walter fixes the whole snapshot at begin and
 //                      selects with the per-origin scalar rule.
 //   track_antideps() - FW-KV maintains version-access-sets, collects them
-//                      during prepare, stamps them at decide, and sends
-//                      batched Remove messages; Walter does none of that.
+//                      during prepare, stamps them at decide, and reclaims
+//                      them by session watermark (Remove); Walter does none
+//                      of that.
 //
 // Everything else — preferred sites, per-node sequence numbers, in-order
 // Decide/Propagate application (Alg. 5 line 16 / Alg. 6 line 2) — is common
@@ -20,6 +21,7 @@
 #include <map>
 #include <mutex>
 #include <span>
+#include <unordered_map>
 #include <vector>
 
 #include "core/two_phase.hpp"
@@ -35,8 +37,8 @@ class MvNodeBase : public TwoPhaseNode {
   void begin(Transaction& tx) override;
   std::optional<Value> read(Transaction& tx, Key key) override;
   bool commit(Transaction& tx) override;
-  void abort(Transaction& tx) override;
   void load(Key key, Value value) override;
+  void publish_watermark(TxId low) override;
 
   // ---- NodeEndpoint ----
   std::size_t pending_work() const override;
@@ -48,7 +50,8 @@ class MvNodeBase : public TwoPhaseNode {
   const store::MVStore& mv_store() const { return store_; }
 
   /// Immediately flush all pending propagation and Remove batches (used by
-  /// Cluster::quiesce so tests observe a settled cluster).
+  /// Cluster::quiesce so tests observe a settled cluster): every watermark
+  /// that covers a read-only transaction reaches every node.
   void quiesce_flush() override { flush(/*all_removes=*/true); }
 
  protected:
@@ -160,35 +163,43 @@ class MvNodeBase : public TwoPhaseNode {
   //
   // A finished read-only transaction's id can sit in access sets on any
   // node: where it read, and wherever a writer stamped it (Alg. 5 line 19).
-  // So every id goes into every node's batch, while the keys it read go
-  // only into the batch of the site that served them. A batch rides on the
-  // next Propagate to its node, so reaching every node costs no message
-  // while this node commits updates. A batch that reaches kRemoveBatch ids
-  // first is sent alone by the finishing client thread (stale ids make
-  // every writer of a hot key carry them), and the periodic flush sends a
-  // batch alone after kRemoveMaxTicks ticks. This node's own batch is
-  // applied by a direct call at kRemoveBatch ids and at every flush.
-  static constexpr std::size_t kRemoveBatch = 4;
+  // So every node gets this node's session watermarks, each move of which
+  // covers a read-only transaction. A destination's batch is the
+  // watermarks moved since the last one sent there. It rides on the next
+  // Propagate to its node, so reaching every node costs no message while
+  // this node commits updates. A batch of kRemoveBatch moves is sent alone
+  // by the finishing client thread (stale ids make every writer of a hot
+  // key carry them), and the periodic flush sends a batch alone after
+  // kRemoveMaxTicks ticks. This node's own batch is applied by a direct
+  // call at kRemoveBatch moves and at every flush.
+  static constexpr std::uint64_t kRemoveBatch = 4;
   static constexpr std::uint32_t kRemoveMaxTicks = 10;
   struct RemoveBatch {
-    std::vector<TxId> ids;
-    std::vector<Key> keys;
+    /// moves_ at the last send; the batch holds moves_ - sent moves.
+    std::uint64_t sent = 0;
     std::uint32_t ticks = 0;  // flush ticks this batch has waited
+  };
+  struct Watermark {
+    TxId low;
+    std::uint64_t moved = 0;  // moves_ after its last move
   };
   std::mutex remove_mu_;
   std::vector<RemoveBatch> removes_;  // per destination
+  /// The published watermark of each session of this node, by slot.
+  std::unordered_map<std::uint32_t, Watermark> watermarks_;
+  std::uint64_t moves_ = 0;  // watermark moves published so far
+  TxId newest_;              // the last watermark published
 
-  /// Adds a finished read-only transaction to the batches (no-op for
-  /// Walter and for transactions that registered no read).
-  void enqueue_remove(const Transaction& tx);
-  /// Moves each destination's pending batch onto a Propagate bound there
-  /// in `out`. Called without site_mu_: the two locks are never nested.
+  /// Takes `dest`'s batch: the watermarks moved since its last send.
+  net::RemoveMessage take_batch_locked(NodeId dest);
+  /// Moves each due batch onto a Propagate bound to its node in `out`.
+  /// Called without site_mu_: the two locks are never nested.
   void attach_removes(Outbox& out);
-  /// Sends each batch to its destination as a RemoveMessage, or applies it
-  /// here if the destination is this node.
-  void ship_removes(std::vector<std::pair<NodeId, RemoveBatch>> batches);
+  /// Sends each batch to its destination, or applies it here if the
+  /// destination is this node.
+  void ship_removes(std::vector<std::pair<NodeId, net::RemoveMessage>> batches);
   /// Alg. 6 lines 5-10 for a batch arriving at this node.
-  void apply_removes(std::span<const TxId> txs, std::span<const Key> keys);
+  void apply_watermarks(std::span<const TxId> watermarks);
 };
 
 /// The paper's contribution: fresh first-reads per site, visible reads with

@@ -30,10 +30,6 @@ void Transaction::cache_read(Key key, Value value) {
   read_cache_.emplace(key, std::move(value));
 }
 
-void Transaction::record_read_key(NodeId site, Key key) {
-  read_registrations_.emplace_back(site, key);
-}
-
 void Transaction::record_validation(Key key, VersionId version) {
   validation_set_.emplace(key, version);
 }

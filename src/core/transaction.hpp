@@ -45,15 +45,6 @@ class Transaction {
   std::optional<Value> cached_read(Key key) const;
   void cache_read(Key key, Value value);
 
-  /// T.readKeys — the per-transaction registration buffer: (site, key) for
-  /// every key a read-only transaction read, in read order (Alg. 2 line 11).
-  /// At commit or abort each key joins the Remove batch bound for its site,
-  /// so reader deregistration needs no per-read reverse-index entry.
-  const std::vector<std::pair<NodeId, Key>>& read_registrations() const {
-    return read_registrations_;
-  }
-  void record_read_key(NodeId site, Key key);
-
   /// 2PC-baseline read validation set: key -> version observed.
   const std::map<Key, VersionId>& validation_set() const {
     return validation_set_;
@@ -93,7 +84,6 @@ class Transaction {
   AccessVector has_read_;
   std::map<Key, Value> write_set_;
   std::unordered_map<Key, Value> read_cache_;
-  std::vector<std::pair<NodeId, Key>> read_registrations_;
   std::map<Key, VersionId> validation_set_;
   std::vector<std::pair<Key, VectorClock>> missed_latest_;
 

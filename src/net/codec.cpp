@@ -141,20 +141,6 @@ std::vector<TxId> decode_txids(Decoder& d) {
   return ids;
 }
 
-void encode_keys(Encoder& e, const std::vector<Key>& keys) {
-  e.put_u32(static_cast<std::uint32_t>(keys.size()));
-  for (Key k : keys) e.put_u64(k);
-}
-
-std::vector<Key> decode_keys(Decoder& d) {
-  const std::uint32_t n = d.get_u32();
-  std::vector<Key> keys;
-  if (!d.ok() || n > (1u << 24)) return keys;
-  keys.reserve(n);
-  for (std::uint32_t i = 0; i < n; ++i) keys.push_back(d.get_u64());
-  return keys;
-}
-
 struct EncodeVisitor {
   Encoder& e;
 
@@ -207,13 +193,11 @@ struct EncodeVisitor {
     e.put_u32(m.origin);
     e.put_u64(m.from_seq);
     e.put_u64(m.to_seq);
-    encode_txids(e, m.removed_txs);
-    encode_keys(e, m.removed_keys);
+    encode_txids(e, m.watermarks);
   }
   void operator()(const RemoveMessage& m) const {
     e.put_u64(m.tx.raw);
-    encode_keys(e, m.keys);
-    encode_txids(e, m.more_txs);
+    encode_txids(e, m.watermarks);
   }
   void operator()(const DecideAck& m) const { e.put_u64(m.rpc_id); }
   void operator()(const ResendRequest& m) const {
@@ -315,16 +299,14 @@ std::optional<Message> decode_message(const std::vector<std::uint8_t>& bytes) {
       m.origin = d.get_u32();
       m.from_seq = d.get_u64();
       m.to_seq = d.get_u64();
-      m.removed_txs = decode_txids(d);
-      m.removed_keys = decode_keys(d);
+      m.watermarks = decode_txids(d);
       out = std::move(m);
       break;
     }
     case MessageType::kRemove: {
       RemoveMessage m;
       m.tx = TxId{d.get_u64()};
-      m.keys = decode_keys(d);
-      m.more_txs = decode_txids(d);
+      m.watermarks = decode_txids(d);
       out = std::move(m);
       break;
     }

@@ -7,7 +7,7 @@
 //   PrepareRequest / VoteReply - Alg. 4 line 12/14, Alg. 5 lines 1-13
 //   DecideMessage              - Alg. 4 line 26, Alg. 5 lines 14-26
 //   PropagateMessage           - Alg. 4 line 27, Alg. 6 lines 1-4 (and
-//                                the Remove ids riding on it)
+//                                the session watermarks riding on it)
 //   RemoveMessage              - Alg. 4 line 4,  Alg. 6 lines 5-10
 #pragma once
 
@@ -115,16 +115,14 @@ struct DecideMessage {
 /// [from_seq, to_seq] of commits at `origin`, none of which carried a
 /// Decide to the receiver (those seqs are covered by their Decides).
 ///
-/// FW-KV also lets the origin's pending Remove work for the receiver ride
-/// on it (see RemoveMessage): the ids of read-only transactions that
-/// finished at the origin, and the keys they read at the receiver. They
-/// are applied on receipt, independently of the range.
+/// FW-KV also lets the origin's pending Remove batch for the receiver ride
+/// on it (see RemoveMessage); it is applied on receipt, independently of
+/// the range.
 struct PropagateMessage {
   NodeId origin = 0;
   SeqNo from_seq = 0;
   SeqNo to_seq = 0;
-  std::vector<TxId> removed_txs = {};
-  std::vector<Key> removed_keys = {};
+  std::vector<TxId> watermarks = {};
 };
 
 /// Acknowledges a Decide. The 2PC-baseline always asks for it, to complete
@@ -134,23 +132,18 @@ struct DecideAck {
   std::uint64_t rpc_id = 0;
 };
 
-/// Read-only cleanup (Alg. 4 line 4), batched per destination. A node
-/// gathers the ids of the read-only transactions that finished on it
-/// (committed or aborted) for every node, not only for the sites they
-/// read: writers stamp those ids onto versions on any participant
-/// (Alg. 5 line 19), so the paper's per-transaction Remove to the read
-/// sites leaves stamps behind. A destination's batch rides on the next
-/// PropagateMessage to it; this standalone message carries it when it
-/// fills up first, when no Propagate went there for a while, and at
-/// quiesce. `keys` is the union of the keys the batch's transactions read
-/// at the destination, so the handler drops their visible-read traces
-/// without a per-read reverse-index entry.
+/// Read-only cleanup (Alg. 4 line 4), by session watermark. A watermark
+/// names a session of the sending node (a TxId's node and session fields)
+/// and its lowest open seq: every id of the session below it has finished,
+/// wherever writers stamped it (Alg. 5 line 19). A batch holds the
+/// sender's watermarks that moved since its last batch to the destination
+/// and usually rides on a PropagateMessage; this message carries it alone
+/// (see MvNodeBase). A later watermark of a session supersedes a lost one.
 struct RemoveMessage {
-  /// One id of the batch; it also names the message, per destination.
+  /// The newest watermark of the batch; it also names the message, per
+  /// destination.
   TxId tx;
-  std::vector<Key> keys;
-  /// The batch's other ids.
-  std::vector<TxId> more_txs = {};
+  std::vector<TxId> watermarks = {};
 };
 
 /// Gap repair under lossy delivery (fault-injection hardening; not part of

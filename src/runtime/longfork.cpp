@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <atomic>
 #include <cassert>
+#include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -15,6 +17,10 @@ namespace {
 using Clock = std::chrono::steady_clock;
 
 constexpr std::size_t kMaxUpdates = 1 << 20;
+
+/// Bound on one probe's run: far above what min_snapshots needs even on a
+/// loaded host, so reaching it means the readers are stuck.
+constexpr std::chrono::seconds kMaxProbeTime{60};
 
 /// Commit log of one updater: commit_time[v] is when the commit of value v
 /// returned to the client (so "committed before T starts" is well defined
@@ -151,6 +157,7 @@ LongForkResult run_long_fork_probe(const LongForkProbeConfig& config) {
 
   std::vector<Snapshot> all_snapshots;
   std::mutex snapshots_mu;
+  std::atomic<std::uint64_t> taken{0};
   std::atomic<std::uint64_t> reads{0};
   std::atomic<std::uint64_t> stale_first{0};
 
@@ -177,6 +184,7 @@ LongForkResult run_long_fork_probe(const LongForkProbeConfig& config) {
       if (vx < settled_x) stale_first.fetch_add(1, std::memory_order_relaxed);
       if (vy < settled_y) stale_first.fetch_add(1, std::memory_order_relaxed);
       local.push_back(Snapshot{vx, vy, vx < settled_x || vy < settled_y});
+      taken.fetch_add(1, std::memory_order_relaxed);
     }
     std::lock_guard<std::mutex> lock(snapshots_mu);
     all_snapshots.insert(all_snapshots.end(), local.begin(), local.end());
@@ -190,9 +198,19 @@ LongForkResult run_long_fork_probe(const LongForkProbeConfig& config) {
     threads.emplace_back(reader, node, 100 + r, r % 2 == 0);
   }
 
-  std::this_thread::sleep_for(config.duration);
+  const auto deadline = Clock::now() + kMaxProbeTime;
+  while (taken.load(std::memory_order_relaxed) < config.min_snapshots &&
+         Clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
   stop.store(true, std::memory_order_release);
   for (auto& t : threads) t.join();
+  if (all_snapshots.size() < config.min_snapshots) {
+    throw std::runtime_error(
+        "long-fork probe: " + std::to_string(all_snapshots.size()) + " of " +
+        std::to_string(config.min_snapshots) + " snapshots in " +
+        std::to_string(kMaxProbeTime.count()) + " s");
+  }
 
   result.snapshots = all_snapshots.size();
   result.reads = reads.load();

@@ -44,7 +44,10 @@ struct LongForkResult {
 struct LongForkProbeConfig {
   Protocol protocol = Protocol::kFwKv;
   std::uint32_t num_nodes = 4;
-  std::chrono::milliseconds duration{500};
+  /// The probe runs until the readers have taken this many snapshots, so
+  /// a loaded host gives a slower run, not less data. It throws
+  /// std::runtime_error if they have not after 60 s.
+  std::uint64_t min_snapshots = 3000;
   std::chrono::nanoseconds one_way_latency{std::chrono::microseconds(20)};
   std::chrono::nanoseconds propagate_extra_delay{std::chrono::milliseconds(1)};
   std::uint32_t readers = 4;

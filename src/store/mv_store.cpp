@@ -7,9 +7,7 @@
 
 namespace fwkv::store {
 
-MVStore::MVStore(std::size_t shards, std::size_t removed_capacity)
-    : removed_stripe_cap_(std::max<std::size_t>(
-          1, removed_capacity / kRemovedStripes)) {
+MVStore::MVStore(std::size_t shards) {
   assert(shards > 0);
   map_shards_.reserve(shards);
   index_shards_.reserve(shards);
@@ -62,12 +60,11 @@ ReadResult MVStore::read_read_only(Key key, const VectorClock& tvc,
   Entry* e = find_entry(key);
   if (e == nullptr) return {};
   // Exclusive: select_read_only inserts the reader id into the chosen
-  // version's access set (visible read, Alg. 3 line 8). No reverse-index
-  // registration here — the reader's Remove batch carries this key, and
-  // remove_txs erases the id through that list.
+  // version's access set (visible read, Alg. 3 line 8).
   e->latch.lock();
   ReadResult r = e->chain.select_read_only(tvc, has_read, reader);
   e->latch.unlock();
+  if (r.found) register_ids(*e, r.id, std::span<const TxId>(&reader, 1));
   return r;
 }
 
@@ -111,6 +108,7 @@ bool MVStore::validate_key_version(Key key, VersionId observed) const {
 
 void MVStore::collect_access_sets(std::span<const Key> keys,
                                   std::vector<TxId>& out) const {
+  const std::size_t first = out.size();
   for (Key k : keys) {
     Entry* e = find_entry(k);
     if (e == nullptr) continue;
@@ -118,6 +116,11 @@ void MVStore::collect_access_sets(std::span<const Key> keys,
     e->chain.collect_access_sets(out);
     e->latch.unlock_shared();
   }
+  // An id can still sit in an access set for the moment between its
+  // watermark's arrival and the erase of its refs; do not spread it.
+  out.erase(std::remove_if(out.begin() + static_cast<std::ptrdiff_t>(first),
+                           out.end(), [this](TxId id) { return finished(id); }),
+            out.end());
 }
 
 void MVStore::install(Key key, Value value, const VectorClock& commit_vc,
@@ -131,93 +134,80 @@ void MVStore::install(Key key, Value value, const VectorClock& commit_vc,
     Version& v = e.chain.install(std::move(value), commit_vc, origin, seq);
     vid = v.id;
     for (TxId id : collected) {
-      if (recently_removed(id)) continue;  // the RO tx already finished
       if (v.stamp_insert(id)) stamped.push_back(id);
     }
   }
   e.latch.unlock();
-  // Registrations happen after the latch is released (lock-order rule).
-  if (stamped.empty()) return;
-  register_readers(stamped, &e, vid);
-  // A Remove that marked an id removed after the check above may also have
-  // searched the index before the registration landed: erase it here.
-  for (TxId id : stamped) {
-    if (recently_removed(id)) erase_stamps(id);
-  }
+  if (!stamped.empty()) register_ids(e, vid, stamped);
 }
 
-void MVStore::register_readers(std::span<const TxId> ids, Entry* entry,
-                               VersionId version_id) {
-  // Group the stamped ids by index shard so each shard lock involved is
-  // taken once per install, not once per id. Collected sets are small
-  // (Fig. 6), so sorting a scratch vector is cheaper than repeated locking.
-  std::vector<std::pair<std::size_t, TxId>> by_shard;
-  by_shard.reserve(ids.size());
+MVStore::IndexShard& MVStore::index_shard(std::uint32_t session) const {
+  return *index_shards_[std::hash<TxId>{}(TxId(std::uint64_t{session} << 32)) %
+                        index_shards_.size()];
+}
+
+bool MVStore::finished(TxId id) const {
+  const IndexShard& shard = index_shard(session_of(id));
+  std::lock_guard<std::mutex> lock(shard.mu);
+  auto it = shard.sessions.find(session_of(id));
+  return it != shard.sessions.end() &&
+         id.local_seq() < it->second.finished_below;
+}
+
+void MVStore::register_ids(Entry& e, VersionId vid,
+                           std::span<const TxId> ids) {
+  std::vector<TxId> late;
   for (TxId id : ids) {
-    by_shard.emplace_back(std::hash<TxId>{}(id) % index_shards_.size(), id);
-  }
-  std::sort(by_shard.begin(), by_shard.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
-  std::size_t i = 0;
-  while (i < by_shard.size()) {
-    const std::size_t shard_idx = by_shard[i].first;
-    auto& shard = *index_shards_[shard_idx];
+    IndexShard& shard = index_shard(session_of(id));
     std::lock_guard<std::mutex> lock(shard.mu);
-    for (; i < by_shard.size() && by_shard[i].first == shard_idx; ++i) {
-      shard.map[by_shard[i].second].push_back(IndexRef{entry, version_id});
+    SessionIndex& s = shard.sessions[session_of(id)];
+    // Checked under the shard lock that finish_below advances the
+    // watermark under: either this registration lands first and the step
+    // erases it, or the step came first and the id is not registered.
+    if (id.local_seq() < s.finished_below) {
+      late.push_back(id);
+      continue;
     }
-    shard.ids.store(shard.map.size(), std::memory_order_release);
+    auto at = std::upper_bound(
+        s.refs.begin(), s.refs.end(), id.local_seq(),
+        [](std::uint32_t seq, const IndexRef& r) { return seq < r.seq; });
+    s.refs.insert(at, IndexRef{id.local_seq(), &e, vid});
   }
+  if (late.empty()) return;
+  e.latch.lock();
+  if (Version* v = e.chain.find(vid)) {
+    for (TxId id : late) v->access_set_erase(id);
+  }
+  e.latch.unlock();
 }
 
-MVStore::IndexShard& MVStore::index_shard(TxId tx) const {
-  return *index_shards_[std::hash<TxId>{}(tx) % index_shards_.size()];
-}
-
-void MVStore::erase_stamps(TxId tx) {
-  auto& shard = index_shard(tx);
-  // A shard that holds no stamped id at all is skipped without its lock.
-  // An install that registers after this load re-checks recently_removed,
-  // which the caller set first, so the skip cannot strand a stamp.
-  if (shard.ids.load(std::memory_order_acquire) == 0) return;
-  std::vector<IndexRef> refs;
-  {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    auto it = shard.map.find(tx);
-    if (it == shard.map.end()) return;
-    refs = std::move(it->second);
-    shard.map.erase(it);
-    shard.ids.store(shard.map.size(), std::memory_order_release);
-  }
-  for (const IndexRef& ref : refs) {
-    // Duplicate refs for the same version (or a version erased by both the
-    // key-list pass and this one) degrade to no-op erases.
-    ref.entry->latch.lock();
-    if (Version* v = ref.entry->chain.find(ref.version_id)) {
-      v->access_set_erase(tx);
+void MVStore::finish_below(std::span<const TxId> watermarks) {
+  std::vector<IndexRef> done;
+  for (TxId w : watermarks) {
+    const std::uint32_t session = session_of(w);
+    done.clear();
+    {
+      IndexShard& shard = index_shard(session);
+      std::lock_guard<std::mutex> lock(shard.mu);
+      SessionIndex& s = shard.sessions[session];
+      if (w.local_seq() <= s.finished_below) continue;
+      s.finished_below = w.local_seq();
+      auto end = std::lower_bound(
+          s.refs.begin(), s.refs.end(), w.local_seq(),
+          [](const IndexRef& r, std::uint32_t seq) { return r.seq < seq; });
+      done.assign(s.refs.begin(), end);
+      s.refs.erase(s.refs.begin(), end);
     }
-    ref.entry->latch.unlock();
-  }
-}
-
-void MVStore::remove_txs(std::span<const TxId> txs,
-                         std::span<const Key> read_keys) {
-  // Marked first: an install from here on does not stamp these ids, or
-  // erases the stamp itself if it raced past its first check.
-  for (TxId tx : txs) note_removed(tx);
-  // The transactions' own visible-read traces, one latch per key.
-  for (Key k : read_keys) {
-    Entry* e = find_entry(k);
-    if (e == nullptr) continue;
-    e->latch.lock();
-    for (auto& v : e->chain.versions()) {
-      for (TxId tx : txs) v.access_set_erase(tx);
+    for (const IndexRef& ref : done) {
+      // A ref whose version was pruned, or whose id another ref of the
+      // same version already erased, degrades to a no-op.
+      ref.entry->latch.lock();
+      if (Version* v = ref.entry->chain.find(ref.version_id)) {
+        v->access_set_erase(TxId((std::uint64_t{session} << 32) | ref.seq));
+      }
+      ref.entry->latch.unlock();
     }
-    e->latch.unlock();
   }
-  // Ids stamped onto other keys by committing writers (Alg. 5 line 19):
-  // the RO client cannot know those locations, so the reverse index does.
-  for (TxId tx : txs) erase_stamps(tx);
 }
 
 std::size_t MVStore::access_set_footprint() const {
@@ -233,26 +223,13 @@ std::size_t MVStore::access_set_footprint() const {
   return n;
 }
 
-MVStore::RemovedStripe& MVStore::removed_stripe(TxId tx) const {
-  return removed_[std::hash<TxId>{}(tx) % kRemovedStripes];
-}
-
-bool MVStore::recently_removed(TxId tx) const {
-  RemovedStripe& stripe = removed_stripe(tx);
-  std::lock_guard<std::mutex> lock(stripe.mu);
-  return stripe.set.count(tx) > 0;
-}
-
-void MVStore::note_removed(TxId tx) {
-  RemovedStripe& stripe = removed_stripe(tx);
-  std::lock_guard<std::mutex> lock(stripe.mu);
-  if (stripe.set.insert(tx).second) {
-    stripe.ring.push_back(tx);
-    if (stripe.ring.size() > removed_stripe_cap_) {
-      stripe.set.erase(stripe.ring.front());
-      stripe.ring.pop_front();
-    }
+std::size_t MVStore::reverse_index_size() const {
+  std::size_t n = 0;
+  for (const auto& shard : index_shards_) {
+    std::lock_guard<std::mutex> lock(shard->mu);
+    for (const auto& [session, s] : shard->sessions) n += s.refs.size();
   }
+  return n;
 }
 
 }  // namespace fwkv::store

@@ -1,6 +1,6 @@
 // Per-node multi-versioned data repository (§2.2) with the reverse
 // version-access-set index that makes Remove handling (Alg. 6 lines 5-10)
-// O(entries-for-this-tx) instead of O(store).
+// O(entries-for-the-finished-ids) instead of O(store).
 //
 // Synchronization layers, innermost to outermost:
 //   1. shard maps (shared_mutex)       - key lookup / creation;
@@ -13,16 +13,15 @@
 //   3. LockTable (owned by the node)   - transactional isolation windows.
 // The reverse index has its own shards and is never held together with a
 // key latch (registrations are applied after the latch is released), so the
-// store is free of lock-order cycles. The reverse index only tracks ids
-// stamped by committing update transactions (Alg. 5 line 19) — a read-only
-// transaction's own registrations are deregistered through the key list
-// its Remove batch carries (one latch per key per batch, not one index
-// lock per read). Every node receives every finished read-only id, so
-// remove_txs marks each id removed once and skips the index shards that
-// hold no stamp at all.
+// store is free of lock-order cycles. Every id in an access set is in the
+// reverse index: a read-only read's registration and a writer's stamp
+// (Alg. 5 line 19) go through the same helper. The index is sharded by
+// session and ordered by seq, and a session finishes its ids in seq order,
+// so one watermark ("every id of this session below seq s has finished")
+// erases a session's whole finished range at once. The same per-session
+// watermark stops a late read or install from registering a finished id.
 #pragma once
 
-#include <array>
 #include <atomic>
 #include <memory>
 #include <mutex>
@@ -30,8 +29,6 @@
 #include <span>
 #include <thread>
 #include <unordered_map>
-#include <unordered_set>
-#include <deque>
 #include <vector>
 
 #include "store/version_chain.hpp"
@@ -100,14 +97,7 @@ class EntryLatch {
 
 class MVStore {
  public:
-  /// Transactions whose Remove already ran: late collected-set stamping for
-  /// them is suppressed so their ids cannot leak into new versions forever.
-  /// The memory is a ring (total capacity across stripes); overflowing it
-  /// forgets the oldest finished transactions.
-  static constexpr std::size_t kRemovedRing = 1 << 16;
-
-  explicit MVStore(std::size_t shards = 64,
-                   std::size_t removed_capacity = kRemovedRing);
+  explicit MVStore(std::size_t shards = 64);
   ~MVStore();
 
   /// Bulk-load path: install an initial version with an all-zero commit
@@ -118,8 +108,8 @@ class MVStore {
   std::size_t key_count() const;
 
   /// FW-KV read-only rule; registers `reader` in the selected version's
-  /// access set. Deregistration is the caller's duty: the finished
-  /// transaction's Remove must carry the keys it read here (remove_txs).
+  /// access set and in the reverse index. A read that arrives after its
+  /// session's watermark passed `reader` (a late duplicate) leaves no trace.
   ReadResult read_read_only(Key key, const VectorClock& tvc,
                             const std::vector<bool>& has_read, TxId reader);
 
@@ -138,30 +128,29 @@ class MVStore {
   /// the latest version is still the one the transaction observed.
   bool validate_key_version(Key key, VersionId observed) const;
 
-  /// Alg. 5 lines 8-10: union of access sets across the written keys.
+  /// Alg. 5 lines 8-10: union of access sets across the written keys,
+  /// without the ids already known here to have finished.
   void collect_access_sets(std::span<const Key> keys,
                            std::vector<TxId>& out) const;
 
   /// Install a new version of `key` and stamp `collected` into its access
-  /// set (Alg. 5 lines 17-20). Creates the key if absent (TPC-C inserts).
+  /// set (Alg. 5 lines 17-20), except ids that have finished. Creates the
+  /// key if absent (TPC-C inserts).
   void install(Key key, Value value, const VectorClock& commit_vc,
                NodeId origin, SeqNo seq, std::span<const TxId> collected);
 
-  /// Alg. 6 lines 5-10 for a batch of finished read-only transactions:
-  /// erase every id in `txs` from every access set on this node.
-  /// `read_keys` holds the keys they read here (each key is latched once
-  /// for the whole batch); ids stamped onto other keys by committing
-  /// writers are found through the reverse index.
-  void remove_txs(std::span<const TxId> txs, std::span<const Key> read_keys);
-  void remove_tx(TxId tx, std::span<const Key> read_keys = {}) {
-    remove_txs(std::span<const TxId>(&tx, 1), read_keys);
-  }
+  /// Alg. 6 lines 5-10 by watermark: each names a session (a TxId's node
+  /// and session fields) and its lowest open seq. Erases the session's ids
+  /// below it from every access set on this node and stops later reads and
+  /// installs from registering them. A watermark that does not move its
+  /// session up (a duplicate, a reordered older one) is a no-op.
+  void finish_below(std::span<const TxId> watermarks);
 
   /// Sum of access-set sizes across the node (space-overhead metric, §5.1).
   std::size_t access_set_footprint() const;
 
-  /// Introspection (tests): is late stamping of `tx` currently suppressed?
-  bool recently_removed(TxId tx) const;
+  /// Number of (id, version) registrations in the reverse index (tests).
+  std::size_t reverse_index_size() const;
 
   /// Test/example helper: run `fn` with the key's chain latched exclusive.
   template <typename Fn>
@@ -184,45 +173,42 @@ class MVStore {
     std::unordered_map<Key, std::unique_ptr<Entry>> map;
   };
 
-  /// Where a stamped transaction id sits: which entry and which version id.
+  /// Where a registered id sits: its seq (the session is the index key),
+  /// the entry and the version.
   struct IndexRef {
+    std::uint32_t seq;
     Entry* entry;
     VersionId version_id;
   };
+  /// One session's part of the reverse index.
+  struct SessionIndex {
+    /// The session's watermark here: every id below this seq has finished.
+    std::uint32_t finished_below = 0;
+    /// Registered ids, ordered by seq.
+    std::vector<IndexRef> refs;
+  };
   struct IndexShard {
-    std::mutex mu;
-    std::unordered_map<TxId, std::vector<IndexRef>> map;
-    /// map.size(), stored under mu; read without it to skip empty shards.
-    std::atomic<std::size_t> ids{0};
-  };
-
-  /// Striped removed-transaction memory: installs on different stripes
-  /// never serialize (the former single removed_mu_ was taken once per
-  /// collected id on every install).
-  static constexpr std::size_t kRemovedStripes = 16;
-  struct RemovedStripe {
     mutable std::mutex mu;
-    std::unordered_set<TxId> set;
-    std::deque<TxId> ring;
+    /// Keyed by session_of(id).
+    std::unordered_map<std::uint32_t, SessionIndex> sessions;
   };
 
+  /// The node and session fields of `id`.
+  static std::uint32_t session_of(TxId id) {
+    return static_cast<std::uint32_t>(id.raw >> 32);
+  }
   Entry* find_entry(Key key) const;
   Entry& get_or_create_entry(Key key);
-  /// Batch-register stamped ids for one installed version: each index shard
-  /// involved is locked once, not once per id.
-  void register_readers(std::span<const TxId> ids, Entry* entry,
-                        VersionId version_id);
-  IndexShard& index_shard(TxId tx) const;
-  /// Erases the stamped copies of `tx` found through the reverse index.
-  void erase_stamps(TxId tx);
-  RemovedStripe& removed_stripe(TxId tx) const;
-  void note_removed(TxId tx);
+  IndexShard& index_shard(std::uint32_t session) const;
+  bool finished(TxId id) const;
+  /// Registers `ids`, just inserted into version `vid` of `e`, in the
+  /// reverse index. Runs after the latch is released (lock-order rule).
+  /// An id whose watermark has already passed it is not registered and is
+  /// erased from the version again.
+  void register_ids(Entry& e, VersionId vid, std::span<const TxId> ids);
 
   std::vector<std::unique_ptr<MapShard>> map_shards_;
   std::vector<std::unique_ptr<IndexShard>> index_shards_;
-
-  mutable std::array<RemovedStripe, kRemovedStripes> removed_;
-  std::size_t removed_stripe_cap_;
 };
 
 }  // namespace fwkv::store

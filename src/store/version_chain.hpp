@@ -68,7 +68,7 @@ class VersionChain {
   /// lines 8-10 collect from the written key).
   void collect_access_sets(std::vector<TxId>& out) const;
 
-  /// Direct access for scenario tests and the Remove handler (via MVStore).
+  /// Direct access for tests and the store's footprint count.
   std::deque<Version>& versions() { return versions_; }
   const std::deque<Version>& versions() const { return versions_; }
 

@@ -171,51 +171,49 @@ TEST(CodecTest, PropagateRoundTrip) {
 }
 
 TEST(CodecTest, PropagateRoundTripWithRemovedIds) {
+  // The removed ids ride as session watermarks.
   PropagateMessage m{4, 100, 120};
-  m.removed_txs = {TxId(1, 2, 3), TxId(4, 5, 6)};
-  m.removed_keys = {9, 0xffffffffffffull};
+  m.watermarks = {TxId(1, 2, 3), TxId(4, 5, 6)};
   auto decoded = decode_message(encode_message(m));
   ASSERT_TRUE(decoded.has_value());
   const auto& r = std::get<PropagateMessage>(*decoded);
   EXPECT_EQ(r.to_seq, 120u);
-  EXPECT_EQ(r.removed_txs, m.removed_txs);
-  EXPECT_EQ(r.removed_keys, m.removed_keys);
+  EXPECT_EQ(r.watermarks, m.watermarks);
 }
 
 TEST(CodecTest, RemoveRoundTrip) {
-  RemoveMessage m{TxId(7, 8, 9), {555, 7, 0xffffffffffffull}};
+  RemoveMessage m{TxId(7, 8, 9), {TxId(7, 8, 9), TxId(7, 3, 1)}};
   auto decoded = decode_message(encode_message(m));
   ASSERT_TRUE(decoded.has_value());
   const auto& r = std::get<RemoveMessage>(*decoded);
   EXPECT_EQ(r.tx, TxId(7, 8, 9));
-  EXPECT_EQ(r.keys, (std::vector<Key>{555, 7, 0xffffffffffffull}));
+  EXPECT_EQ(r.watermarks, (std::vector<TxId>{TxId(7, 8, 9), TxId(7, 3, 1)}));
 }
 
-TEST(CodecTest, RemoveRoundTripEmptyKeyList) {
+TEST(CodecTest, RemoveRoundTripEmptyWatermarkList) {
   RemoveMessage m{TxId(1, 2, 3), {}};
   auto decoded = decode_message(encode_message(m));
   ASSERT_TRUE(decoded.has_value());
   const auto& r = std::get<RemoveMessage>(*decoded);
   EXPECT_EQ(r.tx, TxId(1, 2, 3));
-  EXPECT_TRUE(r.keys.empty());
+  EXPECT_TRUE(r.watermarks.empty());
 }
 
 TEST(CodecTest, RemoveRoundTripBatchOfIds) {
+  // A batch of session watermarks, extreme field values included.
   RemoveMessage m;
   m.tx = TxId(7, 8, 9);
-  m.keys = {3, 555};
-  m.more_txs = {TxId(1, 2, 3), TxId(0xffff, 0xffff, 0xffffffffu),
-                TxId(4, 5, 6)};
+  m.watermarks = {TxId(1, 2, 3), TxId(0xffff, 0xffff, 0xffffffffu),
+                  TxId(4, 5, 6), TxId(7, 8, 9)};
   auto decoded = decode_message(encode_message(m));
   ASSERT_TRUE(decoded.has_value());
   const auto& r = std::get<RemoveMessage>(*decoded);
   EXPECT_EQ(r.tx, TxId(7, 8, 9));
-  EXPECT_EQ(r.keys, (std::vector<Key>{3, 555}));
-  EXPECT_EQ(r.more_txs, m.more_txs);
+  EXPECT_EQ(r.watermarks, m.watermarks);
 }
 
 TEST(CodecTest, EncodeIntoReusesBuffer) {
-  RemoveMessage m{TxId(7, 8, 9), {1, 2, 3}};
+  RemoveMessage m{TxId(7, 8, 9), {TxId(1, 2, 3), TxId(4, 5, 6)}};
   std::vector<std::uint8_t> buf;
   encode_message_into(m, buf);
   const auto once = buf;
@@ -410,19 +408,15 @@ Message random_message(MessageType t, std::mt19937_64& rng) {
     case MessageType::kPropagate: {
       PropagateMessage m{static_cast<NodeId>(rng() % 64), rng() % 100'000,
                          rng() % 100'000};
-      m.removed_txs.resize(rng() % 4);
-      for (auto& tx : m.removed_txs) tx = TxId{rng()};
-      m.removed_keys.resize(rng() % 4);
-      for (auto& k : m.removed_keys) k = rng();
+      m.watermarks.resize(rng() % 4);
+      for (auto& w : m.watermarks) w = TxId{rng()};
       return m;
     }
     case MessageType::kRemove: {
       RemoveMessage m;
       m.tx = TxId{rng()};
-      m.keys.resize(rng() % 6);
-      for (auto& k : m.keys) k = rng();
-      m.more_txs.resize(rng() % 5);
-      for (auto& tx : m.more_txs) tx = TxId{rng()};
+      m.watermarks.resize(rng() % 6);
+      for (auto& w : m.watermarks) w = TxId{rng()};
       return m;
     }
     case MessageType::kDecideAck:

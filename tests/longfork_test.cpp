@@ -11,7 +11,7 @@ namespace {
 LongForkProbeConfig probe(Protocol p) {
   LongForkProbeConfig cfg;
   cfg.protocol = p;
-  cfg.duration = std::chrono::milliseconds(400);
+  cfg.min_snapshots = 200;
   cfg.one_way_latency = std::chrono::microseconds(50);
   cfg.propagate_extra_delay = std::chrono::milliseconds(2);
   return cfg;
@@ -38,8 +38,10 @@ TEST(LongForkTest, WalterMissesSettledUpdatesUnderDelay) {
 TEST(LongForkTest, WalterStalenessScalesWithDelay) {
   // Updates 5 ms apart: at a 100 us delay a commit reaches the readers'
   // nodes within about the 1 ms propagation flush, so most first-contact
-  // reads are fresh; at 10 ms every read misses the latest commit.
+  // reads are fresh; at 10 ms every read misses the latest commit. Enough
+  // snapshots to span many update intervals.
   auto short_delay = probe(Protocol::kWalter);
+  short_delay.min_snapshots = 2000;
   short_delay.propagate_extra_delay = std::chrono::microseconds(100);
   short_delay.update_interval = std::chrono::milliseconds(5);
   auto long_delay = short_delay;

@@ -1,8 +1,11 @@
-// MVStore: reverse index, Remove handling, collected-set stamping.
+// MVStore: reverse index, watermark-driven Remove handling, collected-set
+// stamping.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <span>
 #include <thread>
+#include <vector>
 
 #include "store/mv_store.hpp"
 #include "store/sv_store.hpp"
@@ -16,6 +19,12 @@ const TxId kRo2(2, 0, 1);
 
 VectorClock zero() { return VectorClock(kNodes); }
 std::vector<bool> no_mask() { return std::vector<bool>(kNodes, false); }
+
+/// The Remove of `tx`: its session's watermark moves just past it.
+void finish(MVStore& store, TxId tx) {
+  const TxId watermark(tx.node(), tx.session(), tx.local_seq() + 1);
+  store.finish_below(std::span<const TxId>(&watermark, 1));
+}
 
 TEST(MVStoreTest, LoadAndContains) {
   MVStore store;
@@ -43,11 +52,13 @@ TEST(MVStoreTest, ReadOnlyReadRegistersAndRemoveErases) {
   store.collect_access_sets(std::vector<Key>{1}, collected);
   ASSERT_EQ(collected.size(), 1u);
   EXPECT_EQ(collected[0], kRo1);
+  EXPECT_EQ(store.reverse_index_size(), 1u);
 
-  store.remove_tx(kRo1, std::vector<Key>{1});
+  finish(store, kRo1);
   collected.clear();
   store.collect_access_sets(std::vector<Key>{1}, collected);
   EXPECT_TRUE(collected.empty());
+  EXPECT_EQ(store.reverse_index_size(), 0u);
 }
 
 TEST(MVStoreTest, RemoveCleansEveryListedKey) {
@@ -56,7 +67,7 @@ TEST(MVStoreTest, RemoveCleansEveryListedKey) {
   store.load(2, "b", kNodes);
   store.read_read_only(1, zero(), no_mask(), kRo1);
   store.read_read_only(2, zero(), no_mask(), kRo1);
-  store.remove_tx(kRo1, std::vector<Key>{1, 2});
+  finish(store, kRo1);
   std::vector<TxId> collected;
   store.collect_access_sets(std::vector<Key>{1, 2}, collected);
   EXPECT_TRUE(collected.empty());
@@ -67,7 +78,7 @@ TEST(MVStoreTest, RemoveOnlyTargetsTheGivenTx) {
   store.load(1, "a", kNodes);
   store.read_read_only(1, zero(), no_mask(), kRo1);
   store.read_read_only(1, zero(), no_mask(), kRo2);
-  store.remove_tx(kRo1, std::vector<Key>{1});
+  finish(store, kRo1);
   std::vector<TxId> collected;
   store.collect_access_sets(std::vector<Key>{1}, collected);
   ASSERT_EQ(collected.size(), 1u);
@@ -78,19 +89,26 @@ TEST(MVStoreTest, RemoveIsIdempotent) {
   MVStore store;
   store.load(1, "a", kNodes);
   store.read_read_only(1, zero(), no_mask(), kRo1);
-  store.remove_tx(kRo1, std::vector<Key>{1});
-  store.remove_tx(kRo1, std::vector<Key>{1});  // second remove: no-op
+  finish(store, kRo1);
+  finish(store, kRo1);  // second remove: no-op
   EXPECT_EQ(store.access_set_footprint(), 0u);
 }
 
-TEST(MVStoreTest, RemoveToleratesUnknownAndDuplicateKeys) {
+TEST(MVStoreTest, RemoveToleratesUnknownAndDuplicateWatermarks) {
   MVStore store;
   store.load(1, "a", kNodes);
   store.read_read_only(1, zero(), no_mask(), kRo1);
-  // Duplicate keys in the batched list and keys this node never saw must
-  // both degrade to no-ops.
-  store.remove_tx(kRo1, std::vector<Key>{1, 1, 424242});
+  const TxId ahead(kRo1.node(), kRo1.session(), kRo1.local_seq() + 1);
+  const TxId behind(kRo1.node(), kRo1.session(), kRo1.local_seq());
+  // A repeated watermark, one for a session this node never saw, and an
+  // older one arriving late must all degrade to no-ops.
+  store.finish_below(std::vector<TxId>{ahead, ahead, TxId(9, 9, 5)});
+  store.finish_below(std::vector<TxId>{behind});
   EXPECT_EQ(store.access_set_footprint(), 0u);
+  // The older watermark did not move the session back.
+  store.read_read_only(1, zero(), no_mask(), kRo1);
+  EXPECT_EQ(store.access_set_footprint(), 0u);
+  EXPECT_EQ(store.reverse_index_size(), 0u);
 }
 
 TEST(MVStoreTest, InstallStampsCollectedSet) {
@@ -106,11 +124,10 @@ TEST(MVStoreTest, InstallStampsCollectedSet) {
   std::vector<TxId> found;
   store.collect_access_sets(std::vector<Key>{1}, found);
   EXPECT_EQ(found.size(), 2u);
-  // The stamped ids are removable through the reverse index alone — the
-  // finishing transactions never read key 1, so their Removes cannot list
-  // it.
-  store.remove_tx(kRo1);
-  store.remove_tx(kRo2);
+  // The stamped ids are removable through the reverse index: the
+  // finishing transactions never read key 1.
+  finish(store, kRo1);
+  finish(store, kRo2);
   EXPECT_EQ(store.access_set_footprint(), 0u);
 }
 
@@ -120,68 +137,70 @@ TEST(MVStoreTest, LateStampingOfRemovedTxIsSuppressed) {
   MVStore store;
   store.load(1, "a", kNodes);
   store.read_read_only(1, zero(), no_mask(), kRo1);
-  store.remove_tx(kRo1, std::vector<Key>{1});
-  EXPECT_TRUE(store.recently_removed(kRo1));
+  finish(store, kRo1);
 
   VectorClock commit_vc(kNodes);
   commit_vc[0] = 1;
   store.install(1, "b", commit_vc, 0, 1, std::vector<TxId>{kRo1});
   EXPECT_EQ(store.access_set_footprint(), 0u)
       << "removed transaction's id leaked into a new version";
+  EXPECT_EQ(store.reverse_index_size(), 0u);
 }
 
-TEST(MVStoreTest, RemovedRingOverflowForgetsOldTx) {
-  // The removed-transaction memory is a bounded ring: flooding it past
-  // capacity forgets the oldest finished transaction, after which late
-  // stamping for that id is no longer suppressed — but the leaked id is
-  // still reclaimable through the reverse index with a second Remove.
-  MVStore store(/*shards=*/4, /*removed_capacity=*/16);
+TEST(MVStoreTest, IdFinishedLongAgoNeverStampsAgain) {
+  // A late install names an id that finished more than 2^16 finishes
+  // earlier. A bounded memory of finished ids would have forgotten it by
+  // then; the session watermark does not forget.
+  MVStore store;
   store.load(1, "a", kNodes);
-  store.remove_tx(kRo1);
-  ASSERT_TRUE(store.recently_removed(kRo1));
-
-  bool forgotten = false;
-  for (std::uint32_t i = 1; i <= 1000 && !forgotten; ++i) {
-    store.remove_tx(TxId(3, 1, i));
-    forgotten = !store.recently_removed(kRo1);
-  }
-  ASSERT_TRUE(forgotten) << "ring overflow never evicted the old tx id";
+  finish(store, kRo1);
+  for (std::uint32_t i = 1; i <= (1u << 17); ++i) finish(store, TxId(1, 7, i));
 
   VectorClock commit_vc(kNodes);
   commit_vc[0] = 1;
   store.install(1, "b", commit_vc, 0, 1, std::vector<TxId>{kRo1});
-  EXPECT_EQ(store.access_set_footprint(), 1u)
-      << "a forgotten tx id must stamp again (suppression window is finite)";
-  store.remove_tx(kRo1);  // reverse index still covers the stamped copy
+  EXPECT_EQ(store.access_set_footprint(), 0u)
+      << "a long-finished id was stamped onto a new version";
+  EXPECT_EQ(store.reverse_index_size(), 0u);
+}
+
+TEST(MVStoreTest, LateReadOfFinishedTxRegistersNothing) {
+  // A duplicate of a read-only read arrives after its session's watermark
+  // passed it: it is served, but leaves no trace.
+  MVStore store;
+  store.load(1, "a", kNodes);
+  finish(store, kRo1);
+  EXPECT_TRUE(store.read_read_only(1, zero(), no_mask(), kRo1).found);
   EXPECT_EQ(store.access_set_footprint(), 0u);
+  EXPECT_EQ(store.reverse_index_size(), 0u);
 }
 
 TEST(MVStoreTest, DuplicateIndexRefsForSameVersionAreHarmless) {
-  // A tx id can be erased through both the batched key list and a reverse-
-  // index ref pointing at the same version (a read registered in the VAS of
-  // a version that a writer then re-stamped): all paths must tolerate the
-  // double erase.
+  // A redelivered read registers its id on the same version twice: the
+  // second erase through the reverse index must be a no-op. A writer's
+  // stamp of the same id on a newer version is a ref of its own.
   MVStore store;
   store.load(1, "a", kNodes);
   store.read_read_only(1, zero(), no_mask(), kRo1);  // VAS of version 1
+  store.read_read_only(1, zero(), no_mask(), kRo1);  // the redelivery
 
   VectorClock commit_vc(kNodes);
   commit_vc[0] = 1;
   // Stamps kRo1 onto version 2 AND registers an index ref for it.
   store.install(1, "b", commit_vc, 0, 1, std::vector<TxId>{kRo1});
   EXPECT_EQ(store.access_set_footprint(), 2u);
+  EXPECT_EQ(store.reverse_index_size(), 3u);
 
-  // The key-list pass erases kRo1 from every version of key 1 (both copies);
-  // the index pass then finds version 2 already clean.
-  store.remove_tx(kRo1, std::vector<Key>{1});
+  finish(store, kRo1);
   EXPECT_EQ(store.access_set_footprint(), 0u);
+  EXPECT_EQ(store.reverse_index_size(), 0u);
 }
 
 TEST(MVStoreTest, ConcurrentInstallRacingRemove) {
   // Alg. 5/6 race: Decides stamping a finishing RO transaction's id run
-  // concurrently with its Remove. Whatever interleaving occurs, a final
-  // Remove must leave no trace of the id (either the stamp was suppressed
-  // by the recently-removed window or the reverse index reclaims it).
+  // concurrently with its Remove. Whatever interleaving occurs, no trace of
+  // the id may remain (either the install saw the watermark and erased its
+  // stamp, or the reverse index reclaimed it).
   MVStore store;
   constexpr Key kKeys = 8;
   for (Key k = 0; k < kKeys; ++k) store.load(k, "v", kNodes);
@@ -199,7 +218,7 @@ TEST(MVStoreTest, ConcurrentInstallRacingRemove) {
   });
   std::thread remover([&] {
     while (!stop.load()) {
-      store.remove_tx(victim);
+      finish(store, victim);
     }
   });
   std::this_thread::sleep_for(std::chrono::milliseconds(200));
@@ -207,14 +226,15 @@ TEST(MVStoreTest, ConcurrentInstallRacingRemove) {
   installer.join();
   remover.join();
 
-  store.remove_tx(victim);  // reclaim anything the race left behind
+  finish(store, victim);  // a repeated watermark reclaims nothing new
   EXPECT_EQ(store.access_set_footprint(), 0u);
+  EXPECT_EQ(store.reverse_index_size(), 0u);
 }
 
 TEST(MVStoreTest, InstallRacingItsOnlyRemoveLeavesNoStamp) {
   // Every id is removed exactly once, while an install that stamps it is in
-  // flight, and nothing reclaims afterwards. A Remove that marks the id
-  // between the install's removed-check and its index registration finds
+  // flight, and nothing reclaims afterwards. A Remove that moves the
+  // watermark between the install's stamp and its index registration finds
   // no index entry; the install itself must then erase the stamp.
   MVStore store;
   constexpr Key kKeys = 8;
@@ -235,12 +255,13 @@ TEST(MVStoreTest, InstallRacingItsOnlyRemoveLeavesNoStamp) {
     for (std::uint32_t i = 1; i <= kIds; ++i) {
       while (installing.load(std::memory_order_acquire) < i) {
       }
-      store.remove_tx(TxId(5, 1, i));
+      finish(store, TxId(5, 1, i));
     }
   });
   installer.join();
   remover.join();
   EXPECT_EQ(store.access_set_footprint(), 0u);
+  EXPECT_EQ(store.reverse_index_size(), 0u);
 }
 
 TEST(MVStoreTest, BatchedRemoveErasesReadsAndStampsOfEveryId) {
@@ -254,10 +275,9 @@ TEST(MVStoreTest, BatchedRemoveErasesReadsAndStampsOfEveryId) {
   store.install(3, "c", commit_vc, 0, 1, std::vector<TxId>{kRo1, kRo2});
   ASSERT_EQ(store.access_set_footprint(), 4u);
 
-  store.remove_txs(std::vector<TxId>{kRo1, kRo2}, std::vector<Key>{1, 2});
+  store.finish_below(std::vector<TxId>{TxId(1, 0, 2), TxId(2, 0, 2)});
   EXPECT_EQ(store.access_set_footprint(), 0u);
-  EXPECT_TRUE(store.recently_removed(kRo1));
-  EXPECT_TRUE(store.recently_removed(kRo2));
+  EXPECT_EQ(store.reverse_index_size(), 0u);
 }
 
 TEST(MVStoreTest, ValidateMatchesConcurrentInstalls) {
@@ -355,8 +375,6 @@ TEST(MVStoreTest, ConcurrentReadersAndRemovers) {
   for (Key k = 0; k < 16; ++k) store.load(k, "v", kNodes);
   std::atomic<bool> stop{false};
   std::vector<std::thread> threads;
-  std::vector<Key> all_keys;
-  for (Key k = 0; k < 16; ++k) all_keys.push_back(k);
   for (int t = 0; t < 4; ++t) {
     threads.emplace_back([&, t] {
       std::uint32_t seq = 0;
@@ -365,7 +383,7 @@ TEST(MVStoreTest, ConcurrentReadersAndRemovers) {
         for (Key k = 0; k < 16; ++k) {
           store.read_read_only(k, zero(), no_mask(), me);
         }
-        store.remove_tx(me, all_keys);
+        finish(store, me);
       }
     });
   }
@@ -374,6 +392,7 @@ TEST(MVStoreTest, ConcurrentReadersAndRemovers) {
   for (auto& t : threads) t.join();
   // Every reader removed itself: the store must be clean again.
   EXPECT_EQ(store.access_set_footprint(), 0u);
+  EXPECT_EQ(store.reverse_index_size(), 0u);
 }
 
 TEST(MVStoreTest, WithChainRunsUnderLatch) {

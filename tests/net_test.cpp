@@ -195,7 +195,7 @@ TEST(SimNetworkTest, DeliversOneWayMessages) {
   net.register_endpoint(0, &a);
   net.register_endpoint(1, &b);
 
-  net.send(0, 1, RemoveMessage{TxId(1, 1, 1), {5}});
+  net.send(0, 1, RemoveMessage{TxId(1, 1, 1), {TxId(5)}});
   ASSERT_TRUE(net.wait_quiescent(1s));
   EXPECT_EQ(b.received_.load(), 1);
   EXPECT_EQ(a.received_.load(), 0);
@@ -289,8 +289,8 @@ TEST(SimNetworkTest, MessageCountersByType) {
   net.register_endpoint(0, &a);
   net.register_endpoint(1, &b);
 
-  net.send(0, 1, RemoveMessage{TxId(1, 1, 1), {1}});
-  net.send(0, 1, RemoveMessage{TxId(1, 1, 2), {2}});
+  net.send(0, 1, RemoveMessage{TxId(1, 1, 1), {TxId(1)}});
+  net.send(0, 1, RemoveMessage{TxId(1, 1, 2), {TxId(2)}});
   net.send(0, 1, PropagateMessage{0, 1, 1});
   ASSERT_TRUE(net.wait_quiescent(1s));
   EXPECT_EQ(net.messages_sent(MessageType::kRemove), 2u);
@@ -307,7 +307,7 @@ TEST(SimNetworkTest, SerializationModeCountsBytes) {
   net.register_endpoint(0, &a);
   net.register_endpoint(1, &b);
 
-  net.send(0, 1, RemoveMessage{TxId(1, 1, 1), {1}});
+  net.send(0, 1, RemoveMessage{TxId(1, 1, 1), {TxId(1)}});
   ASSERT_TRUE(net.wait_quiescent(1s));
   EXPECT_GT(net.bytes_sent(), 0u);
   EXPECT_EQ(b.received_.load(), 1);
@@ -327,7 +327,7 @@ TEST(SimNetworkTest, SendHookObservesMessages) {
     EXPECT_EQ(type_of(m), MessageType::kRemove);
     hooked.fetch_add(1);
   });
-  net.send(0, 1, RemoveMessage{TxId(1, 1, 1), {1}});
+  net.send(0, 1, RemoveMessage{TxId(1, 1, 1), {TxId(1)}});
   ASSERT_TRUE(net.wait_quiescent(1s));
   EXPECT_EQ(hooked.load(), 1);
 }
@@ -466,7 +466,7 @@ TEST(SimNetworkFaultTest, SameSeedSameFaultSchedule) {
     });
     for (int i = 0; i < 400; ++i) {
       net.send(0, 1, RemoveMessage{TxId(1, 1, static_cast<std::uint32_t>(i)),
-                                   {static_cast<Key>(i)}});
+                                   {TxId(static_cast<Key>(i))}});
     }
     EXPECT_TRUE(net.wait_quiescent(5s));
     return events;
@@ -491,7 +491,7 @@ TEST(SimNetworkFaultTest, DropProbabilityOneDropsEverything) {
 
   for (int i = 0; i < 50; ++i) {
     net.send(0, 1, RemoveMessage{TxId(1, 1, static_cast<std::uint32_t>(i)),
-                                 {1}});
+                                 {TxId(1)}});
   }
   ASSERT_TRUE(net.wait_quiescent(1s));
   EXPECT_EQ(b.received_.load(), 0);
@@ -511,7 +511,7 @@ TEST(SimNetworkFaultTest, LoopbackIsNeverFaulted) {
   net.register_endpoint(0, &a);
   for (int i = 0; i < 20; ++i) {
     net.send(0, 0, RemoveMessage{TxId(1, 1, static_cast<std::uint32_t>(i)),
-                                 {1}});
+                                 {TxId(1)}});
   }
   ASSERT_TRUE(net.wait_quiescent(1s));
   EXPECT_EQ(a.received_.load(), 20);
@@ -532,7 +532,7 @@ TEST(SimNetworkFaultTest, DuplicateProbabilityOneDeliversTwice) {
 
   for (int i = 0; i < 25; ++i) {
     net.send(0, 1, RemoveMessage{TxId(1, 1, static_cast<std::uint32_t>(i)),
-                                 {1}});
+                                 {TxId(1)}});
   }
   ASSERT_TRUE(net.wait_quiescent(5s));
   EXPECT_EQ(b.received_.load(), 50);
@@ -552,15 +552,15 @@ TEST(SimNetworkFaultTest, PartitionWindowDropsThenHeals) {
   net.register_endpoint(0, &a);
   net.register_endpoint(1, &b);
 
-  net.send(0, 1, RemoveMessage{TxId(1, 1, 1), {1}});
-  net.send(1, 0, RemoveMessage{TxId(1, 1, 2), {2}});
+  net.send(0, 1, RemoveMessage{TxId(1, 1, 1), {TxId(1)}});
+  net.send(1, 0, RemoveMessage{TxId(1, 1, 2), {TxId(2)}});
   ASSERT_TRUE(net.wait_quiescent(1s));
   EXPECT_EQ(a.received_.load(), 0);
   EXPECT_EQ(b.received_.load(), 0);
   EXPECT_EQ(net.faults_injected(FaultKind::kPartitionDrop), 2u);
 
   std::this_thread::sleep_for(200ms);  // past the heal time
-  net.send(0, 1, RemoveMessage{TxId(1, 1, 3), {3}});
+  net.send(0, 1, RemoveMessage{TxId(1, 1, 3), {TxId(3)}});
   ASSERT_TRUE(net.wait_quiescent(1s));
   EXPECT_EQ(b.received_.load(), 1);
   EXPECT_EQ(net.faults_injected(FaultKind::kPartitionDrop), 2u);
@@ -575,7 +575,7 @@ TEST(SimNetworkFaultTest, PauseNodeDefersDelivery) {
 
   net.pause_node(1, 150ms);
   const auto t0 = Clock::now();
-  net.send(0, 1, RemoveMessage{TxId(1, 1, 1), {1}});
+  net.send(0, 1, RemoveMessage{TxId(1, 1, 1), {TxId(1)}});
   std::this_thread::sleep_for(30ms);
   EXPECT_EQ(b.received_.load(), 0) << "delivered into the pause window";
   ASSERT_TRUE(net.wait_quiescent(5s));
@@ -583,7 +583,7 @@ TEST(SimNetworkFaultTest, PauseNodeDefersDelivery) {
   EXPECT_GE(Clock::now() - t0, 140ms);
   EXPECT_EQ(net.faults_injected(FaultKind::kPauseDeferral), 1u);
   // The paused node could still send the whole time.
-  net.send(1, 0, RemoveMessage{TxId(1, 1, 2), {2}});
+  net.send(1, 0, RemoveMessage{TxId(1, 1, 2), {TxId(2)}});
   ASSERT_TRUE(net.wait_quiescent(1s));
   EXPECT_EQ(a.received_.load(), 1);
 }

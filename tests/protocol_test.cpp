@@ -5,10 +5,12 @@
 #include <atomic>
 #include <future>
 #include <map>
+#include <memory>
 #include <mutex>
 #include <optional>
 #include <stdexcept>
 #include <thread>
+#include <type_traits>
 
 #include "core/cluster.hpp"
 #include "core/mv_node.hpp"
@@ -788,7 +790,7 @@ TEST(FwKvTest, SecondSessionWithSameLabelKeepsItsAntiDependency) {
   cluster.load(y, "v");
 
   // A first session's read-only transaction reads y and finishes: its
-  // Remove puts its id in node 1's removed ring.
+  // session's watermark reaches node 1.
   Session first = cluster.make_session(0, 0);
   auto done = first.begin(true);
   ASSERT_TRUE(first.read(done, y).has_value());
@@ -826,6 +828,43 @@ TEST(ClusterTest, SessionBeyondTxIdFieldIsRefused) {
   Cluster cluster(base_config(Protocol::kFwKv));
   for (std::uint32_t i = 0; i <= 0xffffu; ++i) cluster.make_session(0, 0);
   EXPECT_THROW(cluster.make_session(0, 0), std::length_error);
+}
+
+static_assert(!std::is_copy_constructible_v<Session> &&
+                  !std::is_copy_assignable_v<Session>,
+              "two copies of a session would issue the same tx ids");
+static_assert(std::is_nothrow_move_constructible_v<Session>);
+
+TEST(SessionTest, DestroyedWithOpenTransactionHoldsNothingBack) {
+  Cluster cluster(base_config(Protocol::kFwKv));
+  const Key y = key_on(cluster, 1);
+  cluster.load(y, "v");
+  const auto& site = dynamic_cast<MvNodeBase&>(cluster.node(1)).mv_store();
+
+  // Another session's reader stays open throughout.
+  Session other = cluster.make_session(2, 0);
+  auto open = other.begin(true);
+  ASSERT_TRUE(other.read(open, y).has_value());
+
+  auto reader = std::make_unique<Session>(cluster.make_session(0, 0));
+  auto ro = reader->begin(true);
+  ASSERT_TRUE(reader->read(ro, y).has_value());
+  Session kept = std::move(*reader);
+  reader.reset();  // the moved-from shell releases nothing
+  ASSERT_TRUE(cluster.quiesce());
+  EXPECT_EQ(site.access_set_footprint(), 2u);
+
+  { Session gone = std::move(kept); }  // destroyed with `ro` still open
+  ASSERT_TRUE(cluster.quiesce());
+  EXPECT_EQ(site.access_set_footprint(), 1u)
+      << "a destroyed session's open reader still holds its read";
+  EXPECT_EQ(site.reverse_index_size(), 1u)
+      << "an open reader must hold back only its own session";
+
+  ASSERT_TRUE(other.commit(open));
+  ASSERT_TRUE(cluster.quiesce());
+  EXPECT_EQ(site.access_set_footprint(), 0u);
+  EXPECT_EQ(site.reverse_index_size(), 0u);
 }
 
 TEST(WalterTest, SnapshotFixedAtBegin) {

@@ -79,13 +79,6 @@ TEST(TransactionTest, ReadCache) {
   EXPECT_EQ(tx.cached_read(1), "v");
 }
 
-TEST(TransactionTest, ReadKeysRecorded) {
-  Transaction tx(TxId(0, 0, 1), true, 2);
-  tx.record_read_key(/*site=*/1, /*key=*/5);
-  tx.record_read_key(/*site=*/0, /*key=*/9);
-  EXPECT_EQ(tx.read_registrations().size(), 2u);
-}
-
 TEST(TransactionTest, ValidationSetKeepsFirstObservation) {
   Transaction tx(TxId(0, 0, 1), false, 2);
   tx.record_validation(5, 10);

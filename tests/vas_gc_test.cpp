@@ -1,7 +1,8 @@
 // Version-access-set garbage collection at cluster level (Alg. 4 line 4,
-// Alg. 6 lines 5-10): once a cluster has quiesced, no access set on any
-// node may still hold the id of a finished read-only transaction, whether
-// it committed or aborted, and wherever writers stamped it.
+// Alg. 6 lines 5-10): once a cluster has quiesced, no access set or
+// reverse index on any node may still hold the id of a finished read-only
+// transaction, whether it committed or aborted, and wherever writers
+// stamped it.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -24,6 +25,16 @@ std::size_t total_footprint(Cluster& cluster) {
     n += dynamic_cast<MvNodeBase&>(cluster.node(i))
              .mv_store()
              .access_set_footprint();
+  }
+  return n;
+}
+
+std::size_t total_index(Cluster& cluster) {
+  std::size_t n = 0;
+  for (NodeId i = 0; i < cluster.num_nodes(); ++i) {
+    n += dynamic_cast<MvNodeBase&>(cluster.node(i))
+             .mv_store()
+             .reverse_index_size();
   }
   return n;
 }
@@ -64,6 +75,7 @@ TEST(VasGcTest, StampOnANodeTheReaderNeverContactedIsReclaimed) {
   ASSERT_TRUE(reader.commit(ro));
   ASSERT_TRUE(cluster.quiesce());
   EXPECT_EQ(total_footprint(cluster), 0u);
+  EXPECT_EQ(total_index(cluster), 0u);
 }
 
 TEST(VasGcTest, ReadOnlyAbortLeavesNoStamps) {
@@ -80,6 +92,36 @@ TEST(VasGcTest, ReadOnlyAbortLeavesNoStamps) {
   ASSERT_TRUE(cluster.quiesce());
   EXPECT_EQ(total_footprint(cluster), 0u)
       << "an aborted read-only transaction left its visible reads behind";
+  EXPECT_EQ(total_index(cluster), 0u);
+}
+
+TEST(VasGcTest, LateDuplicateReadRegistersNothing) {
+  // A duplicate of a read-only ReadRequest (a retry, a duplicated
+  // delivery) reaches the key's site after the reader's watermark did. It
+  // is served, but must leave no trace: nothing would ever reclaim it.
+  ClusterConfig cfg;
+  cfg.num_nodes = 4;
+  Cluster cluster(cfg);
+  const Key x = key_on(cluster, 1);
+  cluster.load(x, "x0");
+
+  Session reader = cluster.make_session(0, 0);
+  Transaction ro = reader.begin(true);
+  net::ReadRequest dup;
+  dup.rpc_id = 1ull << 62;  // no call waits for it: the reply is dropped
+  dup.reply_to = 0;
+  dup.tx = net::TxDescriptor{ro.id(), true, ro.vc(), ro.has_read()};
+  dup.key = x;
+  ASSERT_EQ(reader.read(ro, x), "x0");
+  ASSERT_TRUE(reader.commit(ro));
+  ASSERT_TRUE(cluster.quiesce());
+  ASSERT_EQ(total_footprint(cluster), 0u);
+
+  cluster.network().send(0, 1, dup);
+  ASSERT_TRUE(cluster.quiesce());
+  EXPECT_EQ(total_footprint(cluster), 0u)
+      << "a late read left a finished reader's id on the version";
+  EXPECT_EQ(total_index(cluster), 0u);
 }
 
 TEST(VasGcTest, PeriodicFlushReclaimsWithoutQuiesce) {
@@ -101,6 +143,7 @@ TEST(VasGcTest, PeriodicFlushReclaimsWithoutQuiesce) {
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
   }
   EXPECT_EQ(total_footprint(cluster), 0u);
+  EXPECT_EQ(total_index(cluster), 0u);
 }
 
 class QuiescedFootprintTest : public ::testing::TestWithParam<std::uint64_t> {
@@ -150,6 +193,8 @@ TEST_P(QuiescedFootprintTest, ContendedRunLeavesNoStamps) {
   ASSERT_GT(ro_commits.load(), 100u);
   ASSERT_GT(upd_commits.load(), 100u);
   EXPECT_EQ(total_footprint(cluster), 0u);
+  EXPECT_EQ(total_index(cluster), 0u)
+      << "the reverse index still holds a finished id";
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, QuiescedFootprintTest,
