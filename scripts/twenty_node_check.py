@@ -1,0 +1,118 @@
+#!/usr/bin/env python3
+"""Compare FW-KV and Walter at the paper's 20 nodes on two checkouts.
+
+    python3 scripts/twenty_node_check.py --root ../parent --root . [--runs 3]
+
+For every run, one-way latency (0 and 200 us) and protocol (FW-KV,
+Walter) it starts, one process at a time,
+
+    <root>/build/examples/fwkv_cli --nodes 20 --keys 50000 --ro 0.5
+        --latency-us <l> --protocol <p> --stats
+
+once per root, interleaving the roots and swapping which goes first from
+one run to the next. Each root must be built already (cmake -B build).
+CPU is the user+sys time of the finished process, taken from
+resource.getrusage(RUSAGE_CHILDREN) deltas, over its commits. The script
+prints one line per process, then per root and latency the median (and
+min..max) of tx/s and CPU us per commit of both protocols, FW-KV/Walter
+paired by run, and the doomed= and catch-up-timeouts= counters of
+--stats. One --root alone is fine too.
+"""
+
+import argparse
+import re
+import resource
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+LATENCIES_US = (0, 200)
+PROTOCOLS = (("fwkv", "FW-KV"), ("walter", "Walter"))
+
+
+def cpu_seconds():
+    r = resource.getrusage(resource.RUSAGE_CHILDREN)
+    return r.ru_utime + r.ru_stime
+
+
+def run_cli(root, protocol, latency_us):
+    cli = Path(root) / "build" / "examples" / "fwkv_cli"
+    cmd = [str(cli), "--nodes", "20", "--keys", "50000", "--ro", "0.5",
+           "--latency-us", str(latency_us), "--protocol", protocol, "--stats"]
+    cpu0 = cpu_seconds()
+    done = subprocess.run(cmd, stdout=subprocess.PIPE, text=True)
+    cpu = cpu_seconds() - cpu0
+    if done.returncode != 0:
+        sys.exit(f"failed (exit {done.returncode}): {' '.join(cmd)}")
+    out = done.stdout
+
+    def field(pattern):
+        m = re.search(pattern, out)
+        if m is None:
+            sys.exit(f"no match for {pattern!r} in the output of "
+                     f"{' '.join(cmd)}:\n{out}")
+        return float(m.group(1))
+
+    commits = field(r"(\d+) commits")
+    return {
+        "tps": field(r"([\d.]+) kTx/s") * 1000.0,
+        "cpu_us": cpu * 1e6 / commits if commits else float("inf"),
+        "doomed": int(field(r"doomed=(\d+)")),
+        "catchup": int(field(r"catch-up-timeouts=(\d+)")),
+    }
+
+
+def summary(values, fmt):
+    return (f"{fmt.format(statistics.median(values))} "
+            f"({fmt.format(min(values))}..{fmt.format(max(values))})")
+
+
+def main():
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--root", action="append", required=True,
+                    help="checkout with a build/ tree (parent first)")
+    ap.add_argument("--runs", type=int, default=3)
+    args = ap.parse_args()
+    roots = [str(Path(r).resolve()) for r in args.root]
+
+    # results[root][latency][protocol] -> list of per-run dicts
+    results = {r: {l: {p: [] for p, _ in PROTOCOLS} for l in LATENCIES_US}
+               for r in roots}
+    print("run  latency  protocol  root  tx/s  cpu_us/commit  doomed  "
+          "catch-up-timeouts", flush=True)
+    for i in range(args.runs):
+        order = roots if i % 2 == 0 else roots[::-1]
+        for latency in LATENCIES_US:
+            for protocol, name in PROTOCOLS:
+                for root in order:
+                    r = run_cli(root, protocol, latency)
+                    results[root][latency][protocol].append(r)
+                    print(f"{i + 1}  {latency}us  {name}  "
+                          f"{roots.index(root)}  {r['tps']:.0f}  "
+                          f"{r['cpu_us']:.1f}  {r['doomed']}  "
+                          f"{r['catchup']}", flush=True)
+
+    print()
+    for index, root in enumerate(roots):
+        print(f"== root {index}: {root} (median (min..max) over "
+              f"{args.runs} runs)")
+        for latency in LATENCIES_US:
+            per = results[root][latency]
+            for protocol, name in PROTOCOLS:
+                runs = per[protocol]
+                print(f"  {latency:>3} us {name:<6} "
+                      f"tx/s {summary([r['tps'] for r in runs], '{:.0f}')}  "
+                      f"cpu_us/commit "
+                      f"{summary([r['cpu_us'] for r in runs], '{:.1f}')}  "
+                      f"doomed {summary([r['doomed'] for r in runs], '{}')}  "
+                      f"catch-up-timeouts "
+                      f"{summary([r['catchup'] for r in runs], '{}')}")
+            ratios = [f["tps"] / w["tps"]
+                      for f, w in zip(per["fwkv"], per["walter"])]
+            print(f"  {latency:>3} us FW-KV/Walter "
+                  f"{summary(ratios, '{:.2f}')}")
+
+
+if __name__ == "__main__":
+    main()

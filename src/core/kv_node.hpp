@@ -26,8 +26,9 @@ class KvNode : public net::NodeEndpoint {
   /// Alg. 1: initialize T.VC from this node's siteVC, clear T.hasRead.
   virtual void begin(Transaction& tx) = 0;
 
-  /// Alg. 2: read-your-writes, then remote/local ReadRequest.
-  /// nullopt only if the key does not exist anywhere.
+  /// Alg. 2: read-your-writes, then remote/local ReadRequest. nullopt if
+  /// the key does not exist, or if the read got no answer: `tx` is then
+  /// aborted with kReadTimeout.
   virtual std::optional<Value> read(Transaction& tx, Key key) = 0;
 
   /// §4.2 lazy update: buffer into T.writeset.
@@ -40,8 +41,12 @@ class KvNode : public net::NodeEndpoint {
   virtual bool commit(Transaction& tx) = 0;
 
   /// Client-initiated abort: releases nothing (locks are only taken during
-  /// commit).
-  void abort(Transaction& tx) { tx.mark_aborted(AbortReason::kUserAbort); }
+  /// commit). A transaction aborted already keeps its reason.
+  void abort(Transaction& tx) {
+    if (tx.status() != TxStatus::kAborted) {
+      tx.mark_aborted(AbortReason::kUserAbort);
+    }
+  }
 
   /// A session of this node moved its watermark past a read-only
   /// transaction: every transaction of the session below `low` (its node,

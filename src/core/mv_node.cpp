@@ -53,7 +53,7 @@ std::optional<Value> MvNodeBase::read(Transaction& tx, Key key) {
   ReadRequest req;
   req.tx = net::TxDescriptor{tx.id(), tx.read_only(), tx.vc(), tx.has_read()};
   req.key = key;
-  auto rr = fetch(target, std::move(req));
+  auto rr = fetch(tx, target, std::move(req));
   if (!rr.has_value() || !rr->found) return std::nullopt;
 
   if (fresh_reads()) {
@@ -234,22 +234,18 @@ std::size_t MvNodeBase::pending_work() const {
 std::optional<ReadReturn> MvNodeBase::serve_read(const ReadRequest& req,
                                                  bool wait) {
   // Alg. 3 lines 3/12: read handlers share the key's lock with each other
-  // and exclude update commit handlers. A read never gives up: it waits out
-  // a concurrent prepare->decide window, since read-only transactions are
-  // abort-free (§1). Decide handlers run inline on the delivering thread,
+  // and exclude update commit handlers. A read waits out a concurrent
+  // prepare->decide window, for as long as its reader waits for the reply
+  // (rpc_timeout): Decide handlers run inline on the delivering thread,
   // never queued behind a blocked read, so the Decide that releases the
-  // exclusive lock can always run. A waiting read is let in at the
-  // holder's release, before the key is locked exclusive again.
-  if (wait) {
-    while (!locks_.lock_shared(req.key, req.tx.id, kLockTimeout)) {
-    }
-  } else if (!locks_.try_lock_shared(req.key, req.tx.id)) {
+  // exclusive lock can always run, and a waiting read is let in at the
+  // holder's release, before the key is locked exclusive again. Only a
+  // Decide that never comes (a stranded lock) makes the read time out.
+  if (!locks_.lock_shared(req.key, req.tx.id,
+                          wait ? ctx_.config.rpc_timeout
+                               : std::chrono::nanoseconds::zero())) {
     return std::nullopt;
   }
-  return serve_locked(req);
-}
-
-ReadReturn MvNodeBase::serve_locked(const ReadRequest& req) {
   stats_.reads_served.add();
   store::ReadResult r;
   if (!fresh_reads()) {

@@ -73,9 +73,6 @@ class MvNodeBase : public TwoPhaseNode {
   void fill_yes_vote(const HeldLocks& held, net::VoteReply& vote) override;
 
  private:
-  /// Alg. 3's version selection for `req`, with its key's shared lock
-  /// held; releases the lock.
-  net::ReadReturn serve_locked(const net::ReadRequest& req);
   void on_propagate(net::PropagateMessage&& m);
   void on_remove(net::RemoveMessage&& m);
   void on_resend_request(const net::ResendRequest& m);

@@ -14,7 +14,7 @@ struct NodeStats {
   Counter update_commits;
   Counter aborts_lock;
   Counter aborts_validation;
-  Counter aborts_vote_timeout;
+  Counter aborts_vote_timeout;  // a vote or a read reply never came
   // Update transactions aborted before prepare because they write a key
   // they read stale (counted in aborts_validation too), and how many of
   // the siteVC catch-up waits after them ran into their bound.
@@ -38,6 +38,7 @@ struct NodeStats {
 
   // Fault recovery (all zero on a reliable network).
   Counter prepare_retries;   // Prepare re-sent after a per-attempt timeout
+  Counter read_retries;      // ReadRequest re-sent after a per-attempt timeout
   Counter decide_retries;    // acked Decide re-sent after a missing ack
   Counter dup_drops;         // redelivered messages discarded by dedup
   Counter gap_requests;      // ResendRequests sent for missing seq ranges
@@ -67,6 +68,7 @@ struct NodeStats {
     decides_applied.reset();
     events_buffered.reset();
     prepare_retries.reset();
+    read_retries.reset();
     decide_retries.reset();
     dup_drops.reset();
     gap_requests.reset();
@@ -94,6 +96,7 @@ struct NodeStats::Snapshot {
   std::uint64_t decides_applied = 0;
   std::uint64_t events_buffered = 0;
   std::uint64_t prepare_retries = 0;
+  std::uint64_t read_retries = 0;
   std::uint64_t decide_retries = 0;
   std::uint64_t dup_drops = 0;
   std::uint64_t gap_requests = 0;
@@ -126,6 +129,7 @@ struct NodeStats::Snapshot {
     decides_applied += o.decides_applied;
     events_buffered += o.events_buffered;
     prepare_retries += o.prepare_retries;
+    read_retries += o.read_retries;
     decide_retries += o.decide_retries;
     dup_drops += o.dup_drops;
     gap_requests += o.gap_requests;
@@ -153,6 +157,7 @@ inline NodeStats::Snapshot NodeStats::snapshot() const {
   s.decides_applied = decides_applied.get();
   s.events_buffered = events_buffered.get();
   s.prepare_retries = prepare_retries.get();
+  s.read_retries = read_retries.get();
   s.decide_retries = decide_retries.get();
   s.dup_drops = dup_drops.get();
   s.gap_requests = gap_requests.get();

@@ -32,14 +32,16 @@ inline const char* protocol_name(Protocol p) {
   return "?";
 }
 
-/// Why an update transaction aborted. Read-only transactions never abort in
-/// the PSI systems; in 2PC-baseline they can fail validation like any other.
+/// Why a transaction aborted. Read-only transactions abort in the PSI
+/// systems only when a read gets no answer; in 2PC-baseline they can fail
+/// validation like any other.
 enum class AbortReason : std::uint8_t {
   kNone = 0,
   kLockTimeout,   // prepare could not lock the write-set in time
   kValidation,    // a written (or, for 2PC, read) key was overwritten
   kVoteTimeout,   // a participant's vote did not arrive in time
   kUserAbort,     // client called abort()
+  kReadTimeout,   // a read's reply did not arrive in time
 };
 
 inline const char* abort_reason_name(AbortReason r) {
@@ -54,6 +56,8 @@ inline const char* abort_reason_name(AbortReason r) {
       return "vote-timeout";
     case AbortReason::kUserAbort:
       return "user";
+    case AbortReason::kReadTimeout:
+      return "read-timeout";
   }
   return "?";
 }
@@ -70,8 +74,10 @@ struct ProtocolConfig {
   /// application never stalls on a pending batch.
   std::chrono::nanoseconds propagate_flush_interval{
       std::chrono::milliseconds(1)};
-  /// Safety bound on waiting for votes / read returns. Orders of magnitude
-  /// above any healthy round trip; hitting it counts as kVoteTimeout.
+  /// Safety bound on waiting for votes / read returns, and on a read
+  /// handler's wait for its key's lock. Orders of magnitude above any
+  /// healthy round trip; a missed vote aborts with kVoteTimeout, a missed
+  /// read with kReadTimeout.
   std::chrono::nanoseconds rpc_timeout{std::chrono::seconds(5)};
 
   // Fault-tolerance knobs, used only when the network injects faults. On a

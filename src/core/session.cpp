@@ -53,7 +53,7 @@ Transaction Session::begin(bool read_only) {
 }
 
 std::optional<Value> Session::read(Transaction& tx, Key key) {
-  assert(tx.status() == TxStatus::kActive);
+  if (tx.status() != TxStatus::kActive) return std::nullopt;
   return node_->read(tx, key);
 }
 
@@ -64,8 +64,8 @@ void Session::write(Transaction& tx, Key key, Value value) {
 }
 
 bool Session::commit(Transaction& tx) {
-  assert(tx.status() == TxStatus::kActive);
-  const bool committed = node_->commit(tx);
+  assert(tx.status() != TxStatus::kCommitted);
+  const bool committed = tx.status() == TxStatus::kActive && node_->commit(tx);
   finish(tx);
   return committed;
 }

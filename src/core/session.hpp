@@ -34,15 +34,18 @@ class Session {
   /// must be declared by the programmer (§2.3).
   Transaction begin(bool read_only = false);
 
-  /// Alg. 2. nullopt iff the key does not exist (or the transaction is in a
-  /// state where reads are no longer allowed).
+  /// Alg. 2. nullopt when the key does not exist, and also when the read
+  /// got no answer in time: that aborts `tx` with kReadTimeout, so callers
+  /// tell the two apart by tx.status(). A transaction that is no longer
+  /// active reads nothing.
   std::optional<Value> read(Transaction& tx, Key key);
 
   /// §4.2: buffered until commit.
   void write(Transaction& tx, Key key, Value value);
 
   /// Alg. 4. On false, tx.abort_reason() explains the failure. Either way
-  /// the transaction has finished.
+  /// the transaction has finished. A transaction a read timeout aborted
+  /// returns false at once.
   bool commit(Transaction& tx);
 
   void abort(Transaction& tx);

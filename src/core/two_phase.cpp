@@ -81,7 +81,6 @@ RetryPolicy RetryPolicy::derive(const ProtocolConfig& cfg, bool lossy) {
     p.decide_wait = cfg.rpc_timeout;
     return p;
   }
-  p.read_attempts = 3;
   p.prepare_attempts = cfg.prepare_attempts;
   p.prepare_wait = cfg.prepare_timeout;
   p.decide_attempts = cfg.decide_attempts;
@@ -100,24 +99,33 @@ TwoPhaseNode::TwoPhaseNode(NodeId id, ClusterContext& ctx)
     : KvNode(id, ctx),
       retry_(RetryPolicy::derive(ctx.config, ctx.network->faults_active())) {}
 
-std::optional<net::ReadReturn> TwoPhaseNode::fetch(NodeId target,
+std::optional<net::ReadReturn> TwoPhaseNode::fetch(Transaction& tx,
+                                                   NodeId target,
                                                    net::ReadRequest req) {
-  if (target == id_) return serve_read(req, /*wait=*/true);
-  for (std::uint32_t a = 0; a < retry_.read_attempts; ++a) {
-    const bool last = a + 1 == retry_.read_attempts;
-    auto call = last ? ctx_.network->send_request(id_, target, std::move(req))
-                     : ctx_.network->send_request(id_, target, req);
-    if (auto reply = call.await(ctx_.config.rpc_timeout)) {
-      return std::get<net::ReadReturn>(std::move(*reply));
-    }
-    ctx_.network->cancel_rpc(call);
+  std::optional<net::ReadReturn> ret;
+  if (target == id_) {
+    ret = serve_read(req, /*wait=*/true);
+  } else {
+    Outbox one;
+    one.emplace_back(target, std::move(req));
+    auto reply = std::move(call_all(std::move(one), retry_.prepare_attempts,
+                                    retry_.prepare_wait, stats_.read_retries)
+                               .front());
+    if (reply.has_value()) ret = std::get<net::ReadReturn>(std::move(*reply));
   }
-  return std::nullopt;
+  if (!ret.has_value()) {
+    tx.mark_aborted(AbortReason::kReadTimeout);
+    stats_.aborts_vote_timeout.add();
+  }
+  return ret;
 }
 
 std::vector<std::optional<net::Message>> TwoPhaseNode::call_all(
     Outbox requests, std::uint32_t attempts, std::chrono::nanoseconds wait,
     Counter& retries) {
+  // An attempt's time starts before its sends: a request sent at zero delay
+  // is handled inside its send, and its wait for a lock counts.
+  auto deadline = std::chrono::steady_clock::now() + wait;
   // The requests are kept for re-sends only when a retry can happen.
   std::vector<net::RpcCall> calls;
   calls.reserve(requests.size());
@@ -133,13 +141,14 @@ std::vector<std::optional<net::Message>> TwoPhaseNode::call_all(
       // Keep waiting for the others after a timeout, so that every reply
       // that does arrive is seen.
       if (replies[i].has_value()) continue;
-      replies[i] = calls[i].await(wait * (1u << attempt));
+      replies[i] = calls[i].await(deadline);
       if (!replies[i].has_value()) {
         ctx_.network->cancel_rpc(calls[i]);
         all = false;
       }
     }
     if (all || attempt + 1 == attempts) break;
+    deadline = std::chrono::steady_clock::now() + wait * (2u << attempt);
     for (std::size_t i = 0; i < calls.size(); ++i) {
       if (replies[i].has_value()) continue;
       retries.add();
@@ -218,7 +227,8 @@ bool TwoPhaseNode::finish(Transaction& tx, const Votes& votes) {
 void TwoPhaseNode::handle_message(net::Message msg, NodeId from) {
   // Reads and prepares may wait for key locks, except on the timer, which
   // must never block: there they run only if their locks are free at once,
-  // and otherwise go whole to the executor, which runs this again.
+  // and otherwise go whole to the executor, which runs this again. A read
+  // that waited to its bound sends nothing: its reader has timed out.
   const bool wait = !ctx_.network->on_timer();
   if (auto* read = std::get_if<net::ReadRequest>(&msg)) {
     if (auto ret = serve_read(*read, wait)) {
@@ -234,7 +244,7 @@ void TwoPhaseNode::handle_message(net::Message msg, NodeId from) {
     on_other(std::move(msg));
     return;
   }
-  ctx_.network->offload(id_, from, std::move(msg));
+  if (!wait) ctx_.network->offload(id_, from, std::move(msg));
 }
 
 void TwoPhaseNode::on_other(net::Message&& /*msg*/) {
@@ -300,14 +310,12 @@ bool TwoPhaseNode::on_prepare(const PrepareRequest& req, bool wait) {
 }
 
 bool TwoPhaseNode::acquire(TxId tx, const HeldLocks& held, bool wait) {
-  const bool exclusive =
-      wait ? locks_.lock_all_exclusive(held.exclusive, tx, kLockTimeout)
-           : locks_.try_lock_all_exclusive(held.exclusive, tx);
-  if (!exclusive) return false;
+  const std::chrono::nanoseconds timeout =
+      wait ? kLockTimeout : std::chrono::nanoseconds::zero();
+  if (!locks_.lock_all_exclusive(held.exclusive, tx, timeout)) return false;
   std::size_t shared_got = 0;
   while (shared_got < held.shared.size() &&
-         (wait ? locks_.lock_shared(held.shared[shared_got], tx, kLockTimeout)
-               : locks_.try_lock_shared(held.shared[shared_got], tx))) {
+         locks_.lock_shared(held.shared[shared_got], tx, timeout)) {
     ++shared_got;
   }
   if (shared_got == held.shared.size()) return true;

@@ -3,7 +3,7 @@
 // paper says they do: whether read-only transactions prepare, and whether
 // the Decide is acknowledged. A node supplies how it builds each
 // PrepareRequest, how it validates under the locks, and how it installs;
-// the retry loops, vote folding, tx-id deduplication and locking live here
+// the reply loop, vote folding, tx-id deduplication and locking live here
 // once. The reliable and the fault-injected network run the same code with
 // a different RetryPolicy.
 //
@@ -84,15 +84,15 @@ class ParticipantTable {
   std::deque<TxId> decided_fifo_;
 };
 
-/// Retry parameters of the core. On a reliable network every loop runs a
+/// Retry parameters of the core. On a reliable network every round runs a
 /// single attempt that waits up to rpc_timeout, and PSI Decides are not
 /// acknowledged. When messages may be lost, the ProtocolConfig attempts and
 /// backoffs apply, PSI Decides are acknowledged, and the MV nodes arm their
-/// seq-gap watchdog and retain a resend horizon of their commit log.
+/// seq-gap watchdog and retain a resend horizon of their commit log. A
+/// remote read is a one-request round with the prepare round's parameters.
 struct RetryPolicy {
   bool lossy = false;
-  std::uint32_t read_attempts = 1;
-  /// Attempt k of a prepare (decide) round waits prepare_wait * 2^k.
+  /// Attempt k of a read or prepare (decide) round waits prepare_wait * 2^k.
   std::uint32_t prepare_attempts = 1;
   std::chrono::nanoseconds prepare_wait{0};
   std::uint32_t decide_attempts = 1;
@@ -127,11 +127,14 @@ class TwoPhaseNode : public KvNode {
   /// Messages to send, each with its destination.
   using Outbox = std::vector<std::pair<NodeId, net::Message>>;
 
-  /// Alg. 2 lines 6-7: a ReadRequest round trip, or a direct serve_read
-  /// call when `target` is this node. Reads are side-effect-free until the
-  /// reply is processed, so a lost request or reply is retried. nullopt
-  /// only if every attempt timed out.
-  std::optional<net::ReadReturn> fetch(NodeId target, net::ReadRequest req);
+  /// Alg. 2 lines 6-7: a ReadRequest round trip, run by call_all as a
+  /// round of one request, or a direct serve_read call when `target` is
+  /// this node (it sends no message). Reads are side-effect-free until the
+  /// reply is processed, so a lost request or reply is re-sent like a
+  /// Prepare (counted in read_retries). If no reply comes, or the direct
+  /// call times out, `tx` aborts with kReadTimeout and nullopt is returned.
+  std::optional<net::ReadReturn> fetch(Transaction& tx, NodeId target,
+                                       net::ReadRequest req);
 
   /// Alg. 4 lines 12-21: sends the Prepares and folds the votes. A missing
   /// vote is re-requested with backoff; participants deduplicate by tx id,
@@ -155,8 +158,9 @@ class TwoPhaseNode : public KvNode {
   /// Alg. 3: serves a read of a key this node owns. Runs on the reading
   /// client's thread (a direct call, or a request sent at zero delay), on
   /// the timer for a delayed request, or on an executor worker for a
-  /// delayed request that would wait. Unless `wait`, returns nullopt,
-  /// having done nothing, when the read would wait for a lock.
+  /// delayed request that would wait. A read waits for its key's lock at
+  /// most rpc_timeout if `wait`, else not at all; it returns nullopt,
+  /// having read nothing, when the lock is still held at that bound.
   virtual std::optional<net::ReadReturn> serve_read(
       const net::ReadRequest& req, bool wait) = 0;
   virtual void on_decide(net::DecideMessage&& m) = 0;
@@ -186,13 +190,15 @@ class TwoPhaseNode : public KvNode {
   /// took, forgets the tx and returns false without voting.
   bool on_prepare(const net::PrepareRequest& req, bool wait);
   /// Takes `held`'s locks for `tx`, exclusive then shared, each in sorted
-  /// key order: waiting up to kLockTimeout per key if `wait`, else not at
-  /// all. All or nothing.
+  /// key order, waiting up to kLockTimeout per key if `wait` and with a
+  /// zero timeout otherwise. All or nothing.
   bool acquire(TxId tx, const HeldLocks& held, bool wait);
 
-  /// Sends every request and waits for every reply. Attempt k waits
-  /// wait * 2^k for each missing reply, then re-sends it and counts a
-  /// retry. A reply is nullopt if every attempt timed out.
+  /// The coordinator's one reply loop: sends every request and waits for
+  /// every reply. Attempt k ends wait * 2^k after its sends began (a
+  /// request handled inside its send, at zero delay, uses up that time
+  /// too); each reply still missing then is re-sent and counted in
+  /// `retries`. A reply is nullopt if every attempt timed out.
   std::vector<std::optional<net::Message>> call_all(
       Outbox requests, std::uint32_t attempts, std::chrono::nanoseconds wait,
       Counter& retries);

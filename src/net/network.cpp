@@ -7,10 +7,11 @@
 
 namespace fwkv::net {
 
-std::optional<Message> RpcCall::await(std::chrono::nanoseconds timeout) {
+std::optional<Message> RpcCall::await(
+    std::chrono::steady_clock::time_point deadline) {
   std::unique_lock<std::mutex> lock(state_->mu);
-  state_->cv.wait_for(lock, timeout,
-                      [&] { return state_->reply.has_value(); });
+  state_->cv.wait_until(lock, deadline,
+                        [&] { return state_->reply.has_value(); });
   return std::move(state_->reply);
 }
 

@@ -76,8 +76,9 @@ class NodeEndpoint {
 /// Blocking completion handle for one request/reply exchange.
 class RpcCall {
  public:
-  /// Blocks until the reply arrives or the timeout elapses.
-  std::optional<Message> await(std::chrono::nanoseconds timeout);
+  /// Blocks until the reply arrives or `deadline` passes. A reply that is
+  /// already there is returned without reading the clock.
+  std::optional<Message> await(std::chrono::steady_clock::time_point deadline);
 
  private:
   friend class SimNetwork;

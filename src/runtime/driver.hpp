@@ -49,11 +49,13 @@ bool run_with_retries(Session& session, ClientStats& stats, bool read_only,
   for (std::uint32_t attempt = 0; attempt <= max_retries; ++attempt) {
     const auto start = std::chrono::steady_clock::now();
     Transaction tx = session.begin(read_only);
-    if (!body(session, tx)) {
+    if (!body(session, tx) && tx.status() == TxStatus::kActive) {
       // Workload decided to abandon (e.g. a read of a missing key).
       session.abort(tx);
       return false;
     }
+    // False at once if a read timed out: that aborted tx, and the attempt
+    // is counted and retried like any other abort.
     const bool ok = session.commit(tx);
     stats.reads += tx.reads_issued();
     stats.stale_reads += tx.stale_reads();
@@ -78,7 +80,7 @@ bool run_with_retries(Session& session, ClientStats& stats, bool read_only,
       case AbortReason::kValidation:
         ++stats.aborts_validation;
         break;
-      default:
+      default:  // a vote or a read reply did not arrive in time
         ++stats.aborts_vote_timeout;
         break;
     }

@@ -26,43 +26,35 @@ const LockTable::Shard& LockTable::shard_for(Key key) const {
 bool LockTable::lock_exclusive(Key key, TxId owner,
                                std::chrono::nanoseconds timeout) {
   Shard& s = shard_for(key);
-  const auto deadline = std::chrono::steady_clock::now() + timeout;
   std::unique_lock<std::mutex> lock(s.mu);
-  for (;;) {
+  auto take = [&] {
     LockState& st = s.locks[key];
-    if (st.exclusive_owner == owner) return true;  // idempotent re-acquire
-    if (st.idle()) {
-      st.exclusive_owner = owner;
-      return true;
-    }
-    if (s.cv.wait_until(lock, deadline) == std::cv_status::timeout) {
-      // One final check: the state may have changed as we timed out.
-      LockState& st2 = s.locks[key];
-      if (st2.idle()) {
-        st2.exclusive_owner = owner;
-        return true;
-      }
-      return false;
-    }
-  }
+    // The owner's re-acquisition is idempotent.
+    if (st.exclusive_owner != owner && !st.idle()) return false;
+    st.exclusive_owner = owner;
+    return true;
+  };
+  if (take()) return true;
+  return timeout > std::chrono::nanoseconds::zero() &&
+         s.cv.wait_until(lock, std::chrono::steady_clock::now() + timeout,
+                         take);
 }
 
 bool LockTable::lock_shared(Key key, TxId /*owner*/,
                             std::chrono::nanoseconds timeout) {
   Shard& s = shard_for(key);
-  const auto deadline = std::chrono::steady_clock::now() + timeout;
   std::unique_lock<std::mutex> lock(s.mu);
   LockState* st = &s.locks[key];
   if (!st->exclusive_owner.valid()) {
     ++st->shared_count;
     return true;
   }
+  if (timeout <= std::chrono::nanoseconds::zero()) return false;
   // Queue behind the holder. The entry outlives the wait: it is not idle
   // while shared_waiting is non-zero, so no unlock erases it.
   ++st->shared_waiting;
-  bool got = s.cv.wait_until(lock, deadline, [st] {
-    return !st->exclusive_owner.valid();
-  });
+  bool got = s.cv.wait_until(lock, std::chrono::steady_clock::now() + timeout,
+                             [st] { return !st->exclusive_owner.valid(); });
   --st->shared_waiting;
   if (got) {
     ++st->shared_count;
@@ -73,25 +65,6 @@ bool LockTable::lock_shared(Key key, TxId /*owner*/,
   // A writer held back by this waiter may go now.
   if (!got) s.cv.notify_all();
   return got;
-}
-
-bool LockTable::try_lock_exclusive(Key key, TxId owner) {
-  Shard& s = shard_for(key);
-  std::lock_guard<std::mutex> lock(s.mu);
-  auto [it, fresh] = s.locks.try_emplace(key);
-  LockState& st = it->second;
-  if (!fresh && st.exclusive_owner != owner && !st.idle()) return false;
-  st.exclusive_owner = owner;
-  return true;
-}
-
-bool LockTable::try_lock_shared(Key key, TxId /*owner*/) {
-  Shard& s = shard_for(key);
-  std::lock_guard<std::mutex> lock(s.mu);
-  auto [it, fresh] = s.locks.try_emplace(key);
-  if (!fresh && it->second.exclusive_owner.valid()) return false;
-  ++it->second.shared_count;
-  return true;
 }
 
 void LockTable::unlock_exclusive(Key key, TxId owner) {
@@ -124,23 +97,9 @@ void LockTable::unlock_shared(Key key, TxId /*owner*/) {
 bool LockTable::lock_all_exclusive(std::span<const Key> sorted_keys,
                                    TxId owner,
                                    std::chrono::nanoseconds per_key_timeout) {
-  return lock_all(sorted_keys, owner, [&](Key k) {
-    return lock_exclusive(k, owner, per_key_timeout);
-  });
-}
-
-bool LockTable::try_lock_all_exclusive(std::span<const Key> sorted_keys,
-                                       TxId owner) {
-  return lock_all(sorted_keys, owner,
-                  [&](Key k) { return try_lock_exclusive(k, owner); });
-}
-
-template <typename LockOne>
-bool LockTable::lock_all(std::span<const Key> sorted_keys, TxId owner,
-                         LockOne lock_one) {
   assert(std::is_sorted(sorted_keys.begin(), sorted_keys.end()));
   for (std::size_t i = 0; i < sorted_keys.size(); ++i) {
-    if (!lock_one(sorted_keys[i])) {
+    if (!lock_exclusive(sorted_keys[i], owner, per_key_timeout)) {
       unlock_all_exclusive(sorted_keys.first(i), owner);
       return false;
     }

@@ -11,6 +11,12 @@
 // Acquisition of multiple keys must be performed in sorted key order by the
 // caller; combined with timeouts this makes the table deadlock-free.
 //
+// A zero timeout is a try: the call succeeds exactly when a waiting call
+// would succeed at once, and otherwise returns false without waiting,
+// reading the clock, queueing a reader or waking anyone, so the table is
+// left as it was. The network's timer thread, which must never block, locks
+// that way.
+//
 // Readers are not starved: a fresh exclusive acquisition also waits while
 // shared callers are queued behind the current exclusive holder, so a
 // writer that releases and re-locks a key in a loop lets the waiting
@@ -43,13 +49,6 @@ class LockTable {
   /// holder is present.
   bool lock_shared(Key key, TxId owner, std::chrono::nanoseconds timeout);
 
-  /// Non-blocking forms of the two calls above, for a thread that must
-  /// never wait: they succeed exactly when the blocking call would succeed
-  /// at once, and on failure leave the table as it was (no queued reader
-  /// is recorded, no waiter is woken).
-  bool try_lock_exclusive(Key key, TxId owner);
-  bool try_lock_shared(Key key, TxId owner);
-
   void unlock_exclusive(Key key, TxId owner);
   void unlock_shared(Key key, TxId owner);
 
@@ -57,8 +56,6 @@ class LockTable {
   /// the keys already acquired are released and false is returned.
   bool lock_all_exclusive(std::span<const Key> sorted_keys, TxId owner,
                           std::chrono::nanoseconds per_key_timeout);
-  /// All-or-nothing try_lock_exclusive over sorted keys.
-  bool try_lock_all_exclusive(std::span<const Key> sorted_keys, TxId owner);
   void unlock_all_exclusive(std::span<const Key> keys, TxId owner);
 
   /// True iff `owner` holds the exclusive lock on `key` (test helper).
@@ -86,11 +83,6 @@ class LockTable {
 
   Shard& shard_for(Key key);
   const Shard& shard_for(Key key) const;
-  /// Takes every key with `lock_one`; on a failure releases the keys
-  /// already taken and returns false.
-  template <typename LockOne>
-  bool lock_all(std::span<const Key> sorted_keys, TxId owner,
-                LockOne lock_one);
 
   std::vector<std::unique_ptr<Shard>> shards_;
 };

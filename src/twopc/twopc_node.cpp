@@ -25,7 +25,7 @@ std::optional<Value> TwoPcNode::read(Transaction& tx, Key key) {
   req.tx.id = tx.id();
   req.tx.read_only = tx.read_only();
   req.key = key;
-  auto rr = fetch(ctx_.mapper->node_for(key), std::move(req));
+  auto rr = fetch(tx, ctx_.mapper->node_for(key), std::move(req));
   if (!rr.has_value() || !rr->found) return std::nullopt;
 
   // Record the observed version: prepare re-checks it on the owner node.

@@ -1,6 +1,6 @@
 // Targeted recovery scenarios for the fault-injection hardening: a
-// participant stalling mid-Prepare, redelivered Prepares, and gap repair
-// of dropped Propagate traffic. The chaos property suites (psi_history,
+// participant stalling mid-Prepare, lost reads, redelivered Prepares, and
+// gap repair of dropped Propagate traffic. The chaos property suites (psi_history,
 // invariant) cover these paths statistically; here each mechanism is
 // exercised in isolation with a deterministic schedule.
 #include <gtest/gtest.h>
@@ -73,6 +73,73 @@ TEST_P(ParticipantStallTest, CoordinatorTimesOutAndLocksAreReleased) {
 }
 
 INSTANTIATE_TEST_SUITE_P(AllProtocols, ParticipantStallTest,
+                         ::testing::Values(Protocol::kFwKv, Protocol::kWalter,
+                                           Protocol::kTwoPC),
+                         [](const auto& info) {
+                           switch (info.param) {
+                             case Protocol::kFwKv:
+                               return "FwKv";
+                             case Protocol::kWalter:
+                               return "Walter";
+                             default:
+                               return "TwoPC";
+                           }
+                         });
+
+class LostReadTest : public ::testing::TestWithParam<Protocol> {};
+
+TEST_P(LostReadTest, ReadWithNoReplyAbortsWithReadTimeout) {
+  // Every ReadRequest is lost. A remote read re-sends like a Prepare and,
+  // with no reply after the last attempt, aborts its transaction with
+  // kReadTimeout: it must not pass for a read of an absent key, which a
+  // read-only transaction could then commit. A read of the session's own
+  // node is a direct call, which no fault touches.
+  ClusterConfig cfg;
+  cfg.num_nodes = 3;
+  cfg.protocol = GetParam();
+  cfg.net.one_way_latency = std::chrono::microseconds(20);
+  cfg.net.faults
+      .message[static_cast<std::size_t>(net::MessageType::kReadRequest)]
+      .drop = 1.0;
+  cfg.protocol_config.rpc_timeout = 50ms;
+  cfg.protocol_config.prepare_timeout = 10ms;
+  Cluster cluster(cfg);
+  const Key own = key_on_node(cluster, 0);
+  const Key remote = key_on_node(cluster, 1);
+  cluster.load(own, "o");
+  cluster.load(remote, "r");
+
+  Session s = cluster.make_session(0, 0);
+  auto tx = s.begin(true);
+  EXPECT_FALSE(s.read(tx, remote).has_value());
+  EXPECT_EQ(tx.status(), TxStatus::kAborted);
+  EXPECT_EQ(tx.abort_reason(), AbortReason::kReadTimeout);
+  EXPECT_FALSE(s.read(tx, own).has_value()) << "an aborted tx read on";
+  EXPECT_FALSE(s.commit(tx)) << "a read that got no answer passed as absent";
+  EXPECT_EQ(tx.abort_reason(), AbortReason::kReadTimeout);
+
+  const auto stats = cluster.aggregate_stats();
+  EXPECT_EQ(stats.read_retries, cfg.protocol_config.prepare_attempts - 1);
+  EXPECT_EQ(stats.prepare_retries, 0u);
+  EXPECT_EQ(stats.total_commits(), 0u);
+
+  auto own_only = s.begin(true);
+  EXPECT_EQ(s.read(own_only, own), "o");
+  EXPECT_TRUE(s.commit(own_only));
+
+  ASSERT_TRUE(cluster.quiesce(10s));
+  if (GetParam() != Protocol::kTwoPC) {
+    for (NodeId n = 0; n < cluster.num_nodes(); ++n) {
+      EXPECT_EQ(dynamic_cast<const MvNodeBase&>(cluster.node(n))
+                    .mv_store()
+                    .reverse_index_size(),
+                0u)
+          << "node " << n;
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(AllProtocols, LostReadTest,
                          ::testing::Values(Protocol::kFwKv, Protocol::kWalter,
                                            Protocol::kTwoPC),
                          [](const auto& info) {

@@ -141,22 +141,24 @@ TEST(LockTableTest, MultiKeyAllOrNothing) {
   locks.unlock_all_exclusive(keys, kTx2);
 }
 
+// A try is a call with a zero timeout.
+
 TEST(LockTableTest, TryAcquiresFailWhereTheBlockingCallsWouldWait) {
   LockTable locks;
   // Held exclusive: only the owner's re-acquisition succeeds.
   ASSERT_TRUE(locks.lock_exclusive(1, kTx1, 1ms));
-  EXPECT_FALSE(locks.try_lock_exclusive(1, kTx2));
-  EXPECT_FALSE(locks.try_lock_shared(1, kTx2));
-  EXPECT_TRUE(locks.try_lock_exclusive(1, kTx1));
+  EXPECT_FALSE(locks.lock_exclusive(1, kTx2, 0ns));
+  EXPECT_FALSE(locks.lock_shared(1, kTx2, 0ns));
+  EXPECT_TRUE(locks.lock_exclusive(1, kTx1, 0ns));
   locks.unlock_exclusive(1, kTx1);
   // Held shared: readers share, writers are kept out.
-  ASSERT_TRUE(locks.try_lock_shared(1, kTx1));
-  EXPECT_TRUE(locks.try_lock_shared(1, kTx2));
-  EXPECT_FALSE(locks.try_lock_exclusive(1, kTx2));
+  ASSERT_TRUE(locks.lock_shared(1, kTx1, 0ns));
+  EXPECT_TRUE(locks.lock_shared(1, kTx2, 0ns));
+  EXPECT_FALSE(locks.lock_exclusive(1, kTx2, 0ns));
   locks.unlock_shared(1, kTx1);
   locks.unlock_shared(1, kTx2);
   // Free again: nothing was left behind.
-  EXPECT_TRUE(locks.try_lock_exclusive(1, kTx2));
+  EXPECT_TRUE(locks.lock_exclusive(1, kTx2, 0ns));
   locks.unlock_exclusive(1, kTx2);
 }
 
@@ -170,8 +172,8 @@ TEST(LockTableTest, TryAcquiresNeverWait) {
     locks.unlock_exclusive(1, kTx1);
   });
   const auto t0 = std::chrono::steady_clock::now();
-  const bool got_exclusive = locks.try_lock_exclusive(1, kTx2);
-  const bool got_shared = locks.try_lock_shared(1, kTx2);
+  const bool got_exclusive = locks.lock_exclusive(1, kTx2, 0ns);
+  const bool got_shared = locks.lock_shared(1, kTx2, 0ns);
   const auto took = std::chrono::steady_clock::now() - t0;
   releaser.join();
   EXPECT_FALSE(got_exclusive);
@@ -184,15 +186,15 @@ TEST(LockTableTest, FailedTrySharedQueuesNoReader) {
   // failed try must not, or the next writer would wait for a phantom.
   LockTable locks;
   ASSERT_TRUE(locks.lock_exclusive(1, kTx1, 1ms));
-  EXPECT_FALSE(locks.try_lock_shared(1, kTx2));
+  EXPECT_FALSE(locks.lock_shared(1, kTx2, 0ns));
   locks.unlock_exclusive(1, kTx1);
-  EXPECT_TRUE(locks.try_lock_exclusive(1, kTx2));
+  EXPECT_TRUE(locks.lock_exclusive(1, kTx2, 0ns));
   locks.unlock_exclusive(1, kTx2);
 }
 
 TEST(LockTableTest, TryExclusiveFailsWhileAReaderIsQueued) {
-  // As lock_exclusive: a reader queued behind the holder gets the key at
-  // its release, before any fresh writer.
+  // As with a waiting call: a reader queued behind the holder gets the key
+  // at its release, before any fresh writer.
   LockTable locks;
   ASSERT_TRUE(locks.lock_exclusive(1, kTx1, 1ms));
   std::atomic<bool> waiting{false};
@@ -207,10 +209,10 @@ TEST(LockTableTest, TryExclusiveFailsWhileAReaderIsQueued) {
   std::this_thread::sleep_for(20ms);  // let the reader block on the key
   locks.unlock_exclusive(1, kTx1);
   // The reader is either still queued or holds the key shared.
-  EXPECT_FALSE(locks.try_lock_exclusive(1, kTx3));
+  EXPECT_FALSE(locks.lock_exclusive(1, kTx3, 0ns));
   done = true;
   reader.join();
-  EXPECT_TRUE(locks.try_lock_exclusive(1, kTx3));
+  EXPECT_TRUE(locks.lock_exclusive(1, kTx3, 0ns));
   locks.unlock_exclusive(1, kTx3);
 }
 
@@ -218,12 +220,12 @@ TEST(LockTableTest, TryMultiKeyAllOrNothing) {
   LockTable locks;
   ASSERT_TRUE(locks.lock_exclusive(2, kTx1, 1ms));
   std::vector<Key> keys{1, 2, 3};
-  EXPECT_FALSE(locks.try_lock_all_exclusive(keys, kTx2));
+  EXPECT_FALSE(locks.lock_all_exclusive(keys, kTx2, 0ns));
   // Key 1 must have been rolled back, and key 3 never taken.
-  EXPECT_TRUE(locks.try_lock_exclusive(1, kTx1));
-  EXPECT_TRUE(locks.try_lock_exclusive(3, kTx1));
+  EXPECT_TRUE(locks.lock_exclusive(1, kTx1, 0ns));
+  EXPECT_TRUE(locks.lock_exclusive(3, kTx1, 0ns));
   locks.unlock_all_exclusive(keys, kTx1);
-  EXPECT_TRUE(locks.try_lock_all_exclusive(keys, kTx2));
+  EXPECT_TRUE(locks.lock_all_exclusive(keys, kTx2, 0ns));
   locks.unlock_all_exclusive(keys, kTx2);
 }
 

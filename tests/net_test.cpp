@@ -212,7 +212,7 @@ TEST(SimNetworkTest, RpcRoundTrip) {
   req.tx.id = TxId(0, 0, 1);
   req.key = 42;
   auto call = net.send_request(0, 1, std::move(req));
-  auto reply = call.await(1s);
+  auto reply = call.await(Clock::now() + 1s);
   ASSERT_TRUE(reply.has_value());
   EXPECT_EQ(std::get<ReadReturn>(*reply).value, "echo-42");
 }
@@ -229,7 +229,7 @@ TEST(SimNetworkTest, RpcTimeoutReturnsNullopt) {
   PrepareRequest req;
   req.tx = TxId(0, 0, 1);
   auto call = net.send_request(0, 1, std::move(req));
-  EXPECT_FALSE(call.await(20ms).has_value());
+  EXPECT_FALSE(call.await(Clock::now() + 20ms).has_value());
 }
 
 TEST(SimNetworkTest, LatencyIsApplied) {
@@ -245,7 +245,7 @@ TEST(SimNetworkTest, LatencyIsApplied) {
   ReadRequest req;
   req.key = 1;
   auto call = net.send_request(0, 1, std::move(req));
-  ASSERT_TRUE(call.await(5s).has_value());
+  ASSERT_TRUE(call.await(Clock::now() + 5s).has_value());
   const auto rtt = Clock::now() - t0;
   EXPECT_GE(rtt, 38ms);  // two 20 ms hops, minus timer slack
 }
@@ -261,7 +261,7 @@ TEST(SimNetworkTest, LoopbackSkipsLatency) {
   ReadRequest req;
   req.key = 1;
   auto call = net.send_request(0, 0, std::move(req));
-  ASSERT_TRUE(call.await(5s).has_value());
+  ASSERT_TRUE(call.await(Clock::now() + 5s).has_value());
   EXPECT_LT(Clock::now() - t0, 40ms);
 }
 
@@ -367,7 +367,7 @@ TEST(SimNetworkTest, LinkLatencyMatrixOverridesPerLink) {
     ReadRequest req;
     req.key = 7;
     auto call = net.send_request(0, to, std::move(req));
-    EXPECT_TRUE(call.await(5s).has_value());
+    EXPECT_TRUE(call.await(Clock::now() + 5s).has_value());
     return Clock::now() - t0;
   };
   EXPECT_LT(rtt_to(1), 30ms);   // fallback link: effectively instant
@@ -402,7 +402,7 @@ TEST(SimNetworkTest, JitterStaysWithinBounds) {
     ReadRequest req;
     req.key = static_cast<Key>(i);
     auto call = net.send_request(0, 1, std::move(req));
-    ASSERT_TRUE(call.await(5s).has_value());
+    ASSERT_TRUE(call.await(Clock::now() + 5s).has_value());
     const auto rtt = Clock::now() - t0;
     // Two hops of [5 ms, 10 ms] each; generous upper slack for scheduling,
     // but a unit mistake (jitter in us vs ms, or unbounded draw) would trip.

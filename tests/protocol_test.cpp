@@ -473,6 +473,111 @@ TEST_P(PsiProtocolTest, DelayedRequestOnALockedKeyRunsOnTheExecutor) {
   EXPECT_TRUE(cluster.quiesce());
 }
 
+/// Sits in front of one node and hands it every Decide `hold` late, from
+/// the network's timer; a held Decide counts as the node's pending work.
+/// Declare it before the cluster: the network keeps a pointer to it.
+class DecideHolder final : public net::NodeEndpoint {
+ public:
+  void wrap(Cluster& cluster, NodeId id, std::chrono::nanoseconds hold) {
+    network_ = &cluster.network();
+    node_ = &cluster.node(id);
+    hold_ = hold;
+    network_->register_endpoint(id, this);
+  }
+
+  void handle_message(net::Message msg, NodeId from) override {
+    if (!std::holds_alternative<net::DecideMessage>(msg)) {
+      node_->handle_message(std::move(msg), from);
+      return;
+    }
+    ++held_;
+    network_->schedule(hold_, [this, msg = std::move(msg), from]() mutable {
+      node_->handle_message(std::move(msg), from);
+      --held_;
+    });
+  }
+
+  std::size_t pending_work() const override {
+    return node_->pending_work() + held_.load();
+  }
+
+ private:
+  net::SimNetwork* network_ = nullptr;
+  net::NodeEndpoint* node_ = nullptr;
+  std::chrono::nanoseconds hold_{0};
+  std::atomic<std::size_t> held_{0};
+};
+
+TEST_P(PsiProtocolTest, ReadOfAKeyLockedPastRpcTimeoutAborts) {
+  // A writer on node 0 prepares a key of node 1, whose Decide reaches node
+  // 1 kSlow late, far past rpc_timeout. Meanwhile two readers read the key:
+  // one from node 2 at zero delay, served on its own thread inside the
+  // send, and one from node 3 at 20 us, which the timer hands to node 1's
+  // executor. Neither waits for the Decide: each gives up on the lock at
+  // rpc_timeout and aborts with kReadTimeout.
+  constexpr auto kSlow = 400ms;
+  constexpr auto kRpcTimeout = 80ms;
+  auto cfg = base_config(GetParam(), 4);
+  cfg.protocol_config.rpc_timeout = kRpcTimeout;
+  cfg.net.link_latency.assign(
+      4, std::vector<std::chrono::nanoseconds>(4, cfg.net.one_way_latency));
+  cfg.net.link_latency[2][1] = 0ns;
+  DecideHolder node1;
+  Cluster cluster(cfg);
+  node1.wrap(cluster, 1, kSlow);
+  const Key k = key_on(cluster, 1);
+  cluster.load(k, "v0");
+
+  Session writer = cluster.make_session(0, 0);
+  auto wtx = writer.begin();
+  writer.write(wtx, k, "v1");
+  // Node 1 holds the key exclusive until the Decide lands, kSlow from now.
+  ASSERT_TRUE(writer.commit(wtx));
+  const auto decided_at = std::chrono::steady_clock::now() + kSlow;
+
+  struct Outcome {
+    std::optional<Value> value;
+    AbortReason reason;
+    bool committed;
+    std::chrono::nanoseconds took;
+  };
+  auto read_from = [&](NodeId n) {
+    return std::async(std::launch::async, [&, n] {
+      Session reader = cluster.make_session(n, 1);
+      auto tx = reader.begin(true);
+      const auto t0 = std::chrono::steady_clock::now();
+      Outcome out;
+      out.value = reader.read(tx, k);
+      out.took = std::chrono::steady_clock::now() - t0;
+      out.reason = tx.abort_reason();
+      out.committed = reader.commit(tx);
+      return out;
+    });
+  };
+  auto inline_read = read_from(2);
+  auto delayed_read = read_from(3);
+  for (auto* read : {&inline_read, &delayed_read}) {
+    const Outcome out = read->get();
+    const char* which = read == &inline_read ? "inline" : "delayed";
+    EXPECT_FALSE(out.value.has_value()) << which;
+    EXPECT_EQ(out.reason, AbortReason::kReadTimeout) << which;
+    EXPECT_FALSE(out.committed) << which;
+    EXPECT_GE(out.took, kRpcTimeout) << which;
+    EXPECT_LT(out.took, 2 * kRpcTimeout) << which;
+  }
+  EXPECT_LT(std::chrono::steady_clock::now(), decided_at)
+      << "a read waited for the Decide";
+
+  ASSERT_TRUE(cluster.quiesce());
+  for (NodeId n = 0; n < cluster.num_nodes(); ++n) {
+    EXPECT_EQ(dynamic_cast<MvNodeBase&>(cluster.node(n))
+                  .mv_store()
+                  .reverse_index_size(),
+              0u)
+        << "node " << n;
+  }
+}
+
 TEST_P(PsiProtocolTest, SiteVcAdvancesWithLocalCommits) {
   Cluster cluster(base_config(GetParam()));
   const Key k = key_on(cluster, 0);

@@ -109,6 +109,45 @@ TEST(RunWithRetriesTest, CountsAbortsAndFinalCommit) {
   ASSERT_TRUE(cluster.quiesce());
 }
 
+TEST(RunWithRetriesTest, TimedOutReadIsCountedAndRetried) {
+  // Node 0's ReadRequests to node 1 are lost for the first 150 ms. The
+  // first attempt's read and its one re-send (60 ms later) fall inside that
+  // window, so the attempt aborts with kReadTimeout at about 180 ms; the
+  // body's false on that aborted transaction is an abort, not an abandon,
+  // and the retry reads and commits after the window.
+  ClusterConfig cfg;
+  cfg.num_nodes = 2;
+  cfg.net.one_way_latency = std::chrono::microseconds(5);
+  cfg.net.faults.partitions.push_back(net::LinkPartition{
+      0, 1, std::chrono::milliseconds(0), std::chrono::milliseconds(150),
+      /*bidirectional=*/false});
+  cfg.protocol_config.rpc_timeout = std::chrono::milliseconds(20);
+  cfg.protocol_config.prepare_attempts = 2;
+  cfg.protocol_config.prepare_timeout = std::chrono::milliseconds(60);
+  Cluster cluster(cfg);
+  Key k = 0;
+  while (cluster.node_for_key(k) != 1) ++k;
+  cluster.load(k, "0");
+
+  Session s = cluster.make_session(0, 0);
+  ClientStats stats;
+  int attempt = 0;
+  bool ok = run_with_retries(s, stats, /*read_only=*/false, /*max_retries=*/10,
+                             [&](Session& session, Transaction& tx) {
+                               ++attempt;
+                               auto v = session.read(tx, k);
+                               if (!v) return false;
+                               session.write(tx, k, "1");
+                               return true;
+                             });
+  EXPECT_TRUE(ok);
+  EXPECT_EQ(attempt, 2);
+  EXPECT_EQ(stats.update_commits, 1u);
+  EXPECT_EQ(stats.aborts(), 1u);
+  EXPECT_EQ(cluster.aggregate_stats().read_retries, 1u);
+  ASSERT_TRUE(cluster.quiesce());
+}
+
 TEST(RunWithRetriesTest, AbandonReturnsFalseWithoutCounting) {
   ClusterConfig cfg;
   cfg.num_nodes = 2;
