@@ -135,7 +135,7 @@ bool MvNodeBase::commit(Transaction& tx) {
     }
     preps.emplace_back(site, std::move(prep));
   }
-  Votes votes = prepare(std::move(preps));
+  Votes votes = prepare(tx.id(), preps);
 
   SeqNo seq = 0;
   VectorClock commit_vc;
@@ -200,7 +200,7 @@ bool MvNodeBase::commit(Transaction& tx) {
   // acknowledged; remote PSI Decides are acknowledged only when messages
   // may be lost.
   if (own.has_value()) ctx_.network->send(id_, id_, std::move(*own));
-  decide(std::move(decides), retry_.lossy);
+  decide(tx.id(), decides, retry_.lossy);
 
   // Alg. 4 line 27: the asynchronous Propagate to all other nodes is
   // batched; the periodic flush (flush_timer_tick) carries it.

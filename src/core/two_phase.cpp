@@ -106,11 +106,9 @@ std::optional<net::ReadReturn> TwoPhaseNode::fetch(Transaction& tx,
   if (target == id_) {
     ret = serve_read(req, /*wait=*/true);
   } else {
-    Outbox one;
-    one.emplace_back(target, std::move(req));
-    auto reply = std::move(call_all(std::move(one), retry_.prepare_attempts,
-                                    retry_.prepare_wait, stats_.read_retries)
-                               .front());
+    Request one{target, std::move(req)};
+    auto& reply = call_all(tx.id(), {&one, 1}, retry_.prepare_attempts,
+                           retry_.prepare_wait, stats_.read_retries)[0];
     if (reply.has_value()) ret = std::get<net::ReadReturn>(std::move(*reply));
   }
   if (!ret.has_value()) {
@@ -120,48 +118,46 @@ std::optional<net::ReadReturn> TwoPhaseNode::fetch(Transaction& tx,
   return ret;
 }
 
-std::vector<std::optional<net::Message>> TwoPhaseNode::call_all(
-    Outbox requests, std::uint32_t attempts, std::chrono::nanoseconds wait,
-    Counter& retries) {
+std::vector<std::optional<net::Message>>& TwoPhaseNode::call_all(
+    TxId tx, std::span<Request> requests, std::uint32_t attempts,
+    std::chrono::nanoseconds wait, Counter& retries) {
+  net::ReplyBox& box = ctx_.network->reply_box(tx.session());
   // An attempt's time starts before its sends: a request sent at zero delay
   // is handled inside its send, and its wait for a lock counts.
   auto deadline = std::chrono::steady_clock::now() + wait;
-  // The requests are kept for re-sends only when a retry can happen.
-  std::vector<net::RpcCall> calls;
-  calls.reserve(requests.size());
-  for (auto& [site, m] : requests) {
-    calls.push_back(attempts > 1 ? ctx_.network->send_request(id_, site, m)
-                                 : ctx_.network->send_request(id_, site,
-                                                              std::move(m)));
-  }
-  std::vector<std::optional<net::Message>> replies(calls.size());
-  for (std::uint32_t attempt = 0; attempt < attempts; ++attempt) {
-    bool all = true;
-    for (std::size_t i = 0; i < calls.size(); ++i) {
-      // Keep waiting for the others after a timeout, so that every reply
-      // that does arrive is seen.
-      if (replies[i].has_value()) continue;
-      replies[i] = calls[i].await(deadline);
-      if (!replies[i].has_value()) {
-        ctx_.network->cancel_rpc(calls[i]);
-        all = false;
+  std::uint64_t base = box.open(requests.size());
+  for (std::uint32_t attempt = 0;; ++attempt) {
+    // A request is kept for re-sends only when a retry can happen.
+    const bool last = attempt + 1 >= attempts;
+    for (std::size_t i = 0; i < requests.size(); ++i) {
+      if (attempt > 0) {
+        if (box.filled(i)) continue;
+        retries.add();
       }
+      auto& [site, m] = requests[i];
+      std::visit(
+          [&](auto& r) {
+            if constexpr (requires { r.reply_to; }) {
+              r.rpc_id = base + i;
+              r.reply_to = id_;
+            } else {
+              assert(false && "call_all sends requests only");
+            }
+          },
+          m);
+      ctx_.network->send(id_, site, last ? std::move(m) : net::Message(m));
     }
-    if (all || attempt + 1 == attempts) break;
+    if (box.wait(deadline) || last) break;
     deadline = std::chrono::steady_clock::now() + wait * (2u << attempt);
-    for (std::size_t i = 0; i < calls.size(); ++i) {
-      if (replies[i].has_value()) continue;
-      retries.add();
-      calls[i] = ctx_.network->send_request(id_, requests[i].first,
-                                            requests[i].second);
-    }
+    base = box.reopen();
   }
-  return replies;
+  return box.close();
 }
 
-TwoPhaseNode::Votes TwoPhaseNode::prepare(Outbox preps) {
+TwoPhaseNode::Votes TwoPhaseNode::prepare(TxId tx,
+                                          std::span<Request> preps) {
   Votes out;
-  for (auto& reply : call_all(std::move(preps), retry_.prepare_attempts,
+  for (auto& reply : call_all(tx, preps, retry_.prepare_attempts,
                               retry_.prepare_wait, stats_.prepare_retries)) {
     AbortReason why = AbortReason::kVoteTimeout;
     if (reply.has_value()) {
@@ -186,9 +182,9 @@ TwoPhaseNode::Votes TwoPhaseNode::prepare(Outbox preps) {
   return out;
 }
 
-void TwoPhaseNode::decide(Outbox decides, bool acked) {
+void TwoPhaseNode::decide(TxId tx, std::span<Request> decides, bool acked) {
   if (acked) {
-    call_all(std::move(decides), retry_.decide_attempts, retry_.decide_wait,
+    call_all(tx, decides, retry_.decide_attempts, retry_.decide_wait,
              stats_.decide_retries);
     return;
   }

@@ -20,6 +20,7 @@
 #include <deque>
 #include <mutex>
 #include <optional>
+#include <span>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -125,30 +126,33 @@ class TwoPhaseNode : public KvNode {
   // ---- coordinator ----
 
   /// Messages to send, each with its destination.
-  using Outbox = std::vector<std::pair<NodeId, net::Message>>;
+  using Request = std::pair<NodeId, net::Message>;
+  using Outbox = std::vector<Request>;
 
   /// Alg. 2 lines 6-7: a ReadRequest round trip, run by call_all as a
-  /// round of one request, or a direct serve_read call when `target` is
-  /// this node (it sends no message). Reads are side-effect-free until the
-  /// reply is processed, so a lost request or reply is re-sent like a
-  /// Prepare (counted in read_retries). If no reply comes, or the direct
-  /// call times out, `tx` aborts with kReadTimeout and nullopt is returned.
+  /// round of one request built on the stack, or a direct serve_read call
+  /// when `target` is this node (it sends no message). Reads are
+  /// side-effect-free until the reply is processed, so a lost request or
+  /// reply is re-sent like a Prepare (counted in read_retries). If no reply
+  /// comes, or the direct call times out, `tx` aborts with kReadTimeout and
+  /// nullopt is returned.
   std::optional<net::ReadReturn> fetch(Transaction& tx, NodeId target,
                                        net::ReadRequest req);
 
-  /// Alg. 4 lines 12-21: sends the Prepares and folds the votes. A missing
-  /// vote is re-requested with backoff; participants deduplicate by tx id,
-  /// so a retry racing its original is harmless. After the last attempt
-  /// the transaction timeout-aborts (kVoteTimeout) and the caller's abort
-  /// Decide releases any participant locks.
-  Votes prepare(Outbox preps);
+  /// Alg. 4 lines 12-21: sends the Prepares of `tx` as one round and folds
+  /// the votes. A missing vote is re-requested with backoff; participants
+  /// deduplicate by tx id, so a retry racing its original is harmless.
+  /// After the last attempt the transaction timeout-aborts (kVoteTimeout)
+  /// and the caller's abort Decide releases any participant locks.
+  Votes prepare(TxId tx, std::span<Request> preps);
 
-  /// Alg. 4 line 26: sends the Decides. Acked Decides are re-sent with
-  /// backoff until acknowledged: a lost commit Decide would hold the
-  /// participant's write locks until gap repair, and a lost abort Decide
-  /// would hold them forever (an aborted tx has no seq for gap repair to
-  /// find). The ack means "received"; application may still be buffered.
-  void decide(Outbox decides, bool acked);
+  /// Alg. 4 line 26: sends the Decides of `tx`. Acked Decides are a round,
+  /// re-sent with backoff until acknowledged: a lost commit Decide would
+  /// hold the participant's write locks until gap repair, and a lost abort
+  /// Decide would hold them forever (an aborted tx has no seq for gap
+  /// repair to find). The ack means "received"; application may still be
+  /// buffered.
+  void decide(TxId tx, std::span<Request> decides, bool acked);
 
   /// Marks `tx` committed or aborted and counts the outcome.
   bool finish(Transaction& tx, const Votes& votes);
@@ -194,14 +198,18 @@ class TwoPhaseNode : public KvNode {
   /// zero timeout otherwise. All or nothing.
   bool acquire(TxId tx, const HeldLocks& held, bool wait);
 
-  /// The coordinator's one reply loop: sends every request and waits for
-  /// every reply. Attempt k ends wait * 2^k after its sends began (a
-  /// request handled inside its send, at zero delay, uses up that time
-  /// too); each reply still missing then is re-sent and counted in
-  /// `retries`. A reply is nullopt if every attempt timed out.
-  std::vector<std::optional<net::Message>> call_all(
-      Outbox requests, std::uint32_t attempts, std::chrono::nanoseconds wait,
-      Counter& retries);
+  /// The coordinator's one reply loop, run in the reply box of `tx`'s
+  /// session: request i is stamped with slot i's rpc_id and sent, and the
+  /// loop waits until every slot is filled. Attempt k ends wait * 2^k after
+  /// its sends began (a request handled inside its send, at zero delay,
+  /// uses up that time too); the requests whose slots are still empty are
+  /// then re-sent under a new round, which drops late replies to the old
+  /// one, and counted in `retries`. Returns the slots, nullopt where every
+  /// attempt timed out; they stay valid until the session's next round.
+  /// Allocates nothing once the box has held a round this large.
+  std::vector<std::optional<net::Message>>& call_all(
+      TxId tx, std::span<Request> requests, std::uint32_t attempts,
+      std::chrono::nanoseconds wait, Counter& retries);
 };
 
 }  // namespace fwkv

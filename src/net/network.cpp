@@ -1,27 +1,45 @@
 #include "net/network.hpp"
 
 #include <cassert>
+#include <stdexcept>
 #include <thread>
 
 #include "net/codec.hpp"
 
 namespace fwkv::net {
 
-std::optional<Message> RpcCall::await(
-    std::chrono::steady_clock::time_point deadline) {
-  std::unique_lock<std::mutex> lock(state_->mu);
-  state_->cv.wait_until(lock, deadline,
-                        [&] { return state_->reply.has_value(); });
-  return std::move(state_->reply);
+std::uint64_t ReplyBox::open(std::size_t n) {
+  assert(n <= kMaxRequests);
+  std::lock_guard<std::mutex> lock(mu_);
+  slots_.clear();
+  slots_.resize(n);
+  missing_ = n;
+  return next_round_locked();
+}
+
+void ReplyBox::store(std::uint64_t id, Message& m) {
+  const std::size_t i = id & 0xff;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    if (base_ == 0 || (id & ~std::uint64_t{0xff}) != base_ ||
+        i >= slots_.size() || slots_[i].has_value()) {
+      return;
+    }
+    slots_[i] = std::move(m);
+    if (--missing_ > 0) return;
+  }
+  cv_.notify_one();
 }
 
 SimNetwork::SimNetwork(std::uint32_t num_nodes, NetConfig config)
     : num_nodes_(num_nodes),
       config_(config),
       propagate_extra_ns_(config.propagate_extra_delay.count()),
-      rpc_shards_(new RpcShard[kRpcShards]),
       epoch_(std::chrono::steady_clock::now()),
       pause_until_ns_(new std::atomic<std::int64_t>[num_nodes]) {
+  if (num_nodes > ReplyBox::kMaxRequests) {
+    throw std::length_error("SimNetwork: a reply round holds 256 nodes");
+  }
   nodes_.resize(num_nodes);
   for (auto& lanes : nodes_) {
     lanes.data = std::make_unique<Executor>(kDataThreads);
@@ -41,6 +59,12 @@ SimNetwork::~SimNetwork() {
   for (auto& lanes : nodes_) {
     lanes.data->shutdown();
   }
+  for (auto& chunk : box_chunks_) {
+    if (BoxChunk* c = chunk.load(std::memory_order_acquire)) {
+      for (auto& box : *c) delete box.load(std::memory_order_acquire);
+      delete c;
+    }
+  }
 }
 
 void SimNetwork::register_endpoint(NodeId node, NodeEndpoint* endpoint) {
@@ -48,33 +72,29 @@ void SimNetwork::register_endpoint(NodeId node, NodeEndpoint* endpoint) {
   nodes_[node].endpoint = endpoint;
 }
 
-RpcCall SimNetwork::send_request(NodeId from, NodeId to, Message request) {
-  RpcCall call;
-  call.id_ = next_rpc_id_.fetch_add(1, std::memory_order_relaxed);
-  if (auto* rr = std::get_if<ReadRequest>(&request)) {
-    rr->rpc_id = call.id_;
-    rr->reply_to = from;
-  } else if (auto* pr = std::get_if<PrepareRequest>(&request)) {
-    pr->rpc_id = call.id_;
-    pr->reply_to = from;
-  } else if (auto* dm = std::get_if<DecideMessage>(&request)) {
-    dm->rpc_id = call.id_;
-    dm->reply_to = from;
-  } else {
-    assert(false && "send_request requires a request-type message");
+ReplyBox* SimNetwork::find_box(std::uint32_t slot) const {
+  const BoxChunk* c = box_chunks_[slot >> 8].load(std::memory_order_acquire);
+  return c ? (*c)[slot & 0xff].load(std::memory_order_acquire) : nullptr;
+}
+
+ReplyBox& SimNetwork::reply_box(std::uint32_t slot) {
+  assert(slot <= 0xffffu);
+  if (ReplyBox* box = find_box(slot)) return *box;
+  std::lock_guard<std::mutex> lock(box_mu_);
+  auto& chunk = box_chunks_[slot >> 8];
+  if (chunk.load(std::memory_order_relaxed) == nullptr) {
+    chunk.store(new BoxChunk{}, std::memory_order_release);
   }
-  auto& shard = rpc_shards_[call.id_ % kRpcShards];
-  {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    shard.map.emplace(call.id_, call.state_);
+  auto& entry = (*chunk.load(std::memory_order_relaxed))[slot & 0xff];
+  if (entry.load(std::memory_order_relaxed) == nullptr) {
+    entry.store(new ReplyBox(slot), std::memory_order_release);
   }
-  send(from, to, std::move(request));
-  return call;
+  return *entry.load(std::memory_order_relaxed);
 }
 
 void SimNetwork::send(NodeId from, NodeId to, Message m) {
   assert(to < num_nodes_);
-  {
+  if (has_send_hook_.load(std::memory_order_acquire)) {
     std::lock_guard<std::mutex> lock(hook_mu_);
     if (send_hook_) send_hook_(from, to, m);
   }
@@ -156,13 +176,6 @@ void SimNetwork::pause_node(NodeId node, std::chrono::nanoseconds duration) {
   any_pause_.store(true, std::memory_order_release);
 }
 
-void SimNetwork::cancel_rpc(const RpcCall& call) {
-  if (call.id_ == 0) return;
-  auto& shard = rpc_shards_[call.id_ % kRpcShards];
-  std::lock_guard<std::mutex> lock(shard.mu);
-  shard.map.erase(call.id_);
-}
-
 std::int64_t SimNetwork::elapsed_ns() const {
   return std::chrono::duration_cast<std::chrono::nanoseconds>(
              std::chrono::steady_clock::now() - epoch_)
@@ -185,32 +198,19 @@ void SimNetwork::set_fault_hook(FaultHook hook) {
 }
 
 void SimNetwork::deliver(NodeId from, NodeId to, Message m) {
-  // Replies complete pending RPCs without touching the endpoint.
-  std::uint64_t rpc_id = 0;
-  if (const auto* rr = std::get_if<ReadReturn>(&m)) {
-    rpc_id = rr->rpc_id;
-  } else if (const auto* vr = std::get_if<VoteReply>(&m)) {
-    rpc_id = vr->rpc_id;
-  } else if (const auto* da = std::get_if<DecideAck>(&m)) {
-    rpc_id = da->rpc_id;
-  }
+  // A reply (a message with an rpc_id but no reply_to) goes to the reply
+  // box its id names, or nowhere.
+  const std::uint64_t rpc_id = std::visit(
+      [](const auto& r) -> std::uint64_t {
+        if constexpr (requires { r.rpc_id; } && !requires { r.reply_to; }) {
+          return r.rpc_id;
+        }
+        return 0;
+      },
+      m);
   if (rpc_id != 0) {
-    std::shared_ptr<RpcCall::State> state;
-    auto& shard = rpc_shards_[rpc_id % kRpcShards];
-    {
-      std::lock_guard<std::mutex> lock(shard.mu);
-      auto it = shard.map.find(rpc_id);
-      if (it != shard.map.end()) {
-        state = std::move(it->second);
-        shard.map.erase(it);
-      }
-    }
-    if (state) {
-      {
-        std::lock_guard<std::mutex> lock(state->mu);
-        state->reply = std::move(m);
-      }
-      state->cv.notify_one();
+    if (ReplyBox* box = find_box(ReplyBox::slot_of(rpc_id))) {
+      box->store(rpc_id, m);
     }
     in_flight_.fetch_sub(1, std::memory_order_acq_rel);
     return;
@@ -293,6 +293,8 @@ void SimNetwork::schedule(std::chrono::nanoseconds delay,
 void SimNetwork::set_send_hook(SendHook hook) {
   std::lock_guard<std::mutex> lock(hook_mu_);
   send_hook_ = std::move(hook);
+  has_send_hook_.store(static_cast<bool>(send_hook_),
+                       std::memory_order_release);
 }
 
 std::uint64_t SimNetwork::messages_sent(MessageType t) const {

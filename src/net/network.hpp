@@ -7,6 +7,11 @@
 // that delivers each message after a configurable latency; the delayed-
 // Propagate experiments (Figs. 7, 9a) add a per-class extra delay exactly as
 // the paper "intentionally delays the asynchronous propagate messages".
+//
+// A coordinator's synchronous request/reply round (read, prepare, acked
+// Decide) waits in its session's ReplyBox. The network routes a reply to
+// that box by the rpc id it echoes, by indexing and not through any
+// handler, and drops a reply whose round has ended.
 #pragma once
 
 #include <array>
@@ -18,7 +23,6 @@
 #include <memory>
 #include <mutex>
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
 #include "common/histogram.hpp"
@@ -73,22 +77,75 @@ class NodeEndpoint {
   virtual std::size_t pending_work() const = 0;
 };
 
-/// Blocking completion handle for one request/reply exchange.
-class RpcCall {
+/// The reply slots of one coordinating session, which runs one
+/// request/reply round at a time on one thread. open() starts a round;
+/// request i of the round carries rpc_id base + i, and the reply that
+/// echoes it fills slot i. A reply is stored only while its round is open
+/// and its slot is empty: a reply to an earlier round, a duplicate, and a
+/// reply after close() are dropped.
+///
+/// rpc_id layout: [session slot:16][round:32][index:8]. Round 0 is never
+/// used, so an id is non-zero and unique in its low 56 bits.
+class ReplyBox {
  public:
-  /// Blocks until the reply arrives or `deadline` passes. A reply that is
-  /// already there is returned without reading the clock.
-  std::optional<Message> await(std::chrono::steady_clock::time_point deadline);
+  /// Requests per round: a round sends at most one request to each node.
+  static constexpr std::size_t kMaxRequests = 256;
+
+  static constexpr std::uint64_t rpc_id(std::uint32_t slot,
+                                        std::uint32_t round,
+                                        std::size_t index) {
+    return (std::uint64_t{slot} << 40) | (std::uint64_t{round} << 8) | index;
+  }
+  static constexpr std::uint32_t slot_of(std::uint64_t rpc_id) {
+    return (rpc_id >> 40) & 0xffffu;
+  }
+
+  explicit ReplyBox(std::uint32_t slot) : slot_(slot) {}
+
+  /// Starts a round of `n` requests, every slot empty. Returns the rpc_id
+  /// of request 0.
+  std::uint64_t open(std::size_t n);
+  /// Starts a new round that keeps the replies already stored, to re-send
+  /// the requests whose slots are empty. Returns the new rpc_id of request
+  /// 0. Replies to the earlier round are dropped from now on.
+  std::uint64_t reopen() {
+    std::lock_guard<std::mutex> lock(mu_);
+    return next_round_locked();
+  }
+  /// True if slot i holds a reply.
+  bool filled(std::size_t i) {
+    std::lock_guard<std::mutex> lock(mu_);
+    return slots_[i].has_value();
+  }
+  /// Waits until every slot is filled or `deadline` passes. A full round
+  /// returns without reading the clock.
+  bool wait(std::chrono::steady_clock::time_point deadline) {
+    std::unique_lock<std::mutex> lock(mu_);
+    return cv_.wait_until(lock, deadline, [&] { return missing_ == 0; });
+  }
+  /// Ends the round. Its slots are then the caller's alone until the next
+  /// open().
+  std::vector<std::optional<Message>>& close() {
+    std::lock_guard<std::mutex> lock(mu_);
+    base_ = 0;
+    return slots_;
+  }
 
  private:
   friend class SimNetwork;
-  struct State {
-    std::mutex mu;
-    std::condition_variable cv;
-    std::optional<Message> reply;
-  };
-  std::shared_ptr<State> state_ = std::make_shared<State>();
-  std::uint64_t id_ = 0;
+  void store(std::uint64_t id, Message& m);
+  std::uint64_t next_round_locked() {
+    if (++round_ == 0) ++round_;
+    return base_ = rpc_id(slot_, round_, 0);
+  }
+
+  const std::uint32_t slot_;
+  std::mutex mu_;
+  std::condition_variable cv_;
+  std::uint32_t round_ = 0;  // the last round number used
+  std::uint64_t base_ = 0;   // rpc_id of request 0 of the open round, or 0
+  std::size_t missing_ = 0;  // empty slots of the open round
+  std::vector<std::optional<Message>> slots_;
 };
 
 class SimNetwork {
@@ -104,19 +161,15 @@ class SimNetwork {
 
   void register_endpoint(NodeId node, NodeEndpoint* endpoint);
 
-  /// Begin a request/reply exchange: stamps `rpc_id` into the request (the
-  /// caller's message must carry an rpc_id field), registers the completion
-  /// slot, then sends. ReadReturn / VoteReply messages with a matching
-  /// rpc_id complete the call instead of reaching the endpoint handler.
-  RpcCall send_request(NodeId from, NodeId to, Message request);
+  /// The reply box of the session in slot `slot` (TxId::session()),
+  /// created on first use. ReadReturn, VoteReply and DecideAck messages
+  /// with a non-zero rpc_id go to the box their id names, never to an
+  /// endpoint; a request is sent with send() once its rpc_id and reply_to
+  /// are set.
+  ReplyBox& reply_box(std::uint32_t slot);
 
-  /// Fire-and-forget (Decide, Propagate, Remove, and replies).
+  /// Sends `m`; it is delivered after its link's latency.
   void send(NodeId from, NodeId to, Message m);
-
-  /// Abandon a pending request: the completion slot is removed so a late
-  /// reply is discarded instead of leaking a table entry. Callers use this
-  /// before retrying a timed-out RPC with a fresh id.
-  void cancel_rpc(const RpcCall& call);
 
   /// True when a FaultPlan is in effect, i.e. messages may be lost. Fixed
   /// at construction; protocol nodes derive their retry parameters from it.
@@ -176,7 +229,7 @@ class SimNetwork {
                     std::chrono::nanoseconds wan);
 
  private:
-  /// Completes an RPC with a reply, or runs the destination's handler on
+  /// Stores a reply in its reply box, or runs the destination's handler on
   /// this thread.
   void deliver(NodeId from, NodeId to, Message m);
   /// Counts the message in flight and hands it to the timer (or delivers
@@ -191,6 +244,8 @@ class SimNetwork {
   bool quiet_now() const;
   std::chrono::nanoseconds latency_for(const Message& m, NodeId from,
                                        NodeId to);
+  /// The reply box of `slot`, or null if that session has run no round.
+  ReplyBox* find_box(std::uint32_t slot) const;
 
   const std::uint32_t num_nodes_;
   NetConfig config_;
@@ -204,14 +259,12 @@ class SimNetwork {
 
   DelayQueue timer_;
 
-  // Pending RPC table, sharded to keep the send path scalable.
-  static constexpr std::size_t kRpcShards = 64;
-  struct RpcShard {
-    std::mutex mu;
-    std::unordered_map<std::uint64_t, std::shared_ptr<RpcCall::State>> map;
-  };
-  std::unique_ptr<RpcShard[]> rpc_shards_;
-  std::atomic<std::uint64_t> next_rpc_id_{1};
+  // Reply boxes by session slot, [slot >> 8][slot & 0xff]: each chunk and
+  // box is made on first use and read without a lock; box_mu_ serialises
+  // the making.
+  using BoxChunk = std::array<std::atomic<ReplyBox*>, 256>;
+  std::array<std::atomic<BoxChunk*>, 256> box_chunks_{};
+  std::mutex box_mu_;
 
   std::atomic<std::int64_t> in_flight_{0};
   std::array<Counter, kNumMessageTypes> sent_by_type_;
@@ -230,6 +283,8 @@ class SimNetwork {
   SendHook send_hook_;
   FaultHook fault_hook_;
   mutable std::mutex hook_mu_;
+  // Set with send_hook_, under hook_mu_: without a hook a send takes no lock.
+  std::atomic<bool> has_send_hook_{false};
 };
 
 }  // namespace fwkv::net

@@ -55,7 +55,7 @@ bool TwoPcNode::commit(Transaction& tx) {
     prep.tx = tx.id();
     preps.emplace_back(site, prep);
   }
-  const Votes votes = prepare(std::move(preps));
+  const Votes votes = prepare(tx.id(), preps);
 
   // Full synchronous second phase: the transaction completes only after
   // every participant applied the decision and acknowledged. This is the
@@ -70,7 +70,7 @@ bool TwoPcNode::commit(Transaction& tx) {
     d.writes = std::move(prep.writes);
     decides.emplace_back(site, std::move(d));
   }
-  decide(std::move(decides), /*acked=*/true);
+  decide(tx.id(), decides, /*acked=*/true);
   return finish(tx, votes);
 }
 

@@ -1,9 +1,12 @@
-// DelayQueue, Executor and SimNetwork behaviour.
+// DelayQueue, Executor, SimNetwork and ReplyBox behaviour.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
 #include <mutex>
+#include <optional>
+#include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -188,6 +191,21 @@ NetConfig fast_net() {
   return cfg;
 }
 
+// Runs `req` from `from` to `to` as a one-request round of session
+// `slot`'s reply box. Returns the reply, or nullopt if none came by
+// `deadline`.
+template <typename Request>
+std::optional<Message> call(SimNetwork& net, NodeId from, NodeId to,
+                            Request req, Clock::time_point deadline,
+                            std::uint32_t slot = 0) {
+  ReplyBox& box = net.reply_box(slot);
+  req.rpc_id = box.open(1);
+  req.reply_to = from;
+  net.send(from, to, std::move(req));
+  box.wait(deadline);
+  return std::move(box.close()[0]);
+}
+
 TEST(SimNetworkTest, DeliversOneWayMessages) {
   SimNetwork net(2, fast_net());
   RecordingEndpoint a(&net, 0);
@@ -211,8 +229,7 @@ TEST(SimNetworkTest, RpcRoundTrip) {
   ReadRequest req;
   req.tx.id = TxId(0, 0, 1);
   req.key = 42;
-  auto call = net.send_request(0, 1, std::move(req));
-  auto reply = call.await(Clock::now() + 1s);
+  auto reply = call(net, 0, 1, std::move(req), Clock::now() + 1s);
   ASSERT_TRUE(reply.has_value());
   EXPECT_EQ(std::get<ReadReturn>(*reply).value, "echo-42");
 }
@@ -228,8 +245,8 @@ TEST(SimNetworkTest, RpcTimeoutReturnsNullopt) {
 
   PrepareRequest req;
   req.tx = TxId(0, 0, 1);
-  auto call = net.send_request(0, 1, std::move(req));
-  EXPECT_FALSE(call.await(Clock::now() + 20ms).has_value());
+  EXPECT_FALSE(call(net, 0, 1, std::move(req), Clock::now() + 20ms)
+                   .has_value());
 }
 
 TEST(SimNetworkTest, LatencyIsApplied) {
@@ -244,8 +261,7 @@ TEST(SimNetworkTest, LatencyIsApplied) {
   const auto t0 = Clock::now();
   ReadRequest req;
   req.key = 1;
-  auto call = net.send_request(0, 1, std::move(req));
-  ASSERT_TRUE(call.await(Clock::now() + 5s).has_value());
+  ASSERT_TRUE(call(net, 0, 1, std::move(req), Clock::now() + 5s).has_value());
   const auto rtt = Clock::now() - t0;
   EXPECT_GE(rtt, 38ms);  // two 20 ms hops, minus timer slack
 }
@@ -260,8 +276,7 @@ TEST(SimNetworkTest, LoopbackSkipsLatency) {
   const auto t0 = Clock::now();
   ReadRequest req;
   req.key = 1;
-  auto call = net.send_request(0, 0, std::move(req));
-  ASSERT_TRUE(call.await(Clock::now() + 5s).has_value());
+  ASSERT_TRUE(call(net, 0, 0, std::move(req), Clock::now() + 5s).has_value());
   EXPECT_LT(Clock::now() - t0, 40ms);
 }
 
@@ -366,8 +381,8 @@ TEST(SimNetworkTest, LinkLatencyMatrixOverridesPerLink) {
     const auto t0 = Clock::now();
     ReadRequest req;
     req.key = 7;
-    auto call = net.send_request(0, to, std::move(req));
-    EXPECT_TRUE(call.await(Clock::now() + 5s).has_value());
+    EXPECT_TRUE(call(net, 0, to, std::move(req), Clock::now() + 5s)
+                    .has_value());
     return Clock::now() - t0;
   };
   EXPECT_LT(rtt_to(1), 30ms);   // fallback link: effectively instant
@@ -401,14 +416,157 @@ TEST(SimNetworkTest, JitterStaysWithinBounds) {
     const auto t0 = Clock::now();
     ReadRequest req;
     req.key = static_cast<Key>(i);
-    auto call = net.send_request(0, 1, std::move(req));
-    ASSERT_TRUE(call.await(Clock::now() + 5s).has_value());
+    ASSERT_TRUE(
+        call(net, 0, 1, std::move(req), Clock::now() + 5s).has_value());
     const auto rtt = Clock::now() - t0;
     // Two hops of [5 ms, 10 ms] each; generous upper slack for scheduling,
     // but a unit mistake (jitter in us vs ms, or unbounded draw) would trip.
     EXPECT_GE(rtt, 8ms);
     EXPECT_LT(rtt, 500ms);
   }
+}
+
+// ---- reply routing -------------------------------------------------------
+
+TEST(ReplyBoxTest, ReplyToAnEarlierRoundIsDropped) {
+  SimNetwork net(2, fast_net());
+  RecordingEndpoint a(&net, 0);
+  RecordingEndpoint b(&net, 1);
+  net.register_endpoint(0, &a);
+  net.register_endpoint(1, &b);
+
+  // A Prepare times out and is re-sent under a new round; then the vote to
+  // the first send arrives.
+  ReplyBox& box = net.reply_box(3);
+  const std::uint64_t first = box.open(1);
+  EXPECT_FALSE(box.wait(Clock::now()));
+  const std::uint64_t second = box.reopen();
+  ASSERT_NE(first, second);
+  VoteReply late;
+  late.rpc_id = first;
+  net.send(1, 0, late);
+  EXPECT_FALSE(box.wait(Clock::now()))
+      << "a reply to the earlier round filled the slot";
+  VoteReply vote;
+  vote.rpc_id = second;
+  vote.ok = true;
+  net.send(1, 0, vote);
+  ASSERT_TRUE(box.wait(Clock::now()));
+  EXPECT_TRUE(std::get<VoteReply>(*box.close()[0]).ok);
+
+  // Neither earlier round's reply fills the next round's slot.
+  box.open(1);
+  net.send(1, 0, late);
+  net.send(1, 0, vote);
+  EXPECT_FALSE(box.wait(Clock::now()));
+  EXPECT_FALSE(box.close()[0].has_value());
+  ASSERT_TRUE(net.wait_quiescent(1s));
+  EXPECT_EQ(a.received_.load(), 0);
+}
+
+TEST(ReplyBoxTest, ReplyNamingNoOpenSlotIsDropped) {
+  SimNetwork net(2, fast_net());
+  RecordingEndpoint a(&net, 0);
+  RecordingEndpoint b(&net, 1);
+  net.register_endpoint(0, &a);
+  net.register_endpoint(1, &b);
+
+  ReplyBox& box = net.reply_box(0);
+  const std::uint64_t base = box.open(1);
+  ReadReturn stray;
+  stray.rpc_id = 1ull << 62;  // above the id's 56 bits
+  net.send(1, 0, stray);
+  stray.rpc_id = ReplyBox::rpc_id(7, 1, 0);  // a session with no box
+  net.send(1, 0, stray);
+  stray.rpc_id = base + 1;  // past the round's last request
+  net.send(1, 0, stray);
+  EXPECT_FALSE(box.wait(Clock::now()));
+  EXPECT_FALSE(box.close()[0].has_value());
+  stray.rpc_id = base;  // the round is closed
+  net.send(1, 0, stray);
+  ASSERT_TRUE(net.wait_quiescent(1s));
+  EXPECT_FALSE(box.close()[0].has_value());
+  EXPECT_EQ(a.received_.load(), 0) << "a reply reached the endpoint";
+}
+
+TEST(ReplyBoxTest, DuplicatedReplyFillsItsSlotOnce) {
+  NetConfig cfg = fast_net();
+  cfg.faults.seed = 5;
+  cfg.faults.message[static_cast<std::size_t>(MessageType::kReadReturn)]
+      .duplicate = 1.0;
+  SimNetwork net(3, cfg);
+  RecordingEndpoint a(&net, 0);
+  RecordingEndpoint b(&net, 1);
+  RecordingEndpoint c(&net, 2);
+  net.register_endpoint(0, &a);
+  net.register_endpoint(1, &b);
+  net.register_endpoint(2, &c);
+
+  ReplyBox& box = net.reply_box(0);
+  const std::uint64_t base = box.open(2);
+  ReadRequest req;
+  req.rpc_id = base;
+  req.key = 10;
+  net.send(0, 1, req);
+  ASSERT_TRUE(net.wait_quiescent(1s));  // the copy comes off the timer
+  EXPECT_EQ(net.faults_injected(FaultKind::kDuplicate), 1u);
+  EXPECT_FALSE(box.wait(Clock::now()))
+      << "the duplicate counted as the round's other reply";
+  req.rpc_id = base + 1;
+  req.key = 11;
+  net.send(0, 2, req);
+  ASSERT_TRUE(box.wait(Clock::now() + 1s));
+  ASSERT_TRUE(net.wait_quiescent(1s));
+  auto& slots = box.close();
+  EXPECT_EQ(std::get<ReadReturn>(*slots[0]).value, "echo-10");
+  EXPECT_EQ(std::get<ReadReturn>(*slots[1]).value, "echo-11");
+}
+
+TEST(ReplyBoxTest, ConcurrentSessionsGetOnlyTheirOwnReplies) {
+  NetConfig cfg;
+  cfg.one_way_latency = 20us;
+  SimNetwork net(3, cfg);
+  RecordingEndpoint a(&net, 0);
+  RecordingEndpoint b(&net, 1);
+  RecordingEndpoint c(&net, 2);
+  net.register_endpoint(0, &a);
+  net.register_endpoint(1, &b);
+  net.register_endpoint(2, &c);
+
+  // Two sessions of node 0, each reading one key from nodes 1 and 2 per
+  // round; a key names its session, round and request.
+  auto run = [&](std::uint32_t slot) {
+    ReplyBox& box = net.reply_box(slot);
+    for (Key round = 0; round < 200; ++round) {
+      const std::uint64_t base = box.open(2);
+      for (std::size_t i = 0; i < 2; ++i) {
+        ReadRequest req;
+        req.rpc_id = base + i;
+        req.key = slot * 1000000 + round * 2 + i;
+        net.send(0, static_cast<NodeId>(1 + i), std::move(req));
+      }
+      const bool full = box.wait(Clock::now() + 5s);
+      auto& slots = box.close();
+      ASSERT_TRUE(full) << "session " << slot << " round " << round;
+      for (std::size_t i = 0; i < 2; ++i) {
+        EXPECT_EQ(std::get<ReadReturn>(*slots[i]).value,
+                  std::string("echo-") +
+                      std::to_string(slot * 1000000 + round * 2 + i));
+      }
+    }
+  };
+  std::thread first(run, 1);
+  std::thread second(run, 2);
+  first.join();
+  second.join();
+  ASSERT_TRUE(net.wait_quiescent(1s));
+  EXPECT_EQ(a.received_.load(), 0);
+}
+
+TEST(ReplyBoxTest, NetworkRefusesMoreNodesThanARoundHolds) {
+  // The rpc id gives a round's request index 8 bits, one per node.
+  EXPECT_THROW(SimNetwork(ReplyBox::kMaxRequests + 1, fast_net()),
+               std::length_error);
 }
 
 // ---- deterministic fault injection -------------------------------------

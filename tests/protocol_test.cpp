@@ -209,7 +209,7 @@ TEST_P(ProtocolTest, StatsCountCommitsAndReads) {
   for (int i = 0; i < 5; ++i) {
     auto tx = s.begin();
     ASSERT_TRUE(s.read(tx, 1).has_value());
-    s.write(tx, 1, "v" + std::to_string(i));
+    s.write(tx, 1, std::string("v") + std::to_string(i));
     ASSERT_TRUE(s.commit(tx));
   }
   for (int i = 0; i < 3; ++i) {
@@ -585,7 +585,7 @@ TEST_P(PsiProtocolTest, SiteVcAdvancesWithLocalCommits) {
   Session s = cluster.make_session(0, 0);
   for (int i = 0; i < 4; ++i) {
     auto tx = s.begin();
-    s.write(tx, k, "v" + std::to_string(i));
+    s.write(tx, k, std::string("v") + std::to_string(i));
     ASSERT_TRUE(s.commit(tx));
   }
   ASSERT_TRUE(cluster.quiesce());
@@ -601,7 +601,7 @@ TEST_P(PsiProtocolTest, PropagationCatchesUpRemoteSiteVcs) {
   Session s = cluster.make_session(0, 0);
   for (int i = 0; i < 3; ++i) {
     auto tx = s.begin();
-    s.write(tx, k, "w" + std::to_string(i));
+    s.write(tx, k, std::string("w") + std::to_string(i));
     ASSERT_TRUE(s.commit(tx));
   }
   ASSERT_TRUE(cluster.quiesce());
@@ -656,7 +656,8 @@ TEST_P(PsiProtocolTest, ReadOnlyTransactionsNeverAbort) {
     int i = 0;
     while (!stop) {
       auto tx = w.begin();
-      w.write(tx, static_cast<Key>(i % 50), "w" + std::to_string(i));
+      w.write(tx, static_cast<Key>(i % 50),
+              std::string("w") + std::to_string(i));
       w.commit(tx);
       ++i;
     }

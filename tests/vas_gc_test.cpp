@@ -82,7 +82,9 @@ TEST(VasGcTest, ReadOnlyAbortLeavesNoStamps) {
   ClusterConfig cfg;
   cfg.num_nodes = 4;
   Cluster cluster(cfg);
-  for (Key k = 0; k < 8; ++k) cluster.load(k, "v" + std::to_string(k));
+  for (Key k = 0; k < 8; ++k) {
+    cluster.load(k, std::string("v") + std::to_string(k));
+  }
 
   Session session = cluster.make_session(0, 0);
   Transaction ro = session.begin(true);

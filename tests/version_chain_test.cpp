@@ -20,8 +20,9 @@ Version& add(VersionChain& chain, std::size_t nodes, NodeId origin, SeqNo seq,
   VectorClock commit_vc =
       clock.size() == 0 ? VectorClock(nodes) : VectorClock(clock);
   commit_vc[origin] = seq;
-  return chain.install("v" + std::to_string(seq), std::move(commit_vc),
-                       origin, seq);
+  std::string value = "v";
+  value += std::to_string(seq);
+  return chain.install(std::move(value), std::move(commit_vc), origin, seq);
 }
 
 TEST(VersionChainTest, InstallAssignsMonotonicIds) {
