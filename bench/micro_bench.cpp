@@ -119,22 +119,27 @@ void BM_MVStoreReadOnlyWithRemove(benchmark::State& state) {
 }
 BENCHMARK(BM_MVStoreReadOnlyWithRemove);
 
+// Nothing parks in these two, so no timer entry is ever armed.
+store::LockTable::Schedule no_timer() {
+  return [](std::chrono::nanoseconds, std::function<void()>) {};
+}
+
 void BM_LockTableExclusive(benchmark::State& state) {
-  store::LockTable locks;
+  store::LockTable locks(no_timer(), std::chrono::milliseconds(1));
   const TxId owner(1, 2, 3);
   for (auto _ : state) {
-    locks.lock_exclusive(42, owner, std::chrono::milliseconds(1));
-    locks.unlock_exclusive(42, owner);
+    locks.lock(42, owner, store::LockTable::Mode::kExclusive);
+    locks.unlock(42, owner, store::LockTable::Mode::kExclusive);
   }
 }
 BENCHMARK(BM_LockTableExclusive);
 
 void BM_LockTableSharedContention(benchmark::State& state) {
-  static store::LockTable locks;
+  static store::LockTable locks(no_timer(), std::chrono::milliseconds(1));
   const TxId owner(1, static_cast<std::uint32_t>(state.thread_index()), 1);
   for (auto _ : state) {
-    locks.lock_shared(7, owner, std::chrono::milliseconds(1));
-    locks.unlock_shared(7, owner);
+    locks.lock(7, owner, store::LockTable::Mode::kShared);
+    locks.unlock(7, owner, store::LockTable::Mode::kShared);
   }
 }
 BENCHMARK(BM_LockTableSharedContention)->Threads(1)->Threads(4);

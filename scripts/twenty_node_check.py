@@ -12,11 +12,13 @@ Walter) it starts, one process at a time,
 once per root, interleaving the roots and swapping which goes first from
 one run to the next. Each root must be built already (cmake -B build).
 CPU is the user+sys time of the finished process, taken from
-resource.getrusage(RUSAGE_CHILDREN) deltas, over its commits. The script
-prints one line per process, then per root and latency the median (and
-min..max) of tx/s and CPU us per commit of both protocols, FW-KV/Walter
-paired by run, and the doomed= and catch-up-timeouts= counters of
---stats. One --root alone is fine too.
+resource.getrusage(RUSAGE_CHILDREN) deltas, over its commits. While a
+process runs, the script samples the Threads: line of its
+/proc/<pid>/status every 20 ms and keeps the peak. It prints one line per
+process, then per root and latency the median (and min..max) of tx/s, CPU
+us per commit and peak threads of both protocols, FW-KV/Walter paired by
+run, and the doomed= and catch-up-timeouts= counters of --stats. One
+--root alone is fine too.
 """
 
 import argparse
@@ -25,6 +27,7 @@ import resource
 import statistics
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 LATENCIES_US = (0, 200)
@@ -36,16 +39,34 @@ def cpu_seconds():
     return r.ru_utime + r.ru_stime
 
 
+def threads_of(pid):
+    """The Threads: count of a running process, or 0 once it has gone."""
+    try:
+        with open(f"/proc/{pid}/status") as f:
+            for line in f:
+                if line.startswith("Threads:"):
+                    return int(line.split()[1])
+    except OSError:
+        pass
+    return 0
+
+
 def run_cli(root, protocol, latency_us):
     cli = Path(root) / "build" / "examples" / "fwkv_cli"
     cmd = [str(cli), "--nodes", "20", "--keys", "50000", "--ro", "0.5",
            "--latency-us", str(latency_us), "--protocol", protocol, "--stats"]
     cpu0 = cpu_seconds()
-    done = subprocess.run(cmd, stdout=subprocess.PIPE, text=True)
+    proc = subprocess.Popen(cmd, stdout=subprocess.PIPE, text=True)
+    # The output is small (a few lines), so it cannot fill the pipe while
+    # the process is sampled.
+    peak_threads = 0
+    while proc.poll() is None:
+        peak_threads = max(peak_threads, threads_of(proc.pid))
+        time.sleep(0.02)
+    out = proc.stdout.read()
     cpu = cpu_seconds() - cpu0
-    if done.returncode != 0:
-        sys.exit(f"failed (exit {done.returncode}): {' '.join(cmd)}")
-    out = done.stdout
+    if proc.returncode != 0:
+        sys.exit(f"failed (exit {proc.returncode}): {' '.join(cmd)}")
 
     def field(pattern):
         m = re.search(pattern, out)
@@ -60,6 +81,7 @@ def run_cli(root, protocol, latency_us):
         "cpu_us": cpu * 1e6 / commits if commits else float("inf"),
         "doomed": int(field(r"doomed=(\d+)")),
         "catchup": int(field(r"catch-up-timeouts=(\d+)")),
+        "threads": peak_threads,
     }
 
 
@@ -80,7 +102,7 @@ def main():
     results = {r: {l: {p: [] for p, _ in PROTOCOLS} for l in LATENCIES_US}
                for r in roots}
     print("run  latency  protocol  root  tx/s  cpu_us/commit  doomed  "
-          "catch-up-timeouts", flush=True)
+          "catch-up-timeouts  peak-threads", flush=True)
     for i in range(args.runs):
         order = roots if i % 2 == 0 else roots[::-1]
         for latency in LATENCIES_US:
@@ -91,7 +113,7 @@ def main():
                     print(f"{i + 1}  {latency}us  {name}  "
                           f"{roots.index(root)}  {r['tps']:.0f}  "
                           f"{r['cpu_us']:.1f}  {r['doomed']}  "
-                          f"{r['catchup']}", flush=True)
+                          f"{r['catchup']}  {r['threads']}", flush=True)
 
     print()
     for index, root in enumerate(roots):
@@ -107,7 +129,9 @@ def main():
                       f"{summary([r['cpu_us'] for r in runs], '{:.1f}')}  "
                       f"doomed {summary([r['doomed'] for r in runs], '{}')}  "
                       f"catch-up-timeouts "
-                      f"{summary([r['catchup'] for r in runs], '{}')}")
+                      f"{summary([r['catchup'] for r in runs], '{}')}  "
+                      f"threads "
+                      f"{summary([r['threads'] for r in runs], '{}')}")
             ratios = [f["tps"] / w["tps"]
                       for f, w in zip(per["fwkv"], per["walter"])]
             print(f"  {latency:>3} us FW-KV/Walter "

@@ -41,10 +41,9 @@ Cluster::Cluster(ClusterConfig config)
 }
 
 Cluster::~Cluster() {
-  // Asynchronous messages (Decide, Propagate, Remove) may still be in
-  // flight when the cluster goes out of scope. Tear the network down first:
-  // its destructor drains the executors, so no handler can touch a node
-  // after the nodes start being destroyed.
+  // Messages (Decide, Propagate, Remove) and parked requests' timeouts may
+  // still be pending. Tear the network down first: its destructor stops
+  // the timer, so no handler can touch a node being destroyed.
   network_.reset();
 }
 

@@ -1,6 +1,6 @@
 // Abstract protocol node: the unit of deployment (§2.1). A node is both a
-// server (message handlers run on its executor or inline) and the coordinator
-// host for transactions begun by clients co-located with it.
+// server (handlers run on the delivering thread and never block) and the
+// coordinator host for transactions begun by clients co-located with it.
 #pragma once
 
 #include <optional>

@@ -228,24 +228,14 @@ void MvNodeBase::on_other(Message&& msg) {
 }
 
 std::size_t MvNodeBase::pending_work() const {
-  return pending_count_.load(std::memory_order_acquire);
+  return pending_count_.load(std::memory_order_acquire) +
+         TwoPhaseNode::pending_work();
 }
 
-std::optional<ReadReturn> MvNodeBase::serve_read(const ReadRequest& req,
-                                                 bool wait) {
+ReadReturn MvNodeBase::serve_read(const ReadRequest& req) {
   // Alg. 3 lines 3/12: read handlers share the key's lock with each other
-  // and exclude update commit handlers. A read waits out a concurrent
-  // prepare->decide window, for as long as its reader waits for the reply
-  // (rpc_timeout): Decide handlers run inline on the delivering thread,
-  // never queued behind a blocked read, so the Decide that releases the
-  // exclusive lock can always run, and a waiting read is let in at the
-  // holder's release, before the key is locked exclusive again. Only a
-  // Decide that never comes (a stranded lock) makes the read time out.
-  if (!locks_.lock_shared(req.key, req.tx.id,
-                          wait ? ctx_.config.rpc_timeout
-                               : std::chrono::nanoseconds::zero())) {
-    return std::nullopt;
-  }
+  // and exclude update commit handlers: a read of a key a prepare holds
+  // parked until the Decide released it (TwoPhaseNode::park_read).
   stats_.reads_served.add();
   store::ReadResult r;
   if (!fresh_reads()) {
@@ -265,7 +255,7 @@ std::optional<ReadReturn> MvNodeBase::serve_read(const ReadRequest& req,
     r = store_.read_update(req.key, req.tx.vc, req.tx.has_read.bits(),
                            req.tx.has_read.any());
   }
-  locks_.unlock_shared(req.key, req.tx.id);
+  locks_.unlock(req.key, req.tx.id, store::LockTable::Mode::kShared);
 
   ReadReturn ret;
   ret.rpc_id = req.rpc_id;

@@ -62,11 +62,9 @@ class MvNodeBase : public TwoPhaseNode {
 
   // TwoPhaseNode hooks. They run on the delivering thread: a read or
   // prepare sent at zero delay on the sending client's thread, one that
-  // comes off the timer on the timer, unless it would wait for a lock, and
-  // then on this node's executor. A read from a session on this node is a
-  // direct call on the session's thread.
-  std::optional<net::ReadReturn> serve_read(const net::ReadRequest& req,
-                                            bool wait) override;
+  // comes off the timer on the timer, one that parked where its lock was
+  // released. A read from a session on this node is a direct call.
+  net::ReadReturn serve_read(const net::ReadRequest& req) override;
   void on_decide(net::DecideMessage&& m) override;
   void on_other(net::Message&& msg) override;
   bool validate(const net::PrepareRequest& req, const HeldLocks& held) override;

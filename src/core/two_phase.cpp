@@ -97,14 +97,17 @@ RetryPolicy RetryPolicy::derive(const ProtocolConfig& cfg, bool lossy) {
 
 TwoPhaseNode::TwoPhaseNode(NodeId id, ClusterContext& ctx)
     : KvNode(id, ctx),
-      retry_(RetryPolicy::derive(ctx.config, ctx.network->faults_active())) {}
+      retry_(RetryPolicy::derive(ctx.config, ctx.network->faults_active())),
+      locks_([net = ctx.network](auto delay, auto fn) {
+        net->schedule(delay, std::move(fn));
+      }, kLockTimeout) {}
 
 std::optional<net::ReadReturn> TwoPhaseNode::fetch(Transaction& tx,
                                                    NodeId target,
                                                    net::ReadRequest req) {
   std::optional<net::ReadReturn> ret;
   if (target == id_) {
-    ret = serve_read(req, /*wait=*/true);
+    ret = read_here(tx.id(), std::move(req));
   } else {
     Request one{target, std::move(req)};
     auto& reply = call_all(tx.id(), {&one, 1}, retry_.prepare_attempts,
@@ -220,47 +223,74 @@ bool TwoPhaseNode::finish(Transaction& tx, const Votes& votes) {
 // TwoPhaseNode: participant.
 // ---------------------------------------------------------------------------
 
-void TwoPhaseNode::handle_message(net::Message msg, NodeId from) {
-  // Reads and prepares may wait for key locks, except on the timer, which
-  // must never block: there they run only if their locks are free at once,
-  // and otherwise go whole to the executor, which runs this again. A read
-  // that waited to its bound sends nothing: its reader has timed out.
-  const bool wait = !ctx_.network->on_timer();
+void TwoPhaseNode::handle_message(net::Message msg, NodeId /*from*/) {
+  store::LockTable::Scope scope;
   if (auto* read = std::get_if<net::ReadRequest>(&msg)) {
-    if (auto ret = serve_read(*read, wait)) {
-      ctx_.network->send(id_, read->reply_to, std::move(*ret));
-      return;
-    }
+    if (!lock_read(*read)) return park_read(std::move(*read));
+    ctx_.network->send(id_, read->reply_to, serve_read(*read));
   } else if (auto* prep = std::get_if<PrepareRequest>(&msg)) {
-    if (on_prepare(*prep, wait)) return;
+    on_prepare(std::move(*prep));
   } else if (auto* dec = std::get_if<net::DecideMessage>(&msg)) {
     on_decide(std::move(*dec));
-    return;
   } else {
     on_other(std::move(msg));
-    return;
   }
-  if (!wait) ctx_.network->offload(id_, from, std::move(msg));
+}
+
+void TwoPhaseNode::park_read(net::ReadRequest&& req) {
+  const Key key = req.key;
+  const TxId tx = req.tx.id;
+  locks_.park(key, tx, store::LockTable::Mode::kShared,
+              std::chrono::steady_clock::now() + ctx_.config.rpc_timeout,
+              [this, req = std::move(req)](bool granted) {
+                if (!granted) return;  // its reader has timed out
+                net::Message ret = serve_read(req);
+                if (req.reply_to != id_) {
+                  return ctx_.network->send(id_, req.reply_to, std::move(ret));
+                }
+                // A read of this node's own session: no message.
+                ctx_.network->reply_box(net::ReplyBox::slot_of(req.rpc_id))
+                    .store(req.rpc_id, ret);
+              });
+}
+
+std::optional<net::ReadReturn> TwoPhaseNode::read_here(TxId tx,
+                                                       net::ReadRequest req) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + ctx_.config.rpc_timeout;
+  net::ReplyBox& box = ctx_.network->reply_box(tx.session());
+  {
+    // What this read's release grants runs before the session goes on.
+    store::LockTable::Scope scope;
+    if (lock_read(req)) return serve_read(req);
+    // The round opens first: the read may be granted on another thread as
+    // soon as it parks.
+    req.rpc_id = box.open(1);
+    req.reply_to = id_;
+    park_read(std::move(req));
+  }
+  box.wait(deadline);
+  auto& reply = box.close()[0];
+  if (!reply.has_value()) return std::nullopt;
+  return std::get<net::ReadReturn>(std::move(*reply));
 }
 
 void TwoPhaseNode::on_other(net::Message&& /*msg*/) {
   assert(false && "replies are routed by the network, not here");
 }
 
-bool TwoPhaseNode::on_prepare(const PrepareRequest& req, bool wait) {
-  VoteReply vote;
-  vote.rpc_id = req.rpc_id;
+void TwoPhaseNode::on_prepare(PrepareRequest&& req) {
   HeldLocks held;
   switch (participants_.begin_prepare(req.tx, held)) {
     case ParticipantTable::Begin::kDrop:
       stats_.dup_drops.add();
-      return true;
-    case ParticipantTable::Begin::kRevote:
+      return;
+    case ParticipantTable::Begin::kRevote: {
       stats_.dup_drops.add();
-      vote.ok = true;
-      fill_yes_vote(held, vote);
-      ctx_.network->send(id_, req.reply_to, std::move(vote));
-      return true;
+      VoteReply yes{req.rpc_id, true, VoteFail::kNone, {}};
+      fill_yes_vote(held, yes);
+      return ctx_.network->send(id_, req.reply_to, std::move(yes));
+    }
     case ParticipantTable::Begin::kFresh:
       break;
   }
@@ -283,14 +313,21 @@ bool TwoPhaseNode::on_prepare(const PrepareRequest& req, bool wait) {
   held.shared.erase(std::unique(held.shared.begin(), held.shared.end()),
                     held.shared.end());
 
-  if (!acquire(req.tx, held, wait)) {
+  if (locks_.lock_all(held, req.tx)) return vote(req, held, true);
+  const TxId tx = req.tx;
+  locks_.park_all(held, tx, kLockTimeout,
+                  [this, req = std::move(req), held](bool locked) mutable {
+                    vote(req, held, locked);
+                  });
+}
+
+void TwoPhaseNode::vote(const PrepareRequest& req, HeldLocks& held,
+                        bool locked) {
+  VoteReply vote{req.rpc_id, false, VoteFail::kNone, {}};
+  if (!locked || !validate(req, held)) {
+    if (locked) release(req.tx, held);
     participants_.abandon(req.tx);
-    if (!wait) return false;
-    vote.fail_reason = VoteFail::kLock;
-  } else if (!validate(req, held)) {
-    release(req.tx, held);
-    participants_.abandon(req.tx);
-    vote.fail_reason = VoteFail::kValidation;
+    vote.fail_reason = locked ? VoteFail::kValidation : VoteFail::kLock;
   } else {
     fill_yes_vote(held, vote);
     vote.ok = participants_.publish(req.tx, held);
@@ -302,33 +339,10 @@ bool TwoPhaseNode::on_prepare(const PrepareRequest& req, bool wait) {
     }
   }
   ctx_.network->send(id_, req.reply_to, std::move(vote));
-  return true;
-}
-
-bool TwoPhaseNode::acquire(TxId tx, const HeldLocks& held, bool wait) {
-  const std::chrono::nanoseconds timeout =
-      wait ? kLockTimeout : std::chrono::nanoseconds::zero();
-  if (!locks_.lock_all_exclusive(held.exclusive, tx, timeout)) return false;
-  std::size_t shared_got = 0;
-  while (shared_got < held.shared.size() &&
-         locks_.lock_shared(held.shared[shared_got], tx, timeout)) {
-    ++shared_got;
-  }
-  if (shared_got == held.shared.size()) return true;
-  for (std::size_t i = 0; i < shared_got; ++i) {
-    locks_.unlock_shared(held.shared[i], tx);
-  }
-  locks_.unlock_all_exclusive(held.exclusive, tx);
-  return false;
 }
 
 void TwoPhaseNode::release_prepared(TxId tx) {
-  if (auto held = participants_.decide(tx)) release(tx, *held);
-}
-
-void TwoPhaseNode::release(TxId tx, const HeldLocks& held) {
-  for (Key k : held.shared) locks_.unlock_shared(k, tx);
-  locks_.unlock_all_exclusive(held.exclusive, tx);
+  if (auto held = participants_.decide(tx)) locks_.unlock_all(*held, tx);
 }
 
 }  // namespace fwkv

@@ -10,9 +10,9 @@
 // A read of a key on the coordinator's own node is served by a plain call on
 // the coordinator's thread and sends no message (in the paper a local read
 // costs no round). A request sent at zero delay is handled on the
-// coordinator's thread too, inside the send. A delayed request is handled
-// on the network's timer thread if every lock it needs is free at once,
-// and on the node's executor only if it would wait (see SimNetwork).
+// coordinator's thread too, inside the send, and a delayed one on the
+// timer. A read or prepare whose key is locked parks in the LockTable; the
+// release that frees the key runs it, after the releasing handler returns.
 #pragma once
 
 #include <chrono>
@@ -30,11 +30,9 @@
 
 namespace fwkv {
 
-/// The locks a participant holds for one prepared transaction.
-struct HeldLocks {
-  std::vector<Key> exclusive;  // written keys
-  std::vector<Key> shared;     // 2PC-baseline: validated keys not written
-};
+/// The locks a participant holds for one prepared transaction: exclusive
+/// on written keys, shared (2PC-baseline) on validated keys not written.
+using HeldLocks = store::LockTable::Keys;
 
 /// Participant-side record of the transactions this node is preparing, has
 /// prepared, or has seen decided. No network: every entry point is a pure
@@ -108,10 +106,13 @@ class TwoPhaseNode : public KvNode {
  public:
   TwoPhaseNode(NodeId id, ClusterContext& ctx);
 
-  /// Routes ReadRequests (replying with what serve_read returns), Prepares
-  /// and Decides; anything else goes to on_other. On the timer a read or
-  /// prepare that would wait for a lock is offloaded to the executor.
+  /// Routes ReadRequests, Prepares and Decides; anything else goes to
+  /// on_other. What its releases grant runs when it returns.
   void handle_message(net::Message msg, NodeId from) final;
+
+  std::size_t pending_work() const override { return locks_.parked(); }
+
+  const store::LockTable& lock_table() const { return locks_; }
 
  protected:
   /// The folded outcome of one prepare round.
@@ -134,8 +135,8 @@ class TwoPhaseNode : public KvNode {
   /// when `target` is this node (it sends no message). Reads are
   /// side-effect-free until the reply is processed, so a lost request or
   /// reply is re-sent like a Prepare (counted in read_retries). If no reply
-  /// comes, or the direct call times out, `tx` aborts with kReadTimeout and
-  /// nullopt is returned.
+  /// comes, or a parked direct read is not granted within rpc_timeout, `tx`
+  /// aborts with kReadTimeout and nullopt is returned.
   std::optional<net::ReadReturn> fetch(Transaction& tx, NodeId target,
                                        net::ReadRequest req);
 
@@ -159,14 +160,14 @@ class TwoPhaseNode : public KvNode {
 
   // ---- participant ----
 
-  /// Alg. 3: serves a read of a key this node owns. Runs on the reading
-  /// client's thread (a direct call, or a request sent at zero delay), on
-  /// the timer for a delayed request, or on an executor worker for a
-  /// delayed request that would wait. A read waits for its key's lock at
-  /// most rpc_timeout if `wait`, else not at all; it returns nullopt,
-  /// having read nothing, when the lock is still held at that bound.
-  virtual std::optional<net::ReadReturn> serve_read(
-      const net::ReadRequest& req, bool wait) = 0;
+  /// Takes `req`'s key shared now if it can (PSI: Alg. 3 lines 3/12; a
+  /// 2PC-baseline read locks nothing, its prepare validates it).
+  virtual bool lock_read(const net::ReadRequest& req) {
+    return locks_.lock(req.key, req.tx.id, store::LockTable::Mode::kShared);
+  }
+  /// Alg. 3: serves a read of a key this node owns, holding what lock_read
+  /// took, and releases it.
+  virtual net::ReadReturn serve_read(const net::ReadRequest& req) = 0;
   virtual void on_decide(net::DecideMessage&& m) = 0;
   /// Messages outside the 2PC rounds (PSI: Propagate, Remove, Resend).
   virtual void on_other(net::Message&& msg);
@@ -181,22 +182,27 @@ class TwoPhaseNode : public KvNode {
 
   /// Records the decision for `tx` and releases the locks of its yes-vote.
   void release_prepared(TxId tx);
-  void release(TxId tx, const HeldLocks& held);
+  void release(TxId tx, const HeldLocks& held) { locks_.unlock_all(held, tx); }
 
   const RetryPolicy retry_;
   store::LockTable locks_;
   ParticipantTable participants_;
 
  private:
+  /// Parks a read lock_read refused: granted within rpc_timeout, it is
+  /// served and answered, else it sends nothing.
+  void park_read(net::ReadRequest&& req);
+  /// A read of a key on this node: served now, or parked while the session
+  /// waits for the reply in its reply box.
+  std::optional<net::ReadReturn> read_here(TxId tx, net::ReadRequest req);
+
   /// Alg. 5 lines 1-13: deduplicates, locks (exclusive on written keys,
   /// shared on validated keys that are not written), validates, and votes.
-  /// Unless `wait`, a prepare that would wait for a lock releases what it
-  /// took, forgets the tx and returns false without voting.
-  bool on_prepare(const net::PrepareRequest& req, bool wait);
-  /// Takes `held`'s locks for `tx`, exclusive then shared, each in sorted
-  /// key order, waiting up to kLockTimeout per key if `wait` and with a
-  /// zero timeout otherwise. All or nothing.
-  bool acquire(TxId tx, const HeldLocks& held, bool wait);
+  /// A prepare whose keys are held parks, up to kLockTimeout per key.
+  void on_prepare(net::PrepareRequest&& req);
+  /// Validates under `held`'s locks and votes, or votes no (kLock) if the
+  /// prepare timed out before it was `locked`.
+  void vote(const net::PrepareRequest& req, HeldLocks& held, bool locked);
 
   /// The coordinator's one reply loop, run in the reply box of `tx`'s
   /// session: request i is stamped with slot i's rpc_id and sent, and the

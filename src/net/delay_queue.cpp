@@ -6,11 +6,6 @@
 
 namespace fwkv::net {
 
-namespace {
-// The queue whose dispatcher is the calling thread, if any.
-thread_local const DelayQueue* t_dispatching = nullptr;
-}  // namespace
-
 DelayQueue::DelayQueue() : thread_([this] { loop(); }) {}
 
 DelayQueue::~DelayQueue() { shutdown(); }
@@ -33,8 +28,6 @@ void DelayQueue::run_at(Clock::time_point when, std::function<void()> fn) {
   if (earliest) cv_.notify_one();
 }
 
-bool DelayQueue::on_dispatcher_thread() const { return t_dispatching == this; }
-
 std::size_t DelayQueue::pending() const {
   std::lock_guard<std::mutex> lock(mu_);
   return queue_.size();
@@ -51,7 +44,6 @@ void DelayQueue::shutdown() {
 }
 
 void DelayQueue::loop() {
-  t_dispatching = this;
 #ifdef __linux__
   // Linux lets a timed wait end up to the thread's timer slack (50 us by
   // default) late, which is more than a whole simulated LAN hop. The slack

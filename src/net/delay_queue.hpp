@@ -32,9 +32,6 @@ class DelayQueue {
   void run_after(std::chrono::nanoseconds delay, std::function<void()> fn);
   void run_at(Clock::time_point when, std::function<void()> fn);
 
-  /// True on this queue's dispatcher thread, i.e. inside an entry's fn.
-  bool on_dispatcher_thread() const;
-
   /// Number of entries not yet dispatched (for quiescence checks in tests).
   std::size_t pending() const;
 

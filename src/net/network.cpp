@@ -40,10 +40,7 @@ SimNetwork::SimNetwork(std::uint32_t num_nodes, NetConfig config)
   if (num_nodes > ReplyBox::kMaxRequests) {
     throw std::length_error("SimNetwork: a reply round holds 256 nodes");
   }
-  nodes_.resize(num_nodes);
-  for (auto& lanes : nodes_) {
-    lanes.data = std::make_unique<Executor>(kDataThreads);
-  }
+  endpoints_.resize(num_nodes, nullptr);
   for (std::uint32_t i = 0; i < num_nodes; ++i) {
     pause_until_ns_[i].store(0, std::memory_order_relaxed);
   }
@@ -53,12 +50,8 @@ SimNetwork::SimNetwork(std::uint32_t num_nodes, NetConfig config)
 }
 
 SimNetwork::~SimNetwork() {
-  // Stop accepting timer deliveries first so no task lands on a dying
-  // executor, then drain the executors.
+  // Stop the timer first: no delivery may run while the boxes go.
   timer_.shutdown();
-  for (auto& lanes : nodes_) {
-    lanes.data->shutdown();
-  }
   for (auto& chunk : box_chunks_) {
     if (BoxChunk* c = chunk.load(std::memory_order_acquire)) {
       for (auto& box : *c) delete box.load(std::memory_order_acquire);
@@ -69,7 +62,7 @@ SimNetwork::~SimNetwork() {
 
 void SimNetwork::register_endpoint(NodeId node, NodeEndpoint* endpoint) {
   assert(node < num_nodes_);
-  nodes_[node].endpoint = endpoint;
+  endpoints_[node] = endpoint;
 }
 
 ReplyBox* SimNetwork::find_box(std::uint32_t slot) const {
@@ -219,25 +212,10 @@ void SimNetwork::deliver(NodeId from, NodeId to, Message m) {
   // Every handler runs on the delivering thread: a zero-delay request on
   // its sender's thread (only coordinators on client threads send
   // requests, and they block on the reply anyway), everything else on the
-  // timer. A handler on the timer that would wait for a lock offloads its
-  // message instead (see offload).
-  assert(nodes_[to].endpoint != nullptr);
-  nodes_[to].endpoint->handle_message(std::move(m), from);
+  // timer.
+  assert(endpoints_[to] != nullptr);
+  endpoints_[to]->handle_message(std::move(m), from);
   in_flight_.fetch_sub(1, std::memory_order_acq_rel);
-}
-
-bool SimNetwork::on_timer() const { return timer_.on_dispatcher_thread(); }
-
-void SimNetwork::offload(NodeId to, NodeId from, Message m) {
-  auto& lanes = nodes_[to];
-  // Counted in flight until it has run, so that quiescence cannot be
-  // seen between the timer's delivery and the executor's.
-  in_flight_.fetch_add(1, std::memory_order_acq_rel);
-  lanes.data->submit(
-      [this, endpoint = lanes.endpoint, from, m = std::move(m)]() mutable {
-        endpoint->handle_message(std::move(m), from);
-        in_flight_.fetch_sub(1, std::memory_order_acq_rel);
-      });
 }
 
 std::chrono::nanoseconds SimNetwork::latency_for(const Message& m,
@@ -305,10 +283,8 @@ std::uint64_t SimNetwork::bytes_sent() const { return bytes_sent_.get(); }
 
 bool SimNetwork::quiet_now() const {
   if (in_flight_.load(std::memory_order_acquire) != 0) return false;
-  for (const auto& lanes : nodes_) {
-    if (lanes.endpoint != nullptr && lanes.endpoint->pending_work() > 0) {
-      return false;
-    }
+  for (const NodeEndpoint* endpoint : endpoints_) {
+    if (endpoint != nullptr && endpoint->pending_work() > 0) return false;
   }
   return true;
 }
@@ -318,9 +294,9 @@ bool SimNetwork::wait_quiescent(std::chrono::nanoseconds timeout) {
   for (;;) {
     if (quiet_now()) {
       // Double-check after a short pause: a handler might be about to send,
-      // or a task queued on an executor during the pause may surface as
-      // pending work — the recheck must repeat the full sweep, not just
-      // re-read the in-flight counter.
+      // or a timer entry (a flush tick, a parked request's timeout) may
+      // run during the pause and surface as pending work. The recheck
+      // repeats the full sweep, not just the in-flight counter.
       std::this_thread::sleep_for(std::chrono::microseconds(200));
       if (quiet_now()) return true;
     }

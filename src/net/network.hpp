@@ -12,6 +12,7 @@
 // Decide) waits in its session's ReplyBox. The network routes a reply to
 // that box by the rpc id it echoes, by indexing and not through any
 // handler, and drops a reply whose round has ended.
+
 #pragma once
 
 #include <array>
@@ -27,19 +28,10 @@
 
 #include "common/histogram.hpp"
 #include "net/delay_queue.hpp"
-#include "net/executor.hpp"
 #include "net/fault.hpp"
 #include "net/message.hpp"
 
 namespace fwkv::net {
-
-/// Worker threads per node for the read and prepare handlers that would
-/// wait for a per-key lock on the DelayQueue timer, which must never block
-/// (see SimNetwork::offload). Every other delivery runs its handler on the
-/// delivering thread: zero-delay requests on their sender's thread, and
-/// delayed requests whose locks are free, like the non-blocking
-/// Decide/Propagate/Remove handlers, on the timer.
-inline constexpr std::size_t kDataThreads = 3;
 
 struct NetConfig {
   /// One-way delivery latency applied to every message.
@@ -64,16 +56,15 @@ struct NetConfig {
   FaultPlan faults;
 };
 
-/// Implemented by protocol nodes; invoked on the delivering thread. On the
-/// timer (SimNetwork::on_timer) a handler must not wait: a read or prepare
-/// that would wait for a lock hands its message to SimNetwork::offload,
-/// which invokes handle_message again on the node's executor.
+/// Implemented by protocol nodes; invoked on the delivering thread (the
+/// sender's at zero delay, else the timer's). A handler never waits: a read
+/// or prepare whose key is locked parks in its node's LockTable.
 class NodeEndpoint {
  public:
   virtual ~NodeEndpoint() = default;
   virtual void handle_message(Message msg, NodeId from) = 0;
-  /// Work buffered inside the node waiting for in-order application
-  /// (pending Decide/Propagate). Used by quiescence detection.
+  /// Buffered Decides/Propagates awaiting in-order application, and parked
+  /// lock requests. Used by quiescence detection.
   virtual std::size_t pending_work() const = 0;
 };
 
@@ -130,10 +121,11 @@ class ReplyBox {
     base_ = 0;
     return slots_;
   }
+  /// Stores reply `m` to request `id` if that slot of the open round is
+  /// empty (the network's replies, and a parked own-node read's).
+  void store(std::uint64_t id, Message& m);
 
  private:
-  friend class SimNetwork;
-  void store(std::uint64_t id, Message& m);
   std::uint64_t next_round_locked() {
     if (++round_ == 0) ++round_;
     return base_ = rpc_id(slot_, round_, 0);
@@ -196,17 +188,6 @@ class SimNetwork {
   /// periodic propagation flush). Dropped silently after shutdown.
   void schedule(std::chrono::nanoseconds delay, std::function<void()> fn);
 
-  /// True on the timer thread, which delivers every delayed message and
-  /// must never block: one wait there stalls every node's deliveries,
-  /// including the Decide that would end the wait.
-  bool on_timer() const;
-
-  /// Delivers `m` to `to`'s endpoint again, on `to`'s executor, where its
-  /// handler may wait. A handler on the timer calls this, in place of
-  /// handling `m`, when it would wait for a lock. `m` counts as in flight
-  /// until that second delivery has returned.
-  void offload(NodeId to, NodeId from, Message m);
-
   /// Test hook: observe every message at send time (called inline).
   using SendHook =
       std::function<void(NodeId from, NodeId to, const Message& m)>;
@@ -251,11 +232,7 @@ class SimNetwork {
   NetConfig config_;
   std::atomic<std::int64_t> propagate_extra_ns_;
 
-  struct NodeLanes {
-    std::unique_ptr<Executor> data;
-    NodeEndpoint* endpoint = nullptr;
-  };
-  std::vector<NodeLanes> nodes_;
+  std::vector<NodeEndpoint*> endpoints_;
 
   DelayQueue timer_;
 

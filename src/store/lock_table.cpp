@@ -2,120 +2,217 @@
 
 #include <algorithm>
 #include <cassert>
+#include <deque>
 
 #include "common/consistent_hash.hpp"
 
 namespace fwkv::store {
 
-LockTable::LockTable(std::size_t shards) {
+namespace {
+
+/// This thread's Scope depth and settled continuations.
+struct RunQueue {
+  std::uint32_t depth = 0;
+  std::deque<std::function<void()>> ready;
+};
+thread_local RunQueue t_run;
+
+}  // namespace
+
+LockTable::Scope::Scope() { ++t_run.depth; }
+
+LockTable::Scope::~Scope() {
+  RunQueue& q = t_run;
+  if (q.depth > 1) {
+    --q.depth;
+    return;
+  }
+  // The depth stays 1 while the continuations run, so the Scopes inside
+  // them only queue more: a chain of waiters is a loop, not a recursion.
+  while (!q.ready.empty()) {
+    auto run = std::move(q.ready.front());
+    q.ready.pop_front();
+    run();
+  }
+  q.depth = 0;
+}
+
+LockTable::LockTable(Schedule schedule, std::chrono::nanoseconds tick,
+                     std::size_t shards)
+    : schedule_(std::move(schedule)), tick_(tick) {
   assert(shards > 0);
-  shards_.reserve(shards);
   for (std::size_t i = 0; i < shards; ++i) {
     shards_.push_back(std::make_unique<Shard>());
   }
 }
 
-LockTable::Shard& LockTable::shard_for(Key key) {
+LockTable::Shard& LockTable::shard_for(Key key) const {
   return *shards_[hash_key(key) % shards_.size()];
 }
 
-const LockTable::Shard& LockTable::shard_for(Key key) const {
-  return *shards_[hash_key(key) % shards_.size()];
-}
-
-bool LockTable::lock_exclusive(Key key, TxId owner,
-                               std::chrono::nanoseconds timeout) {
-  Shard& s = shard_for(key);
-  std::unique_lock<std::mutex> lock(s.mu);
-  auto take = [&] {
-    LockState& st = s.locks[key];
-    // The owner's re-acquisition is idempotent.
-    if (st.exclusive_owner != owner && !st.idle()) return false;
-    st.exclusive_owner = owner;
-    return true;
-  };
-  if (take()) return true;
-  return timeout > std::chrono::nanoseconds::zero() &&
-         s.cv.wait_until(lock, std::chrono::steady_clock::now() + timeout,
-                         take);
-}
-
-bool LockTable::lock_shared(Key key, TxId /*owner*/,
-                            std::chrono::nanoseconds timeout) {
-  Shard& s = shard_for(key);
-  std::unique_lock<std::mutex> lock(s.mu);
-  LockState* st = &s.locks[key];
-  if (!st->exclusive_owner.valid()) {
-    ++st->shared_count;
+bool LockTable::grant(LockState& st, TxId owner, Mode mode) {
+  if (mode == Mode::kShared) {
+    if (st.exclusive_owner.valid()) return false;
+    ++st.shared_count;
     return true;
   }
-  if (timeout <= std::chrono::nanoseconds::zero()) return false;
-  // Queue behind the holder. The entry outlives the wait: it is not idle
-  // while shared_waiting is non-zero, so no unlock erases it.
-  ++st->shared_waiting;
-  bool got = s.cv.wait_until(lock, std::chrono::steady_clock::now() + timeout,
-                             [st] { return !st->exclusive_owner.valid(); });
-  --st->shared_waiting;
-  if (got) {
-    ++st->shared_count;
-  } else if (st->idle()) {
-    s.locks.erase(key);
-  }
-  lock.unlock();
-  // A writer held back by this waiter may go now.
-  if (!got) s.cv.notify_all();
-  return got;
+  if (st.exclusive_owner != owner && !st.idle()) return false;
+  st.exclusive_owner = owner;
+  return true;
 }
 
-void LockTable::unlock_exclusive(Key key, TxId owner) {
+bool LockTable::lock(Key key, TxId owner, Mode mode) {
   Shard& s = shard_for(key);
-  {
-    std::lock_guard<std::mutex> lock(s.mu);
-    auto it = s.locks.find(key);
-    assert(it != s.locks.end());
-    assert(it->second.exclusive_owner == owner);
-    (void)owner;
-    it->second.exclusive_owner = kInvalidTxId;
-    if (it->second.idle()) s.locks.erase(it);
-  }
-  s.cv.notify_all();
+  std::lock_guard<std::mutex> lock(s.mu);
+  // A refused call finds the key held, so it adds no entry.
+  return grant(s.locks[key], owner, mode);
 }
 
-void LockTable::unlock_shared(Key key, TxId /*owner*/) {
-  Shard& s = shard_for(key);
-  {
-    std::lock_guard<std::mutex> lock(s.mu);
-    auto it = s.locks.find(key);
-    assert(it != s.locks.end());
-    assert(it->second.shared_count > 0);
-    --it->second.shared_count;
-    if (it->second.idle()) s.locks.erase(it);
-  }
-  s.cv.notify_all();
-}
-
-bool LockTable::lock_all_exclusive(std::span<const Key> sorted_keys,
-                                   TxId owner,
-                                   std::chrono::nanoseconds per_key_timeout) {
-  assert(std::is_sorted(sorted_keys.begin(), sorted_keys.end()));
-  for (std::size_t i = 0; i < sorted_keys.size(); ++i) {
-    if (!lock_exclusive(sorted_keys[i], owner, per_key_timeout)) {
-      unlock_all_exclusive(sorted_keys.first(i), owner);
+bool LockTable::lock_all(const Keys& keys, TxId owner) {
+  for (std::size_t i = 0; i < keys.size(); ++i) {
+    const auto [key, mode] = keys.at(i);
+    if (!lock(key, owner, mode)) {
+      unlock_all(keys, owner, i);
       return false;
     }
   }
   return true;
 }
 
-void LockTable::unlock_all_exclusive(std::span<const Key> keys, TxId owner) {
-  for (Key k : keys) unlock_exclusive(k, owner);
+void LockTable::settle(Waiter& w, bool granted) {
+  t_run.ready.push_back([this, resume = std::move(w.resume), granted] {
+    resume(granted);
+    --parked_;  // after its sends: quiescence must not pass in between
+  });
+}
+
+void LockTable::park(Key key, TxId owner, Mode mode,
+                     Clock::time_point deadline, Resume resume) {
+  Scope scope;
+  ++parked_;
+  Shard& s = shard_for(key);
+  Waiter w{0, owner, mode, deadline, std::move(resume)};
+  {
+    std::lock_guard<std::mutex> lock(s.mu);
+    LockState& st = s.locks[key];
+    // The key may have been released since lock() refused it.
+    if (grant(st, owner, mode)) return settle(w, true);
+    w.ticket = s.next_ticket++;
+    if (mode == Mode::kShared) ++st.readers_parked;
+    st.waiters.push_back(std::move(w));
+  }
+  arm(key, w.ticket, deadline);
+}
+
+void LockTable::arm(Key key, std::uint64_t ticket,
+                    Clock::time_point deadline) {
+  schedule_(std::min<std::chrono::nanoseconds>(deadline - Clock::now(), tick_),
+            [this, key, ticket] { expire(key, ticket); });
+}
+
+void LockTable::expire(Key key, std::uint64_t ticket) {
+  Scope scope;
+  Shard& s = shard_for(key);
+  Clock::time_point deadline;
+  {
+    std::lock_guard<std::mutex> lock(s.mu);
+    auto it = s.locks.find(key);
+    if (it == s.locks.end()) return;
+    LockState& st = it->second;
+    auto w = std::find_if(st.waiters.begin(), st.waiters.end(),
+                          [&](const Waiter& x) { return x.ticket == ticket; });
+    if (w == st.waiters.end()) return;  // granted already
+    deadline = w->deadline;
+    if (Clock::now() >= deadline) {
+      if (w->mode == Mode::kShared) --st.readers_parked;
+      settle(*w, false);
+      st.waiters.erase(w);
+      if (st.idle()) s.locks.erase(it);
+      return;
+    }
+  }
+  arm(key, ticket, deadline);
+}
+
+void LockTable::grant_waiters_locked(LockState& st) {
+  if (st.exclusive_owner.valid()) return;
+  for (auto w = st.waiters.begin(); st.readers_parked > 0;) {
+    if (w->mode != Mode::kShared) {
+      ++w;
+      continue;
+    }
+    --st.readers_parked;
+    ++st.shared_count;
+    settle(*w, true);
+    w = st.waiters.erase(w);
+  }
+  if (st.shared_count > 0 || st.waiters.empty()) return;
+  st.exclusive_owner = st.waiters.front().owner;
+  settle(st.waiters.front(), true);
+  st.waiters.pop_front();
+}
+
+void LockTable::park_all(Keys keys, TxId owner,
+                         std::chrono::nanoseconds per_key, Resume then,
+                         std::size_t next) {
+  for (; next < keys.size(); ++next) {
+    const auto [key, mode] = keys.at(next);
+    if (lock(key, owner, mode)) continue;
+    park(key, owner, mode, Clock::now() + per_key,
+         [=, this, keys = std::move(keys), then = std::move(then)](
+             bool granted) mutable {
+           if (granted) {
+             return park_all(std::move(keys), owner, per_key, std::move(then),
+                             next + 1);
+           }
+           unlock_all(keys, owner, next);
+           then(false);
+         });
+    return;
+  }
+  then(true);
+}
+
+void LockTable::unlock(Key key, [[maybe_unused]] TxId owner, Mode mode) {
+  Scope scope;
+  Shard& s = shard_for(key);
+  std::lock_guard<std::mutex> lock(s.mu);
+  auto it = s.locks.find(key);
+  assert(it != s.locks.end());
+  LockState& st = it->second;
+  if (mode == Mode::kExclusive) {
+    assert(st.exclusive_owner == owner);
+    st.exclusive_owner = kInvalidTxId;
+  } else {
+    assert(st.shared_count > 0);
+    --st.shared_count;
+  }
+  grant_waiters_locked(st);
+  if (st.idle()) s.locks.erase(it);
+}
+
+void LockTable::unlock_all(const Keys& keys, TxId owner, std::size_t n) {
+  Scope scope;
+  for (std::size_t i = 0; i < std::min(n, keys.size()); ++i) {
+    const auto [key, mode] = keys.at(i);
+    unlock(key, owner, mode);
+  }
 }
 
 bool LockTable::held_exclusive(Key key, TxId owner) const {
-  const Shard& s = shard_for(key);
+  Shard& s = shard_for(key);
   std::lock_guard<std::mutex> lock(s.mu);
   auto it = s.locks.find(key);
   return it != s.locks.end() && it->second.exclusive_owner == owner;
+}
+
+std::size_t LockTable::size() const {
+  std::size_t n = 0;
+  for (const auto& s : shards_) {
+    std::lock_guard<std::mutex> lock(s->mu);
+    n += s->locks.size();
+  }
+  return n;
 }
 
 }  // namespace fwkv::store

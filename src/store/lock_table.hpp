@@ -1,35 +1,32 @@
-// Per-key transactional locks with owner tracking and timed acquisition
-// (the paper sets the acquisition timeout to 1 ms, matching ~50 message
-// flight times on its testbed; the simulator keeps the same ratio).
+// Per-key transactional locks with owner tracking (the paper's acquisition
+// timeout is 1 ms, ~50 message flight times on its testbed). Exclusive
+// locks cover a prepare's written keys (Alg. 5 line 3), shared ones the PSI
+// read handlers (Alg. 3 lines 3/12) and 2PC-baseline read validation.
+// Multi-key requests lock in sorted key order, exclusive keys first: with
+// the timeouts, the table is deadlock-free.
 //
-// Modes:
-//   exclusive - 2PC prepare on written keys (Alg. 5 line 3);
-//   shared    - FW-KV read handlers (Alg. 3 lines 3/12; the paper notes
-//               read-only transactions may run read handlers concurrently,
-//               so reads share), and 2PC-baseline read validation.
-//
-// Acquisition of multiple keys must be performed in sorted key order by the
-// caller; combined with timeouts this makes the table deadlock-free.
-//
-// A zero timeout is a try: the call succeeds exactly when a waiting call
-// would succeed at once, and otherwise returns false without waiting,
-// reading the clock, queueing a reader or waking anyone, so the table is
-// left as it was. The network's timer thread, which must never block, locks
-// that way.
-//
-// Readers are not starved: a fresh exclusive acquisition also waits while
-// shared callers are queued behind the current exclusive holder, so a
-// writer that releases and re-locks a key in a loop lets the waiting
-// readers in at its next release.
+// No call blocks. A lock call grants the key now or returns false, changing
+// nothing; a refused request may then park with a continuation. A release
+// grants every parked reader first, else the first parked writer, and a
+// fresh exclusive call is refused while anyone waits, so no writer starves
+// a parked reader. A continuation never runs inside the call that settles
+// it (a node releases a Decide's locks under its site mutex, which a read
+// takes): each thread runs what it settled, in a loop, when its outermost
+// Scope ends, and every lock call is a Scope. A parked request holds one
+// timer entry at a time, due at its deadline or a `tick` from now if
+// sooner; an early entry re-arms, a late one finds the request granted and
+// does nothing. The shard mutex settles the grant-versus-timeout race.
 #pragma once
 
+#include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <cstdint>
+#include <functional>
+#include <list>
 #include <memory>
 #include <mutex>
-#include <span>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "common/ids.hpp"
@@ -38,53 +35,107 @@ namespace fwkv::store {
 
 class LockTable {
  public:
-  explicit LockTable(std::size_t shards = 64);
+  using Clock = std::chrono::steady_clock;
+  /// Runs `fn` on a timer thread after `delay`.
+  using Schedule = std::function<void(std::chrono::nanoseconds delay,
+                                      std::function<void()> fn)>;
+  /// A parked request's continuation: granted, or timed out.
+  using Resume = std::function<void(bool granted)>;
+  enum class Mode : std::uint8_t { kShared, kExclusive };
 
-  /// Acquire an exclusive lock; blocks up to `timeout` while the key is
-  /// held or shared callers wait for it. Re-acquisition by the current
-  /// exclusive owner succeeds immediately (idempotent).
-  bool lock_exclusive(Key key, TxId owner, std::chrono::nanoseconds timeout);
+  /// The keys of one multi-key request, each list sorted.
+  struct Keys {
+    std::vector<Key> exclusive;
+    std::vector<Key> shared;
 
-  /// Acquire a shared lock; blocks up to `timeout` while an exclusive
-  /// holder is present.
-  bool lock_shared(Key key, TxId owner, std::chrono::nanoseconds timeout);
+    std::size_t size() const { return exclusive.size() + shared.size(); }
+    /// The i-th key in locking order, exclusive keys first.
+    std::pair<Key, Mode> at(std::size_t i) const {
+      if (i < exclusive.size()) return {exclusive[i], Mode::kExclusive};
+      return {shared[i - exclusive.size()], Mode::kShared};
+    }
+  };
 
-  void unlock_exclusive(Key key, TxId owner);
-  void unlock_shared(Key key, TxId owner);
+  /// A handler's extent: what it settles runs when the outermost ends.
+  struct Scope {
+    Scope();
+    ~Scope();
+    Scope(const Scope&) = delete;
+    Scope& operator=(const Scope&) = delete;
+  };
 
-  /// Sorted, all-or-nothing multi-key exclusive acquisition: on any timeout
-  /// the keys already acquired are released and false is returned.
-  bool lock_all_exclusive(std::span<const Key> sorted_keys, TxId owner,
-                          std::chrono::nanoseconds per_key_timeout);
-  void unlock_all_exclusive(std::span<const Key> keys, TxId owner);
+  /// `schedule` arms parked requests' timeouts, at most `tick` ahead.
+  LockTable(Schedule schedule, std::chrono::nanoseconds tick,
+            std::size_t shards = 64);
 
-  /// True iff `owner` holds the exclusive lock on `key` (test helper).
+  /// Exclusive: granted if the key is free and nobody waits for it, or if
+  /// `owner` holds it already (idempotent). Shared: granted unless an
+  /// exclusive holder is present.
+  bool lock(Key key, TxId owner, Mode mode);
+  /// Grants every key of `keys`, or none of them.
+  bool lock_all(const Keys& keys, TxId owner);
+
+  /// Parks a request lock() refused: `resume` runs once, when the key is
+  /// granted to `owner` (at once if it is free by now) or at `deadline`.
+  void park(Key key, TxId owner, Mode mode, Clock::time_point deadline,
+            Resume resume);
+  /// Takes the keys from `next` on (those before are held) in order,
+  /// parking at most `per_key` on each busy one: `then(true)` once all are
+  /// held (at once if none was busy), or on a timeout `then(false)` once the
+  /// keys taken are released.
+  void park_all(Keys keys, TxId owner, std::chrono::nanoseconds per_key,
+                Resume then, std::size_t next = 0);
+
+  void unlock(Key key, TxId owner, Mode mode);
+  /// Releases the first `n` keys of `keys`, all of them by default.
+  void unlock_all(const Keys& keys, TxId owner, std::size_t n = SIZE_MAX);
+
+  // Test and quiescence helpers.
   bool held_exclusive(Key key, TxId owner) const;
+  /// Keys with a holder or a parked request.
+  std::size_t size() const;
+  /// Parked requests whose continuation has not yet run, granted or not.
+  std::size_t parked() const { return parked_.load(); }
 
  private:
+  struct Waiter {
+    std::uint64_t ticket;
+    TxId owner;
+    Mode mode;
+    Clock::time_point deadline;
+    Resume resume;
+  };
   struct LockState {
     TxId exclusive_owner = kInvalidTxId;
     std::uint32_t shared_count = 0;
-    /// lock_shared callers blocked behind the exclusive holder.
-    std::uint32_t shared_waiting = 0;
+    std::uint32_t readers_parked = 0;  // the readers among `waiters`
+    /// In arrival order. Readers park only behind an exclusive holder.
+    std::list<Waiter> waiters;
 
-    /// Nobody holds or waits to share the key: a fresh exclusive
-    /// acquisition may take it, and the entry may be erased.
     bool idle() const {
-      return !exclusive_owner.valid() && shared_count == 0 &&
-             shared_waiting == 0;
+      return !exclusive_owner.valid() && shared_count == 0 && waiters.empty();
     }
   };
   struct Shard {
-    mutable std::mutex mu;
-    std::condition_variable cv;
+    std::mutex mu;
     std::unordered_map<Key, LockState> locks;
+    std::uint64_t next_ticket = 0;
   };
 
-  Shard& shard_for(Key key);
-  const Shard& shard_for(Key key) const;
+  Shard& shard_for(Key key) const;
+  static bool grant(LockState& st, TxId owner, Mode mode);
+  /// Settles the requests a release lets in.
+  void grant_waiters_locked(LockState& st);
+  /// Queues `w`'s continuation on this thread.
+  void settle(Waiter& w, bool granted);
+  void arm(Key key, std::uint64_t ticket, Clock::time_point deadline);
+  /// A parked request's timer entry.
+  void expire(Key key, std::uint64_t ticket);
 
+  const Schedule schedule_;
+  const std::chrono::nanoseconds tick_;
   std::vector<std::unique_ptr<Shard>> shards_;
+  std::atomic<std::size_t> parked_{0};
 };
 
 }  // namespace fwkv::store

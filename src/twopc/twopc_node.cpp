@@ -78,8 +78,7 @@ void TwoPcNode::load(Key key, Value value) {
   store_.load(key, std::move(value));
 }
 
-std::optional<ReadReturn> TwoPcNode::serve_read(const ReadRequest& req,
-                                                bool /*wait*/) {
+ReadReturn TwoPcNode::serve_read(const ReadRequest& req) {
   // Locks nothing: the read is validated at prepare, under the lock.
   stats_.reads_served.add();
   ReadReturn ret;

@@ -23,14 +23,11 @@ class TwoPcNode final : public TwoPhaseNode {
   bool commit(Transaction& tx) override;
   void load(Key key, Value value) override;
 
-  // ---- NodeEndpoint ----
-  std::size_t pending_work() const override { return 0; }
-
   store::SVStore& sv_store() { return store_; }
 
  protected:
-  std::optional<net::ReadReturn> serve_read(const net::ReadRequest& req,
-                                            bool wait) override;
+  bool lock_read(const net::ReadRequest& /*req*/) override { return true; }
+  net::ReadReturn serve_read(const net::ReadRequest& req) override;
   void on_decide(net::DecideMessage&& m) override;
   bool validate(const net::PrepareRequest& req, const HeldLocks& held) override;
 

@@ -1,4 +1,4 @@
-// DelayQueue, Executor, SimNetwork and ReplyBox behaviour.
+// DelayQueue, SimNetwork and ReplyBox behaviour.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -11,7 +11,6 @@
 #include <vector>
 
 #include "net/delay_queue.hpp"
-#include "net/executor.hpp"
 #include "net/network.hpp"
 
 namespace fwkv::net {
@@ -111,51 +110,6 @@ TEST(DelayQueueTest, SubmitAfterShutdownIsNoop) {
   q.shutdown();
   q.run_after(0ms, [] { FAIL() << "ran after shutdown"; });
   std::this_thread::sleep_for(10ms);
-}
-
-TEST(ExecutorTest, RunsSubmittedTasks) {
-  Executor ex(2);
-  std::atomic<int> count{0};
-  for (int i = 0; i < 100; ++i) {
-    ex.submit([&] { count.fetch_add(1); });
-  }
-  for (int i = 0; i < 1000 && count < 100; ++i) std::this_thread::sleep_for(1ms);
-  EXPECT_EQ(count.load(), 100);
-}
-
-TEST(ExecutorTest, DrainsQueueOnShutdown) {
-  std::atomic<int> count{0};
-  {
-    Executor ex(1);
-    for (int i = 0; i < 50; ++i) {
-      ex.submit([&] {
-        std::this_thread::sleep_for(100us);
-        count.fetch_add(1);
-      });
-    }
-  }
-  EXPECT_EQ(count.load(), 50);
-}
-
-TEST(ExecutorTest, ParallelismAcrossWorkers) {
-  Executor ex(2);
-  std::atomic<int> concurrent{0};
-  std::atomic<int> peak{0};
-  std::atomic<int> done{0};
-  for (int i = 0; i < 20; ++i) {
-    ex.submit([&] {
-      int now = concurrent.fetch_add(1) + 1;
-      int p = peak.load();
-      while (now > p && !peak.compare_exchange_weak(p, now)) {
-      }
-      std::this_thread::sleep_for(2ms);
-      concurrent.fetch_sub(1);
-      done.fetch_add(1);
-    });
-  }
-  for (int i = 0; i < 2000 && done < 20; ++i) std::this_thread::sleep_for(1ms);
-  EXPECT_EQ(done.load(), 20);
-  EXPECT_GE(peak.load(), 2);
 }
 
 // A minimal endpoint that records what it receives and can echo replies.

@@ -224,6 +224,69 @@ TEST_P(ProtocolTest, StatsCountCommitsAndReads) {
   EXPECT_EQ(stats.reads_served, 8u);
 }
 
+/// Sits in front of one node and hands it every commit Decide `hold` late,
+/// from the network's timer; abort Decides pass at once. A held Decide
+/// counts as the node's pending work unless `counted` is false. Declare it
+/// before the cluster: the network keeps a pointer to it.
+class DecideHolder final : public net::NodeEndpoint {
+ public:
+  void wrap(Cluster& cluster, NodeId id, std::chrono::nanoseconds hold,
+            bool counted = true) {
+    network_ = &cluster.network();
+    node_ = &cluster.node(id);
+    hold_ = hold;
+    counted_ = counted;
+    network_->register_endpoint(id, this);
+  }
+
+  void handle_message(net::Message msg, NodeId from) override {
+    const auto* d = std::get_if<net::DecideMessage>(&msg);
+    if (d == nullptr || !d->outcome) {
+      node_->handle_message(std::move(msg), from);
+      return;
+    }
+    ++held_;
+    network_->schedule(hold_, [this, msg = std::move(msg), from]() mutable {
+      node_->handle_message(std::move(msg), from);
+      --held_;
+    });
+  }
+
+  std::size_t pending_work() const override {
+    return node_->pending_work() + (counted_ ? held_.load() : 0);
+  }
+
+ private:
+  net::SimNetwork* network_ = nullptr;
+  net::NodeEndpoint* node_ = nullptr;
+  std::chrono::nanoseconds hold_{0};
+  bool counted_ = true;
+  std::atomic<std::size_t> held_{0};
+};
+
+/// Every node's lock table holds no key.
+void expect_no_locks(Cluster& cluster) {
+  for (NodeId n = 0; n < cluster.num_nodes(); ++n) {
+    EXPECT_EQ(
+        dynamic_cast<TwoPhaseNode&>(cluster.node(n)).lock_table().size(), 0u)
+        << "node " << n;
+  }
+}
+
+/// The lock table of node `n`.
+const store::LockTable& locks_of(Cluster& cluster, NodeId n) {
+  return dynamic_cast<TwoPhaseNode&>(cluster.node(n)).lock_table();
+}
+
+/// Waits until `ready` holds, for at most 1 s.
+template <class Pred>
+bool eventually(Pred ready) {
+  for (int i = 0; i < 10000 && !ready(); ++i) {
+    std::this_thread::sleep_for(100us);
+  }
+  return ready();
+}
+
 // ---- Where a request's handler runs ----
 
 /// Sits in front of one node and records the thread that runs each
@@ -298,7 +361,7 @@ std::thread::id timer_thread(Cluster& cluster) {
 
 TEST_P(ProtocolTest, DelayedRequestRunsOnTheTimerWhenItsLocksAreFree) {
   // Off the timer, a request whose locks are all free is handled where it
-  // lands: on the timer thread, with no hand-off to the executor.
+  // lands: on the timer thread.
   ThreadRecorder node1;
   Cluster cluster(base_config(GetParam()));  // 20 us one way
   node1.wrap(cluster, 1);
@@ -308,6 +371,58 @@ TEST_P(ProtocolTest, DelayedRequestRunsOnTheTimerWhenItsLocksAreFree) {
        {net::MessageType::kReadRequest, net::MessageType::kPrepareRequest}) {
     EXPECT_EQ(node1.thread_of(t), timer) << net::type_name(t);
   }
+}
+
+TEST_P(ProtocolTest, ParkedPrepareVotesNoAtTheLockTimeout) {
+  // A writer on node 0 holds a key of node 1, whose commit Decide reaches
+  // node 1 kSlow late. Two more writers of the key prepare meanwhile, one
+  // from node 2 at zero delay (on its own thread) and one from node 3 at
+  // 20 us (on the timer). Each parks on the key and votes no kLockTimeout
+  // after it, long before the Decide lands.
+  constexpr auto kSlow = 400ms;
+  auto cfg = base_config(GetParam(), 4);
+  cfg.net.link_latency.assign(
+      4, std::vector<std::chrono::nanoseconds>(4, cfg.net.one_way_latency));
+  cfg.net.link_latency[2][1] = 0ns;
+  DecideHolder node1;
+  Cluster cluster(cfg);
+  node1.wrap(cluster, 1, kSlow);
+  const Key k = key_on(cluster, 1);
+  cluster.load(k, "v0");
+
+  Session first = cluster.make_session(0, 0);
+  auto wtx = first.begin();
+  first.write(wtx, k, "v1");
+  // 2PC-baseline acknowledges its Decide, so its commit returns only once
+  // the Decide lands.
+  auto committed = std::async(std::launch::async,
+                              [&] { return first.commit(wtx); });
+  ASSERT_TRUE(eventually([&] {
+    return locks_of(cluster, 1).held_exclusive(k, wtx.id());
+  }));
+  const auto decided_at = std::chrono::steady_clock::now() + kSlow;
+
+  for (NodeId n : {NodeId{2}, NodeId{3}}) {
+    Session late = cluster.make_session(n, 1);
+    auto tx = late.begin();
+    late.write(tx, k, "lost");
+    const auto t0 = std::chrono::steady_clock::now();
+    EXPECT_FALSE(late.commit(tx)) << "node " << n;
+    const auto took = std::chrono::steady_clock::now() - t0;
+    EXPECT_EQ(tx.abort_reason(), AbortReason::kLockTimeout) << "node " << n;
+    EXPECT_GE(took, kLockTimeout) << "node " << n;
+    EXPECT_LT(took, kSlow / 4) << "node " << n;
+  }
+  EXPECT_LT(std::chrono::steady_clock::now(), decided_at)
+      << "a prepare waited for the Decide";
+  EXPECT_TRUE(committed.get());
+  ASSERT_TRUE(cluster.quiesce());
+  expect_no_locks(cluster);
+
+  Session check = cluster.make_session(1, 2);
+  auto ro = check.begin(true);
+  EXPECT_EQ(check.read(ro, k), "v1");
+  check.commit(ro);
 }
 
 INSTANTIATE_TEST_SUITE_P(AllProtocols, ProtocolTest,
@@ -412,109 +527,13 @@ INSTANTIATE_TEST_SUITE_P(AllProtocols, OwnSiteTest,
 
 class PsiProtocolTest : public ::testing::TestWithParam<Protocol> {};
 
-TEST_P(PsiProtocolTest, DelayedRequestOnALockedKeyRunsOnTheExecutor) {
-  // A writer on node 0 prepares a key of node 1 and its Decide takes
-  // kSlow to arrive. A read of the key from node 2 comes off the timer
-  // while the prepare holds the key exclusive: it must wait, so it goes to
-  // node 1's executor, and the timer keeps running meanwhile. (A
-  // 2PC-baseline read locks nothing, so it never waits.)
-  constexpr auto kSlow = 300ms;
-  auto cfg = base_config(GetParam());
-  cfg.net.link_latency.assign(
-      3, std::vector<std::chrono::nanoseconds>(3, cfg.net.one_way_latency));
-  cfg.net.link_latency[0][1] = kSlow;
-  ThreadRecorder node1;
-  Cluster cluster(cfg);
-  node1.wrap(cluster, 1);
-  const std::thread::id timer = timer_thread(cluster);
-  const Key k = key_on(cluster, 1);
-  cluster.load(k, "v0");
-
-  Session writer = cluster.make_session(0, 0);
-  auto wtx = writer.begin();
-  writer.write(wtx, k, "v1");
-  // Returns once the vote is in and the Decides are sent: node 1 holds the
-  // key exclusive until the Decide lands, kSlow from now.
-  ASSERT_TRUE(writer.commit(wtx));
-  // Walter's snapshot must include the write for the read to return it.
-  auto& node2 = dynamic_cast<MvNodeBase&>(cluster.node(2));
-  for (int i = 0; i < 1000 && node2.site_vc()[0] == 0; ++i) {
-    std::this_thread::sleep_for(100us);
-  }
-  ASSERT_EQ(node2.site_vc()[0], 1u);
-
-  Session reader = cluster.make_session(2, 1);
-  std::thread::id reader_thread;
-  auto read = std::async(std::launch::async, [&] {
-    reader_thread = std::this_thread::get_id();
-    auto tx = reader.begin(true);
-    auto v = reader.read(tx, k);
-    reader.commit(tx);
-    return v;
-  });
-  // The timer tried the read first; wait for the executor's retry.
-  for (int i = 0; i < 1000; ++i) {
-    auto ran_on = node1.thread_of(net::MessageType::kReadRequest);
-    if (ran_on.has_value() && *ran_on != timer) break;
-    std::this_thread::sleep_for(100us);
-  }
-  std::promise<void> probe;
-  cluster.network().schedule(0ns, [&] { probe.set_value(); });
-  EXPECT_EQ(probe.get_future().wait_for(kSlow / 3), std::future_status::ready)
-      << "the timer waited for the read";
-  EXPECT_EQ(read.wait_for(0s), std::future_status::timeout)
-      << "the read did not wait for the Decide";
-
-  EXPECT_EQ(read.get(), "v1");
-  const auto ran_on = node1.thread_of(net::MessageType::kReadRequest);
-  ASSERT_TRUE(ran_on.has_value());
-  EXPECT_NE(*ran_on, timer);
-  EXPECT_NE(*ran_on, reader_thread);
-  EXPECT_TRUE(cluster.quiesce());
-}
-
-/// Sits in front of one node and hands it every Decide `hold` late, from
-/// the network's timer; a held Decide counts as the node's pending work.
-/// Declare it before the cluster: the network keeps a pointer to it.
-class DecideHolder final : public net::NodeEndpoint {
- public:
-  void wrap(Cluster& cluster, NodeId id, std::chrono::nanoseconds hold) {
-    network_ = &cluster.network();
-    node_ = &cluster.node(id);
-    hold_ = hold;
-    network_->register_endpoint(id, this);
-  }
-
-  void handle_message(net::Message msg, NodeId from) override {
-    if (!std::holds_alternative<net::DecideMessage>(msg)) {
-      node_->handle_message(std::move(msg), from);
-      return;
-    }
-    ++held_;
-    network_->schedule(hold_, [this, msg = std::move(msg), from]() mutable {
-      node_->handle_message(std::move(msg), from);
-      --held_;
-    });
-  }
-
-  std::size_t pending_work() const override {
-    return node_->pending_work() + held_.load();
-  }
-
- private:
-  net::SimNetwork* network_ = nullptr;
-  net::NodeEndpoint* node_ = nullptr;
-  std::chrono::nanoseconds hold_{0};
-  std::atomic<std::size_t> held_{0};
-};
-
 TEST_P(PsiProtocolTest, ReadOfAKeyLockedPastRpcTimeoutAborts) {
   // A writer on node 0 prepares a key of node 1, whose Decide reaches node
   // 1 kSlow late, far past rpc_timeout. Meanwhile two readers read the key:
-  // one from node 2 at zero delay, served on its own thread inside the
-  // send, and one from node 3 at 20 us, which the timer hands to node 1's
-  // executor. Neither waits for the Decide: each gives up on the lock at
-  // rpc_timeout and aborts with kReadTimeout.
+  // one from node 2 at zero delay, parked by its own thread inside the
+  // send, and one from node 3 at 20 us, parked by the timer. Neither waits
+  // for the Decide: each parked read gives up on the lock at rpc_timeout,
+  // and its reader aborts with kReadTimeout.
   constexpr auto kSlow = 400ms;
   constexpr auto kRpcTimeout = 80ms;
   auto cfg = base_config(GetParam(), 4);
@@ -576,6 +595,128 @@ TEST_P(PsiProtocolTest, ReadOfAKeyLockedPastRpcTimeoutAborts) {
               0u)
         << "node " << n;
   }
+  expect_no_locks(cluster);
+}
+
+TEST_P(PsiProtocolTest, ParkedReadIsAnsweredWhenTheDecideLands) {
+  // A writer on node 0 holds a key of node 1 until its Decide lands, kSlow
+  // late. Two readers read the key meanwhile: from node 2 at zero delay,
+  // parked by the reader's own thread, and from node 3 at 20 us, parked by
+  // the timer. Both get the written value once the Decide lands, and the
+  // timer keeps running while they wait.
+  constexpr auto kSlow = 300ms;
+  auto cfg = base_config(GetParam(), 4);
+  cfg.net.link_latency.assign(
+      4, std::vector<std::chrono::nanoseconds>(4, cfg.net.one_way_latency));
+  cfg.net.link_latency[2][1] = 0ns;
+  DecideHolder node1;
+  Cluster cluster(cfg);
+  node1.wrap(cluster, 1, kSlow);
+  const Key k = key_on(cluster, 1);
+  cluster.load(k, "v0");
+
+  Session writer = cluster.make_session(0, 0);
+  auto wtx = writer.begin();
+  writer.write(wtx, k, "v1");
+  ASSERT_TRUE(writer.commit(wtx));
+  const auto decided_at = std::chrono::steady_clock::now() + kSlow;
+  // Walter's snapshots must include the write for the reads to return it.
+  for (NodeId n : {NodeId{2}, NodeId{3}}) {
+    auto& node = dynamic_cast<MvNodeBase&>(cluster.node(n));
+    ASSERT_TRUE(eventually([&] { return node.site_vc()[0] == 1; }));
+  }
+
+  auto read_from = [&](NodeId n) {
+    return std::async(std::launch::async, [&, n] {
+      Session reader = cluster.make_session(n, 1);
+      auto tx = reader.begin(true);
+      auto v = reader.read(tx, k);
+      reader.commit(tx);
+      return std::make_pair(v, std::chrono::steady_clock::now());
+    });
+  };
+  auto inline_read = read_from(2);
+  auto delayed_read = read_from(3);
+  ASSERT_TRUE(eventually([&] { return locks_of(cluster, 1).parked() == 2; }));
+  std::promise<void> probe;
+  cluster.network().schedule(0ns, [&] { probe.set_value(); });
+  EXPECT_EQ(probe.get_future().wait_for(kSlow / 3), std::future_status::ready)
+      << "the timer waited";
+  EXPECT_EQ(inline_read.wait_for(0s), std::future_status::timeout);
+  EXPECT_EQ(delayed_read.wait_for(0s), std::future_status::timeout);
+  for (auto* read : {&inline_read, &delayed_read}) {
+    const char* which = read == &inline_read ? "inline" : "delayed";
+    const auto [value, done_at] = read->get();
+    EXPECT_EQ(value, "v1") << which;
+    EXPECT_GE(done_at, decided_at - kSlow / 3) << which;
+  }
+  ASSERT_TRUE(cluster.quiesce());
+  expect_no_locks(cluster);
+}
+
+TEST_P(PsiProtocolTest, QuiesceWaitsForAParkedRead) {
+  // A read parks on a key whose commit Decide is held back without counting
+  // as pending work. Nothing is in flight and nothing is buffered, so only
+  // the parked read keeps the cluster from being quiescent.
+  constexpr auto kSlow = 300ms;
+  DecideHolder node1;
+  Cluster cluster(base_config(GetParam()));
+  node1.wrap(cluster, 1, kSlow, /*counted=*/false);
+  const Key k = key_on(cluster, 1);
+  cluster.load(k, "v0");
+
+  Session writer = cluster.make_session(0, 0);
+  auto wtx = writer.begin();
+  writer.write(wtx, k, "v1");
+  ASSERT_TRUE(writer.commit(wtx));
+
+  auto read = std::async(std::launch::async, [&] {
+    Session reader = cluster.make_session(2, 1);
+    auto tx = reader.begin(true);
+    auto v = reader.read(tx, k);
+    reader.commit(tx);
+    return v;
+  });
+  ASSERT_TRUE(eventually([&] { return locks_of(cluster, 1).parked() == 1; }));
+  EXPECT_FALSE(cluster.quiesce(kSlow / 3)) << "quiesced with a parked read";
+  EXPECT_TRUE(read.get().has_value());
+  ASSERT_TRUE(cluster.quiesce());
+  expect_no_locks(cluster);
+}
+
+TEST_P(PsiProtocolTest, ContendedOwnNodeReadSendsNoMessage) {
+  // A session on node 1 reads a key of its own node that a writer holds
+  // until its Decide lands, at zero delay. The read parks and its reply
+  // reaches the session without a message.
+  constexpr auto kSlow = 300ms;
+  auto cfg = base_config(GetParam());
+  cfg.net.one_way_latency = 0ns;
+  DecideHolder node1;
+  Cluster cluster(cfg);
+  node1.wrap(cluster, 1, kSlow);
+  const Key k = key_on(cluster, 1);
+  cluster.load(k, "v0");
+  Session reader = cluster.make_session(1, 1);
+  Session writer = cluster.make_session(0, 0);
+  auto wtx = writer.begin();
+  writer.write(wtx, k, "v1");
+  ASSERT_TRUE(writer.commit(wtx));
+  ASSERT_TRUE(locks_of(cluster, 1).held_exclusive(k, wtx.id()));
+  SentCounter sent(cluster);
+
+  auto ro = reader.begin(true);
+  auto read =
+      std::async(std::launch::async, [&] { return reader.read(ro, k); });
+  ASSERT_TRUE(eventually([&] { return locks_of(cluster, 1).parked() == 1; }));
+  EXPECT_EQ(read.wait_for(0s), std::future_status::timeout);
+  // FW-KV's first read returns the installed version. Walter's snapshot
+  // was fixed before the commit applied here, so it keeps the old one.
+  EXPECT_EQ(read.get(), GetParam() == Protocol::kFwKv ? "v1" : "v0");
+  EXPECT_EQ(sent[net::MessageType::kReadRequest], 0u);
+  EXPECT_EQ(sent[net::MessageType::kReadReturn], 0u);
+  EXPECT_TRUE(reader.commit(ro));
+  ASSERT_TRUE(cluster.quiesce());
+  expect_no_locks(cluster);
 }
 
 TEST_P(PsiProtocolTest, SiteVcAdvancesWithLocalCommits) {
@@ -656,8 +797,9 @@ TEST_P(PsiProtocolTest, ReadOnlyTransactionsNeverAbort) {
     int i = 0;
     while (!stop) {
       auto tx = w.begin();
-      w.write(tx, static_cast<Key>(i % 50),
-              std::string("w") + std::to_string(i));
+      std::string value = "w";
+      value += std::to_string(i);
+      w.write(tx, static_cast<Key>(i % 50), value);
       w.commit(tx);
       ++i;
     }

@@ -197,6 +197,11 @@ TEST_P(QuiescedFootprintTest, ContendedRunLeavesNoStamps) {
   EXPECT_EQ(total_footprint(cluster), 0u);
   EXPECT_EQ(total_index(cluster), 0u)
       << "the reverse index still holds a finished id";
+  for (NodeId n = 0; n < cluster.num_nodes(); ++n) {
+    EXPECT_EQ(
+        dynamic_cast<TwoPhaseNode&>(cluster.node(n)).lock_table().size(), 0u)
+        << "node " << n << " still holds or parks a lock";
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, QuiescedFootprintTest,
