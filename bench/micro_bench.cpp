@@ -119,13 +119,8 @@ void BM_MVStoreReadOnlyWithRemove(benchmark::State& state) {
 }
 BENCHMARK(BM_MVStoreReadOnlyWithRemove);
 
-// Nothing parks in these two, so no timer entry is ever armed.
-store::LockTable::Schedule no_timer() {
-  return [](std::chrono::nanoseconds, std::function<void()>) {};
-}
-
 void BM_LockTableExclusive(benchmark::State& state) {
-  store::LockTable locks(no_timer(), std::chrono::milliseconds(1));
+  store::LockTable locks;
   const TxId owner(1, 2, 3);
   for (auto _ : state) {
     locks.lock(42, owner, store::LockTable::Mode::kExclusive);
@@ -135,7 +130,7 @@ void BM_LockTableExclusive(benchmark::State& state) {
 BENCHMARK(BM_LockTableExclusive);
 
 void BM_LockTableSharedContention(benchmark::State& state) {
-  static store::LockTable locks(no_timer(), std::chrono::milliseconds(1));
+  static store::LockTable locks;
   const TxId owner(1, static_cast<std::uint32_t>(state.thread_index()), 1);
   for (auto _ : state) {
     locks.lock(7, owner, store::LockTable::Mode::kShared);

@@ -12,6 +12,7 @@
 //   $ ./build/examples/social_network
 #include <iostream>
 #include <thread>
+#include <vector>
 
 #include "core/cluster.hpp"
 #include "core/session.hpp"
@@ -30,11 +31,15 @@ Observation run_scenario(Protocol protocol) {
   config.num_nodes = 4;
   config.protocol = protocol;
   config.net.one_way_latency = std::chrono::microseconds(100);
-  // Alice's propagation is stuck behind congestion (20 ms); by the time
-  // Bob replies the congestion has cleared, so his propagation overtakes
-  // hers — "receiving propagate from different nodes in different orders
-  // is a likely scenario in an asynchronous distributed system" (§3.3).
-  config.net.propagate_extra_delay = std::chrono::milliseconds(20);
+  // The link from Alice's node (0) to the follower's node (3) is congested
+  // (20 ms); every other link is not (-1: one_way_latency). So Bob's
+  // propagation overtakes hers on its way to node 3 — "receiving propagate
+  // from different nodes in different orders is a likely scenario in an
+  // asynchronous distributed system" (§3.3).
+  using std::chrono::nanoseconds;
+  config.net.link_latency.assign(
+      4, std::vector<nanoseconds>(4, nanoseconds(-1)));
+  config.net.link_latency[0][3] = std::chrono::milliseconds(20);
   Cluster cluster(config);
 
   // Pick one timeline key homed on node 0 and one homed on node 1.
@@ -51,14 +56,12 @@ Observation run_scenario(Protocol protocol) {
   alice.write(post, alice_wall, "Alice: we're engaged!");
   alice.commit(post);
 
-  // Wait until Alice's propagation batch has been handed to the (congested)
-  // network, then let the congestion clear.
+  // Wait until Alice's propagation batch has been handed to the network.
   std::this_thread::sleep_for(std::chrono::milliseconds(3));
-  cluster.network().set_propagate_extra_delay(std::chrono::microseconds(200));
 
   // Alice texts Bob; Bob reads her post *on her node* and replies on his.
-  // The congestion has cleared, so Bob's commit propagates quickly and
-  // overtakes Alice's still-delayed propagation.
+  // Bob's commit propagates quickly and overtakes Alice's still-delayed
+  // propagation.
   Session bob = cluster.make_session(1, 0);
   Transaction reply = bob.begin();
   bob.read(reply, alice_wall);

@@ -4,8 +4,8 @@
 # The store's locking (reader-writer entry latches, shard maps, the
 # session-sharded reverse index and its watermarks) and the LockTable's
 # parked-waiter queues (a waiter is granted under its shard mutex by
-# whichever thread releases the key, or expired by the timer, and its
-# continuation runs from that thread's run queue) must be proven
+# whichever thread releases the key, or expired by the cluster's tick on
+# the timer, and its continuation runs from that thread's run queue) must be proven
 # race-clean on every change, not assumed: this is the proof. Any TSan
 # report fails the run.
 #

@@ -17,8 +17,9 @@ process runs, the script samples the Threads: line of its
 /proc/<pid>/status every 20 ms and keeps the peak. It prints one line per
 process, then per root and latency the median (and min..max) of tx/s, CPU
 us per commit and peak threads of both protocols, FW-KV/Walter paired by
-run, and the doomed= and catch-up-timeouts= counters of --stats. One
---root alone is fine too.
+run, and the doomed=, catch-up-timeouts= and lock-timeout aborts (the
+first field of aborts(lock/val/vote)=) counters of --stats. One --root
+alone is fine too.
 """
 
 import argparse
@@ -81,6 +82,7 @@ def run_cli(root, protocol, latency_us):
         "cpu_us": cpu * 1e6 / commits if commits else float("inf"),
         "doomed": int(field(r"doomed=(\d+)")),
         "catchup": int(field(r"catch-up-timeouts=(\d+)")),
+        "lock_aborts": int(field(r"aborts\(lock/val/vote\)=(\d+)/")),
         "threads": peak_threads,
     }
 
@@ -102,7 +104,7 @@ def main():
     results = {r: {l: {p: [] for p, _ in PROTOCOLS} for l in LATENCIES_US}
                for r in roots}
     print("run  latency  protocol  root  tx/s  cpu_us/commit  doomed  "
-          "catch-up-timeouts  peak-threads", flush=True)
+          "catch-up-timeouts  lock-aborts  peak-threads", flush=True)
     for i in range(args.runs):
         order = roots if i % 2 == 0 else roots[::-1]
         for latency in LATENCIES_US:
@@ -113,7 +115,8 @@ def main():
                     print(f"{i + 1}  {latency}us  {name}  "
                           f"{roots.index(root)}  {r['tps']:.0f}  "
                           f"{r['cpu_us']:.1f}  {r['doomed']}  "
-                          f"{r['catchup']}  {r['threads']}", flush=True)
+                          f"{r['catchup']}  {r['lock_aborts']}  "
+                          f"{r['threads']}", flush=True)
 
     print()
     for index, root in enumerate(roots):
@@ -130,6 +133,8 @@ def main():
                       f"doomed {summary([r['doomed'] for r in runs], '{}')}  "
                       f"catch-up-timeouts "
                       f"{summary([r['catchup'] for r in runs], '{}')}  "
+                      f"lock-aborts "
+                      f"{summary([r['lock_aborts'] for r in runs], '{}')}  "
                       f"threads "
                       f"{summary([r['threads'] for r in runs], '{}')}")
             ratios = [f["tps"] / w["tps"]

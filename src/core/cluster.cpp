@@ -38,13 +38,24 @@ Cluster::Cluster(ClusterConfig config)
     }
     network_->register_endpoint(n, nodes_.back().get());
   }
+  // The tick starts once every node is built.
+  ctx_.network->schedule(tick_period(ctx_.config), [this] { tick(); });
 }
 
 Cluster::~Cluster() {
-  // Messages (Decide, Propagate, Remove) and parked requests' timeouts may
-  // still be pending. Tear the network down first: its destructor stops
-  // the timer, so no handler can touch a node being destroyed.
+  // Messages (Decide, Propagate, Remove) and the tick may still be pending.
+  // Tear the network down first: its destructor stops the timer, so no
+  // handler or tick can touch a node being destroyed.
   network_.reset();
+}
+
+void Cluster::tick() {
+  const auto now = KvNode::Clock::now();
+  for (auto& node : nodes_) node->tick(now);
+  // Through ctx_, not network_: reset() nulls network_ before the network's
+  // destructor stops the timer, and this tick may be running then. The
+  // entry is dropped once the timer has stopped.
+  ctx_.network->schedule(tick_period(ctx_.config), [this] { tick(); });
 }
 
 void Cluster::load(Key key, Value value) {

@@ -9,6 +9,10 @@
 //   auto tx = session.begin();
 //   session.write(tx, 42, "world");
 //   session.commit(tx);
+//
+// The cluster owns the nodes' one periodic timer entry: every
+// tick_period() it calls KvNode::tick(now) on each node, on the network's
+// timer thread.
 #pragma once
 
 #include <atomic>
@@ -73,6 +77,9 @@ class Cluster {
   void reset_stats();
 
  private:
+  /// Runs every node's tick, then re-arms itself.
+  void tick();
+
   ClusterConfig config_;
   std::shared_ptr<const KeyMapper> mapper_;
   std::unique_ptr<net::SimNetwork> network_;

@@ -1,8 +1,12 @@
 // Abstract protocol node: the unit of deployment (§2.1). A node is both a
 // server (handlers run on the delivering thread and never block) and the
 // coordinator host for transactions begun by clients co-located with it.
+// Its timed work (lock timeouts, the periodic propagation flush, gap
+// repair) enters through one call, tick(now), which the Cluster makes on
+// every node from its one periodic timer entry.
 #pragma once
 
+#include <chrono>
 #include <optional>
 
 #include "core/node_stats.hpp"
@@ -14,6 +18,8 @@ namespace fwkv {
 
 class KvNode : public net::NodeEndpoint {
  public:
+  using Clock = std::chrono::steady_clock;
+
   KvNode(NodeId id, ClusterContext& ctx) : id_(id), ctx_(ctx) {}
   ~KvNode() override = default;
 
@@ -60,6 +66,10 @@ class KvNode : public net::NodeEndpoint {
   /// Push out any batched asynchronous work immediately (propagation
   /// batches). Called by Cluster::quiesce; default: nothing to flush.
   virtual void quiesce_flush() {}
+
+  /// The cluster's clock tick, every tick_period() on the timer thread:
+  /// does the work that is due at `now`. Default: none.
+  virtual void tick(Clock::time_point /*now*/) {}
 
  protected:
   NodeId id_;

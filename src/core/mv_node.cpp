@@ -21,13 +21,12 @@ MvNodeBase::MvNodeBase(NodeId id, ClusterContext& ctx)
     : TwoPhaseNode(id, ctx),
       site_vc_(ctx.num_nodes),
       pending_(ctx.num_nodes),
-      gap_armed_(ctx.num_nodes, 0),
-      next_unsent_(ctx.num_nodes, 1) {
+      gap_since_(ctx.num_nodes),
+      next_unsent_(ctx.num_nodes, 1),
+      flush_every_(static_cast<std::uint32_t>(
+          std::max<std::int64_t>(1, ctx.config.propagate_flush_interval /
+                                        tick_period(ctx.config)))) {
   removes_.resize(ctx.num_nodes);
-  // Kick off the periodic propagation flush (Walter propagates outside the
-  // transaction critical path). The task re-arms itself on the timer.
-  ctx_.network->schedule(ctx_.config.propagate_flush_interval,
-                         [this] { flush_timer_tick(); });
 }
 
 // ---------------------------------------------------------------------------
@@ -203,7 +202,7 @@ bool MvNodeBase::commit(Transaction& tx) {
   decide(tx.id(), decides, retry_.lossy);
 
   // Alg. 4 line 27: the asynchronous Propagate to all other nodes is
-  // batched; the periodic flush (flush_timer_tick) carries it.
+  // batched; the periodic flush (tick) carries it.
   return finish(tx, votes);
 }
 
@@ -382,7 +381,6 @@ MvNodeBase::buffer_locked(NodeId origin, SeqNo at, PendingEvent ev) {
   if (res.second) {
     pending_count_.fetch_add(1, std::memory_order_release);
     stats_.events_buffered.add();
-    if (retry_.lossy) arm_gap_watch_locked(origin);
   }
   return res;
 }
@@ -476,10 +474,12 @@ void MvNodeBase::prune_commit_log_locked() {
   }
 }
 
-void MvNodeBase::flush_timer_tick() {
-  flush(/*all_removes=*/false);
-  ctx_.network->schedule(ctx_.config.propagate_flush_interval,
-                         [this] { flush_timer_tick(); });
+void MvNodeBase::tick(Clock::time_point now) {
+  TwoPhaseNode::tick(now);
+  // Walter propagates periodically, outside the transaction critical path
+  // (Alg. 4 line 27).
+  if (++ticks_ % flush_every_ == 0) flush(/*all_removes=*/false);
+  if (retry_.lossy) repair_gaps(now);
 }
 
 void MvNodeBase::flush(bool all_removes) {
@@ -493,8 +493,7 @@ void MvNodeBase::flush(bool all_removes) {
     prune_commit_log_locked();
   }
   attach_removes(flushes);
-  // No virtual call on this path: the first tick may run while a derived
-  // constructor is still executing. Walter's batches are never due.
+  // Walter's batches are never due.
   std::vector<std::pair<NodeId, RemoveMessage>> alone;
   {
     std::lock_guard<std::mutex> lock(remove_mu_);
@@ -523,29 +522,29 @@ void MvNodeBase::attach_removes(Outbox& out) {
   }
 }
 
-void MvNodeBase::arm_gap_watch_locked(NodeId origin) {
-  if (gap_armed_[origin]) return;
-  gap_armed_[origin] = 1;
-  ctx_.network->schedule(ctx_.config.gap_request_delay,
-                         [this, origin] { gap_check(origin); });
-}
-
-void MvNodeBase::gap_check(NodeId origin) {
-  SeqNo from = 0;
-  SeqNo to = 0;
+void MvNodeBase::repair_gaps(Clock::time_point now) {
+  Outbox requests;
   {
     std::lock_guard<std::mutex> lock(site_mu_);
-    gap_armed_[origin] = 0;
-    const auto& queue = pending_[origin];
-    if (queue.empty()) return;  // gap closed on its own
-    from = site_vc_[origin] + 1;
-    to = queue.begin()->first - 1;
-    if (to < from) return;
-    // Re-arm before requesting: the request or its replay can be lost too.
-    arm_gap_watch_locked(origin);
+    for (NodeId origin = 0; origin < ctx_.num_nodes; ++origin) {
+      const auto& queue = pending_[origin];
+      const SeqNo from = site_vc_[origin] + 1;
+      if (queue.empty() || queue.begin()->first <= from) {
+        gap_since_[origin] = {};  // no gap, or it closed on its own
+        continue;
+      }
+      Clock::time_point& since = gap_since_[origin];
+      if (since == Clock::time_point{}) since = now;
+      if (now - since < ctx_.config.gap_request_delay) continue;
+      since = now;  // ask again later: the request or its replay can be lost
+      requests.emplace_back(
+          origin, net::ResendRequest{id_, from, queue.begin()->first - 1});
+    }
   }
-  stats_.gap_requests.add();
-  ctx_.network->send(id_, origin, net::ResendRequest{id_, from, to});
+  for (auto& [origin, msg] : requests) {
+    stats_.gap_requests.add();
+    ctx_.network->send(id_, origin, std::move(msg));
+  }
 }
 
 void MvNodeBase::on_resend_request(const net::ResendRequest& m) {

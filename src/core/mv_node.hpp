@@ -12,7 +12,9 @@
 //
 // Everything else — preferred sites, per-node sequence numbers, in-order
 // Decide/Propagate application (Alg. 5 line 16 / Alg. 6 line 2) — is common
-// and lives here; the 2PC rounds themselves live in TwoPhaseNode.
+// and lives here; the 2PC rounds themselves live in TwoPhaseNode. The
+// periodic work (the propagation flush and, on a lossy network, gap
+// repair) runs in tick(), which the Cluster calls; no node arms a timer.
 #pragma once
 
 #include <atomic>
@@ -53,6 +55,10 @@ class MvNodeBase : public TwoPhaseNode {
   /// Cluster::quiesce so tests observe a settled cluster): every watermark
   /// that covers a read-only transaction reaches every node.
   void quiesce_flush() override { flush(/*all_removes=*/true); }
+
+  /// Lock timeouts, then the propagation flush every flush_every_ ticks,
+  /// then, on a lossy network, gap repair.
+  void tick(Clock::time_point now) override;
 
  protected:
   /// FW-KV: true. Walter: false.
@@ -108,19 +114,21 @@ class MvNodeBase : public TwoPhaseNode {
   std::vector<std::map<SeqNo, PendingEvent>> pending_;
   std::atomic<std::size_t> pending_count_{0};
   /// Buffers an out-of-order event at `at` (not inserted if one is already
-  /// buffered there) and arms the gap watchdog on a lossy network.
+  /// buffered there).
   std::pair<std::map<SeqNo, PendingEvent>::iterator, bool> buffer_locked(
       NodeId origin, SeqNo at, PendingEvent ev);
 
   // ---- gap repair (lossy networks only; guarded by site_mu_) ----
   //
-  // When an event is buffered out of order and messages may be lost, a
-  // watchdog fires after gap_request_delay and asks the origin to replay the
-  // missing seq range; it re-arms itself while the gap persists (the
-  // ResendRequest or its replay can be lost too).
-  std::vector<char> gap_armed_;
-  void arm_gap_watch_locked(NodeId origin);
-  void gap_check(NodeId origin);
+  // An event buffered out of order may wait behind a lost one. Once the
+  // ticks have seen a seq gap before an origin's buffered events for
+  // gap_request_delay, the node asks the origin to replay the missing
+  // range, and asks again every gap_request_delay while the gap persists
+  // (the ResendRequest or its replay can be lost too).
+  /// Per origin, when a tick first saw the current gap (or last asked to
+  /// fill it); the epoch if no tick has seen one.
+  std::vector<Clock::time_point> gap_since_;
+  void repair_gaps(Clock::time_point now);
 
   // ---- outgoing propagation batching (guarded by site_mu_) ----
   //
@@ -148,11 +156,14 @@ class MvNodeBase : public TwoPhaseNode {
   /// curr_seq_] to `out`; advances next_unsent_[dest].
   void collect_ranges_locked(NodeId dest, Outbox& out);
   void prune_commit_log_locked();
-  void flush_timer_tick();
   /// Sends every node its pending Propagate ranges. A Remove batch that no
   /// Propagate took goes out on its own once it has waited
-  /// kRemoveMaxTicks timer ticks, or at once if `all_removes`.
+  /// kRemoveMaxTicks flushes, or at once if `all_removes`.
   void flush(bool all_removes);
+  /// Ticks per periodic flush: propagate_flush_interval / tick_period(),
+  /// at least 1.
+  const std::uint32_t flush_every_;
+  std::uint32_t ticks_ = 0;  // ticks so far; only the tick touches it
 
   // ---- outgoing Remove batching (FW-KV; guarded by remove_mu_) ----
   //
@@ -165,14 +176,14 @@ class MvNodeBase : public TwoPhaseNode {
   // this node commits updates. A batch of kRemoveBatch moves is sent alone
   // by the finishing client thread (stale ids make every writer of a hot
   // key carry them), and the periodic flush sends a batch alone after
-  // kRemoveMaxTicks ticks. This node's own batch is applied by a direct
+  // kRemoveMaxTicks flushes. This node's own batch is applied by a direct
   // call at kRemoveBatch moves and at every flush.
   static constexpr std::uint64_t kRemoveBatch = 4;
   static constexpr std::uint32_t kRemoveMaxTicks = 10;
   struct RemoveBatch {
     /// moves_ at the last send; the batch holds moves_ - sent moves.
     std::uint64_t sent = 0;
-    std::uint32_t ticks = 0;  // flush ticks this batch has waited
+    std::uint32_t ticks = 0;  // periodic flushes this batch has waited
   };
   struct Watermark {
     TxId low;

@@ -1,6 +1,7 @@
 // Protocol-level configuration shared by the three evaluated systems.
 #pragma once
 
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 
@@ -69,9 +70,10 @@ inline constexpr std::chrono::nanoseconds kLockTimeout{
 
 struct ProtocolConfig {
   /// Period of the background propagation flush (Walter propagates
-  /// periodically, outside the transaction critical path). The commit path
-  /// additionally flushes to its 2PC participants immediately so Decide
-  /// application never stalls on a pending batch.
+  /// periodically, outside the transaction critical path), in whole ticks
+  /// of tick_period(), at least one. The commit path additionally flushes
+  /// to its 2PC participants immediately so Decide application never
+  /// stalls on a pending batch.
   std::chrono::nanoseconds propagate_flush_interval{
       std::chrono::milliseconds(1)};
   /// Safety bound on waiting for votes / read returns, and on a read
@@ -98,6 +100,12 @@ struct ProtocolConfig {
   /// receiver asks the origin to replay the missing seq range.
   std::chrono::nanoseconds gap_request_delay{std::chrono::milliseconds(5)};
 };
+
+/// The period of the cluster's clock tick (KvNode::tick): the lock
+/// timeout, or the propagation flush interval if that is shorter.
+inline std::chrono::nanoseconds tick_period(const ProtocolConfig& cfg) {
+  return std::min(cfg.propagate_flush_interval, kLockTimeout);
+}
 
 /// Everything a protocol node needs to know about the world around it.
 /// Owned by the Cluster; nodes hold a reference.

@@ -76,7 +76,7 @@ RetryPolicy RetryPolicy::derive(const ProtocolConfig& cfg, bool lossy) {
   p.lossy = lossy;
   if (!lossy) {
     // Nothing is ever lost: one attempt, bounded only by the safety
-    // timeout (hit only while a participant is paused).
+    // timeout (hit only while a participant is stalled).
     p.prepare_wait = cfg.rpc_timeout;
     p.decide_wait = cfg.rpc_timeout;
     return p;
@@ -97,10 +97,7 @@ RetryPolicy RetryPolicy::derive(const ProtocolConfig& cfg, bool lossy) {
 
 TwoPhaseNode::TwoPhaseNode(NodeId id, ClusterContext& ctx)
     : KvNode(id, ctx),
-      retry_(RetryPolicy::derive(ctx.config, ctx.network->faults_active())),
-      locks_([net = ctx.network](auto delay, auto fn) {
-        net->schedule(delay, std::move(fn));
-      }, kLockTimeout) {}
+      retry_(RetryPolicy::derive(ctx.config, ctx.network->faults_active())) {}
 
 std::optional<net::ReadReturn> TwoPhaseNode::fetch(Transaction& tx,
                                                    NodeId target,

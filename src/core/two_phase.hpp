@@ -12,7 +12,8 @@
 // costs no round). A request sent at zero delay is handled on the
 // coordinator's thread too, inside the send, and a delayed one on the
 // timer. A read or prepare whose key is locked parks in the LockTable; the
-// release that frees the key runs it, after the releasing handler returns.
+// release that frees the key runs it, after the releasing handler returns,
+// or the node's first tick past its deadline times it out.
 #pragma once
 
 #include <chrono>
@@ -39,7 +40,7 @@ using HeldLocks = store::LockTable::Keys;
 /// state transition under one mutex, so it is unit-tested on its own.
 ///
 /// Deduplication is unconditional: a Prepare can be redelivered by a
-/// coordinator retry, a duplicated delivery, or a pause that lands it next
+/// coordinator retry, a duplicated delivery, or a stall that lands it next
 /// to its own (timeout-abort) Decide. Tx ids are unique for the cluster's
 /// lifetime, so a decided id is never a new transaction.
 class ParticipantTable {
@@ -86,8 +87,8 @@ class ParticipantTable {
 /// Retry parameters of the core. On a reliable network every round runs a
 /// single attempt that waits up to rpc_timeout, and PSI Decides are not
 /// acknowledged. When messages may be lost, the ProtocolConfig attempts and
-/// backoffs apply, PSI Decides are acknowledged, and the MV nodes arm their
-/// seq-gap watchdog and retain a resend horizon of their commit log. A
+/// backoffs apply, PSI Decides are acknowledged, and the MV nodes repair
+/// seq gaps on their tick and retain a resend horizon of their commit log. A
 /// remote read is a one-request round with the prepare round's parameters.
 struct RetryPolicy {
   bool lossy = false;
@@ -111,6 +112,10 @@ class TwoPhaseNode : public KvNode {
   void handle_message(net::Message msg, NodeId from) final;
 
   std::size_t pending_work() const override { return locks_.parked(); }
+
+  /// Times out the parked lock requests whose deadline has passed: a
+  /// prepare votes no, a read sends nothing.
+  void tick(Clock::time_point now) override { locks_.expire(now); }
 
   const store::LockTable& lock_table() const { return locks_; }
 

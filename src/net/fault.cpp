@@ -52,8 +52,6 @@ const char* fault_kind_name(FaultKind k) {
       return "reorder";
     case FaultKind::kPartitionDrop:
       return "partition-drop";
-    case FaultKind::kPauseDeferral:
-      return "pause-deferral";
   }
   return "?";
 }

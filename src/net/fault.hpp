@@ -17,9 +17,8 @@
 //
 // Partitions are wall-clock windows relative to the network's construction:
 // inside a partition window the link drops everything. A stalled node is
-// not part of the plan: SimNetwork::pause_node defers the deliveries to a
-// node until its pause ends (a stalled process whose inbox drains at
-// resume), with or without a plan.
+// not part of the plan: a slow link (NetConfig::link_latency) holds back
+// the deliveries to it instead.
 #pragma once
 
 #include <array>
@@ -77,9 +76,8 @@ enum class FaultKind : std::uint8_t {
   kDuplicate = 1,
   kReorder = 2,
   kPartitionDrop = 3,
-  kPauseDeferral = 4,
 };
-inline constexpr std::size_t kNumFaultKinds = 5;
+inline constexpr std::size_t kNumFaultKinds = 4;
 
 const char* fault_kind_name(FaultKind k);
 
@@ -93,7 +91,7 @@ struct FaultEvent {
   /// Per-(from, to, class) message index the decision was drawn for.
   std::uint64_t index = 0;
   FaultKind kind = FaultKind::kDrop;
-  /// Extra delay in ns (reorder / duplicate-copy delay / pause deferral).
+  /// Extra delay in ns (reorder / duplicate-copy delay).
   std::int64_t extra_ns = 0;
 
   friend bool operator==(const FaultEvent&, const FaultEvent&) = default;

@@ -34,16 +34,11 @@ void ReplyBox::store(std::uint64_t id, Message& m) {
 SimNetwork::SimNetwork(std::uint32_t num_nodes, NetConfig config)
     : num_nodes_(num_nodes),
       config_(config),
-      propagate_extra_ns_(config.propagate_extra_delay.count()),
-      epoch_(std::chrono::steady_clock::now()),
-      pause_until_ns_(new std::atomic<std::int64_t>[num_nodes]) {
+      epoch_(std::chrono::steady_clock::now()) {
   if (num_nodes > ReplyBox::kMaxRequests) {
     throw std::length_error("SimNetwork: a reply round holds 256 nodes");
   }
   endpoints_.resize(num_nodes, nullptr);
-  for (std::uint32_t i = 0; i < num_nodes; ++i) {
-    pause_until_ns_[i].store(0, std::memory_order_relaxed);
-  }
   if (config_.faults.active()) {
     injector_ = std::make_unique<FaultInjector>(config_.faults, num_nodes);
   }
@@ -135,20 +130,6 @@ void SimNetwork::send(NodeId from, NodeId to, Message m) {
 
 void SimNetwork::enqueue(NodeId from, NodeId to, Message m,
                          std::chrono::nanoseconds latency) {
-  if (any_pause_.load(std::memory_order_relaxed)) {
-    // Pause deferral: a delivery landing before the destination's pause
-    // ends is pushed to that end. All deferred messages of a link share
-    // that deadline, so the DelayQueue's submission-order tie-break drains
-    // the inbox in send order at resume.
-    const std::int64_t deliver_at = elapsed_ns() + latency.count();
-    const std::int64_t end =
-        pause_until_ns_[to].load(std::memory_order_acquire);
-    if (end > deliver_at) {
-      note_fault({from, to, type_of(m), 0, FaultKind::kPauseDeferral,
-                  end - deliver_at});
-      latency += std::chrono::nanoseconds(end - deliver_at);
-    }
-  }
   in_flight_.fetch_add(1, std::memory_order_acq_rel);
   if (latency.count() == 0) {
     deliver(from, to, std::move(m));
@@ -157,16 +138,6 @@ void SimNetwork::enqueue(NodeId from, NodeId to, Message m,
       deliver(from, to, std::move(m));
     });
   }
-}
-
-void SimNetwork::pause_node(NodeId node, std::chrono::nanoseconds duration) {
-  assert(node < num_nodes_);
-  const std::int64_t end = elapsed_ns() + duration.count();
-  std::int64_t cur = pause_until_ns_[node].load(std::memory_order_relaxed);
-  while (cur < end && !pause_until_ns_[node].compare_exchange_weak(
-                          cur, end, std::memory_order_release)) {
-  }
-  any_pause_.store(true, std::memory_order_release);
 }
 
 std::int64_t SimNetwork::elapsed_ns() const {
@@ -221,12 +192,12 @@ void SimNetwork::deliver(NodeId from, NodeId to, Message m) {
 std::chrono::nanoseconds SimNetwork::latency_for(const Message& m,
                                                  NodeId from, NodeId to) {
   auto latency = config_.one_way_latency;
-  if (!config_.link_latency.empty()) {
+  if (!config_.link_latency.empty() &&
+      config_.link_latency[from][to].count() >= 0) {
     latency = config_.link_latency[from][to];
   }
   if (std::holds_alternative<PropagateMessage>(m)) {
-    latency += std::chrono::nanoseconds(
-        propagate_extra_ns_.load(std::memory_order_relaxed));
+    latency += config_.propagate_extra_delay;
   }
   if (config_.jitter.count() > 0) {
     // SplitMix64 step: cheap, lock-free uniform jitter.
@@ -257,10 +228,6 @@ SimNetwork::two_region_matrix(std::uint32_t num_nodes, std::uint32_t split,
     }
   }
   return matrix;
-}
-
-void SimNetwork::set_propagate_extra_delay(std::chrono::nanoseconds d) {
-  propagate_extra_ns_.store(d.count(), std::memory_order_relaxed);
 }
 
 void SimNetwork::schedule(std::chrono::nanoseconds delay,
@@ -294,7 +261,7 @@ bool SimNetwork::wait_quiescent(std::chrono::nanoseconds timeout) {
   for (;;) {
     if (quiet_now()) {
       // Double-check after a short pause: a handler might be about to send,
-      // or a timer entry (a flush tick, a parked request's timeout) may
+      // or the cluster's tick (a flush, a parked request's timeout) may
       // run during the pause and surface as pending work. The recheck
       // repeats the full sweep, not just the in-flight counter.
       std::this_thread::sleep_for(std::chrono::microseconds(200));

@@ -167,13 +167,6 @@ class SimNetwork {
   /// at construction; protocol nodes derive their retry parameters from it.
   bool faults_active() const { return injector_ != nullptr; }
 
-  /// Pause a node at runtime: deliveries to `node` that would land within
-  /// the next `duration` are deferred to the end of the window (inbox
-  /// drains at resume, in per-link order). Usable without a FaultPlan.
-  /// Work that sends no message, such as the node's own sessions' local
-  /// reads, is not paused.
-  void pause_node(NodeId node, std::chrono::nanoseconds duration);
-
   /// Total faults injected so far, by kind.
   std::uint64_t faults_injected(FaultKind k) const;
 
@@ -181,11 +174,8 @@ class SimNetwork {
   using FaultHook = std::function<void(const FaultEvent&)>;
   void set_fault_hook(FaultHook hook);
 
-  /// Change the Propagate-delay knob at runtime (delayed-propagate sweeps).
-  void set_propagate_extra_delay(std::chrono::nanoseconds d);
-
-  /// Run `fn` on the timer thread after `delay` (used by the nodes'
-  /// periodic propagation flush). Dropped silently after shutdown.
+  /// Run `fn` on the timer thread after `delay` (used by the cluster's
+  /// clock tick). Dropped silently after shutdown.
   void schedule(std::chrono::nanoseconds delay, std::function<void()> fn);
 
   /// Test hook: observe every message at send time (called inline).
@@ -214,7 +204,7 @@ class SimNetwork {
   /// this thread.
   void deliver(NodeId from, NodeId to, Message m);
   /// Counts the message in flight and hands it to the timer (or delivers
-  /// inline at zero latency). Applies pause_node deferral.
+  /// inline at zero latency).
   void enqueue(NodeId from, NodeId to, Message m,
                std::chrono::nanoseconds latency);
   void note_fault(const FaultEvent& ev);
@@ -230,7 +220,6 @@ class SimNetwork {
 
   const std::uint32_t num_nodes_;
   NetConfig config_;
-  std::atomic<std::int64_t> propagate_extra_ns_;
 
   std::vector<NodeEndpoint*> endpoints_;
 
@@ -249,12 +238,9 @@ class SimNetwork {
   std::atomic<std::uint64_t> jitter_state_{0x9E3779B97F4A7C15ull};
 
   // Fault layer. injector_ stays null for an inert plan so the send path
-  // pays one branch. pause_until_ns_ holds the pause_node() windows;
-  // any_pause_ makes the common no-pause case a relaxed bool load.
+  // pays one branch.
   const std::chrono::steady_clock::time_point epoch_;
   std::unique_ptr<FaultInjector> injector_;
-  std::unique_ptr<std::atomic<std::int64_t>[]> pause_until_ns_;
-  std::atomic<bool> any_pause_{false};
   std::array<Counter, kNumFaultKinds> fault_counts_;
 
   SendHook send_hook_;

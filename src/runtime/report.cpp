@@ -65,8 +65,6 @@ Table fault_recovery_table(const NodeStats::Snapshot& merged,
       network.faults_injected(net::FaultKind::kPartitionDrop));
   row("net.duplicates", network.faults_injected(net::FaultKind::kDuplicate));
   row("net.reorders", network.faults_injected(net::FaultKind::kReorder));
-  row("net.pause_deferrals",
-      network.faults_injected(net::FaultKind::kPauseDeferral));
   row("node.prepare_retries", merged.prepare_retries);
   row("node.decide_retries", merged.decide_retries);
   row("node.dup_drops", merged.dup_drops);

@@ -37,9 +37,7 @@ LockTable::Scope::~Scope() {
   q.depth = 0;
 }
 
-LockTable::LockTable(Schedule schedule, std::chrono::nanoseconds tick,
-                     std::size_t shards)
-    : schedule_(std::move(schedule)), tick_(tick) {
+LockTable::LockTable(std::size_t shards) {
   assert(shards > 0);
   for (std::size_t i = 0; i < shards; ++i) {
     shards_.push_back(std::make_unique<Shard>());
@@ -91,50 +89,47 @@ void LockTable::park(Key key, TxId owner, Mode mode,
   Scope scope;
   ++parked_;
   Shard& s = shard_for(key);
-  Waiter w{0, owner, mode, deadline, std::move(resume)};
-  {
-    std::lock_guard<std::mutex> lock(s.mu);
-    LockState& st = s.locks[key];
-    // The key may have been released since lock() refused it.
-    if (grant(st, owner, mode)) return settle(w, true);
-    w.ticket = s.next_ticket++;
-    if (mode == Mode::kShared) ++st.readers_parked;
-    st.waiters.push_back(std::move(w));
-  }
-  arm(key, w.ticket, deadline);
+  Waiter w{owner, mode, deadline, std::move(resume)};
+  std::lock_guard<std::mutex> lock(s.mu);
+  LockState& st = s.locks[key];
+  // The key may have been released since lock() refused it.
+  if (grant(st, owner, mode)) return settle(w, true);
+  if (mode == Mode::kShared) ++st.readers_parked;
+  st.waiters.push_back(std::move(w));
+  ++s.waiting;
 }
 
-void LockTable::arm(Key key, std::uint64_t ticket,
-                    Clock::time_point deadline) {
-  schedule_(std::min<std::chrono::nanoseconds>(deadline - Clock::now(), tick_),
-            [this, key, ticket] { expire(key, ticket); });
-}
-
-void LockTable::expire(Key key, std::uint64_t ticket) {
+std::size_t LockTable::expire(Clock::time_point now) {
+  if (parked_ == 0) return 0;
   Scope scope;
-  Shard& s = shard_for(key);
-  Clock::time_point deadline;
-  {
-    std::lock_guard<std::mutex> lock(s.mu);
-    auto it = s.locks.find(key);
-    if (it == s.locks.end()) return;
-    LockState& st = it->second;
-    auto w = std::find_if(st.waiters.begin(), st.waiters.end(),
-                          [&](const Waiter& x) { return x.ticket == ticket; });
-    if (w == st.waiters.end()) return;  // granted already
-    deadline = w->deadline;
-    if (Clock::now() >= deadline) {
-      if (w->mode == Mode::kShared) --st.readers_parked;
-      settle(*w, false);
-      st.waiters.erase(w);
-      if (st.idle()) s.locks.erase(it);
-      return;
+  std::size_t settled = 0;
+  for (const auto& s : shards_) {
+    if (s->waiting == 0) continue;
+    std::lock_guard<std::mutex> lock(s->mu);
+    for (auto it = s->locks.begin(); it != s->locks.end();) {
+      LockState& st = it->second;
+      for (auto w = st.waiters.begin(); w != st.waiters.end();) {
+        if (w->deadline > now) {
+          ++w;
+          continue;
+        }
+        if (w->mode == Mode::kShared) --st.readers_parked;
+        settle(*w, false);
+        w = st.waiters.erase(w);
+        --s->waiting;
+        ++settled;
+      }
+      if (st.idle()) {
+        it = s->locks.erase(it);
+      } else {
+        ++it;
+      }
     }
   }
-  arm(key, ticket, deadline);
+  return settled;
 }
 
-void LockTable::grant_waiters_locked(LockState& st) {
+void LockTable::grant_waiters_locked(Shard& s, LockState& st) {
   if (st.exclusive_owner.valid()) return;
   for (auto w = st.waiters.begin(); st.readers_parked > 0;) {
     if (w->mode != Mode::kShared) {
@@ -145,11 +140,13 @@ void LockTable::grant_waiters_locked(LockState& st) {
     ++st.shared_count;
     settle(*w, true);
     w = st.waiters.erase(w);
+    --s.waiting;
   }
   if (st.shared_count > 0 || st.waiters.empty()) return;
   st.exclusive_owner = st.waiters.front().owner;
   settle(st.waiters.front(), true);
   st.waiters.pop_front();
+  --s.waiting;
 }
 
 void LockTable::park_all(Keys keys, TxId owner,
@@ -187,7 +184,7 @@ void LockTable::unlock(Key key, [[maybe_unused]] TxId owner, Mode mode) {
     assert(st.shared_count > 0);
     --st.shared_count;
   }
-  grant_waiters_locked(st);
+  grant_waiters_locked(s, st);
   if (st.idle()) s.locks.erase(it);
 }
 

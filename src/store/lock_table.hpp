@@ -12,10 +12,10 @@
 // a parked reader. A continuation never runs inside the call that settles
 // it (a node releases a Decide's locks under its site mutex, which a read
 // takes): each thread runs what it settled, in a loop, when its outermost
-// Scope ends, and every lock call is a Scope. A parked request holds one
-// timer entry at a time, due at its deadline or a `tick` from now if
-// sooner; an early entry re-arms, a late one finds the request granted and
-// does nothing. The shard mutex settles the grant-versus-timeout race.
+// Scope ends, and every lock call is a Scope. The table keeps no clock: a
+// parked request times out at the first expire(now) at or after its
+// deadline, which its node calls on every cluster tick. The shard mutex
+// settles the grant-versus-timeout race.
 #pragma once
 
 #include <atomic>
@@ -36,9 +36,6 @@ namespace fwkv::store {
 class LockTable {
  public:
   using Clock = std::chrono::steady_clock;
-  /// Runs `fn` on a timer thread after `delay`.
-  using Schedule = std::function<void(std::chrono::nanoseconds delay,
-                                      std::function<void()> fn)>;
   /// A parked request's continuation: granted, or timed out.
   using Resume = std::function<void(bool granted)>;
   enum class Mode : std::uint8_t { kShared, kExclusive };
@@ -64,9 +61,7 @@ class LockTable {
     Scope& operator=(const Scope&) = delete;
   };
 
-  /// `schedule` arms parked requests' timeouts, at most `tick` ahead.
-  LockTable(Schedule schedule, std::chrono::nanoseconds tick,
-            std::size_t shards = 64);
+  explicit LockTable(std::size_t shards = 64);
 
   /// Exclusive: granted if the key is free and nobody waits for it, or if
   /// `owner` holds it already (idempotent). Shared: granted unless an
@@ -76,7 +71,8 @@ class LockTable {
   bool lock_all(const Keys& keys, TxId owner);
 
   /// Parks a request lock() refused: `resume` runs once, when the key is
-  /// granted to `owner` (at once if it is free by now) or at `deadline`.
+  /// granted to `owner` (at once if it is free by now) or at the first
+  /// expire() at or after `deadline`.
   void park(Key key, TxId owner, Mode mode, Clock::time_point deadline,
             Resume resume);
   /// Takes the keys from `next` on (those before are held) in order,
@@ -85,6 +81,11 @@ class LockTable {
   /// keys taken are released.
   void park_all(Keys keys, TxId owner, std::chrono::nanoseconds per_key,
                 Resume then, std::size_t next = 0);
+
+  /// Times out every parked request whose deadline is at or before `now`
+  /// and runs their continuations; returns how many it settled. Takes only
+  /// the mutexes of shards that hold a parked request.
+  std::size_t expire(Clock::time_point now);
 
   void unlock(Key key, TxId owner, Mode mode);
   /// Releases the first `n` keys of `keys`, all of them by default.
@@ -99,7 +100,6 @@ class LockTable {
 
  private:
   struct Waiter {
-    std::uint64_t ticket;
     TxId owner;
     Mode mode;
     Clock::time_point deadline;
@@ -119,23 +119,22 @@ class LockTable {
   struct Shard {
     std::mutex mu;
     std::unordered_map<Key, LockState> locks;
-    std::uint64_t next_ticket = 0;
+    /// Parked requests in `locks`; written under `mu`, read by expire()
+    /// without it.
+    std::atomic<std::uint32_t> waiting{0};
   };
 
   Shard& shard_for(Key key) const;
   static bool grant(LockState& st, TxId owner, Mode mode);
   /// Settles the requests a release lets in.
-  void grant_waiters_locked(LockState& st);
+  void grant_waiters_locked(Shard& s, LockState& st);
   /// Queues `w`'s continuation on this thread.
   void settle(Waiter& w, bool granted);
-  void arm(Key key, std::uint64_t ticket, Clock::time_point deadline);
-  /// A parked request's timer entry.
-  void expire(Key key, std::uint64_t ticket);
-
-  const Schedule schedule_;
-  const std::chrono::nanoseconds tick_;
   std::vector<std::unique_ptr<Shard>> shards_;
-  std::atomic<std::size_t> parked_{0};
+  /// On a cache line of its own: every tick reads it from the timer thread,
+  /// and the members that follow a table in its node are written by every
+  /// prepare and Decide.
+  alignas(64) std::atomic<std::size_t> parked_{0};
 };
 
 }  // namespace fwkv::store

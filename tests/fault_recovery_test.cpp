@@ -7,6 +7,7 @@
 
 #include <atomic>
 #include <thread>
+#include <vector>
 
 #include "common/rng.hpp"
 #include "core/cluster.hpp"
@@ -28,22 +29,23 @@ Key key_on_node(const Cluster& cluster, NodeId node, Key hint = 0) {
 class ParticipantStallTest : public ::testing::TestWithParam<Protocol> {};
 
 TEST_P(ParticipantStallTest, CoordinatorTimesOutAndLocksAreReleased) {
-  // A participant pauses before it can process a Prepare. The coordinator
-  // must timeout-abort (not hang), and once the participant resumes and
-  // processes the deferred Prepare + abort Decide, its locks must be free:
-  // a retry of the same writes commits.
+  // A participant stalls before it can process a Prepare: the link from
+  // the coordinator's node 0 to node 1 takes 400 ms. The coordinator must
+  // timeout-abort (not hang), and once the participant has processed the
+  // late Prepare and abort Decide, its locks must be free: a retry of the
+  // same writes, from node 2, whose link to node 1 is fast, commits.
   ClusterConfig cfg;
   cfg.num_nodes = 3;
   cfg.protocol = GetParam();
   cfg.net.one_way_latency = std::chrono::microseconds(20);
+  cfg.net.link_latency.assign(3,
+                              std::vector<std::chrono::nanoseconds>(3, -1ns));
+  cfg.net.link_latency[0][1] = 400ms;
   cfg.protocol_config.rpc_timeout = 60ms;
   Cluster cluster(cfg);
 
   const Key remote = key_on_node(cluster, 1);
   cluster.load(remote, "seed");
-
-  // Stall node 1 past the coordinator's vote timeout.
-  cluster.network().pause_node(1, 400ms);
 
   Session s = cluster.make_session(0, 0);
   auto tx = s.begin();
@@ -55,19 +57,20 @@ TEST_P(ParticipantStallTest, CoordinatorTimesOutAndLocksAreReleased) {
   EXPECT_EQ(tx.abort_reason(), AbortReason::kVoteTimeout);
   EXPECT_GE(cluster.aggregate_stats().aborts_vote_timeout, 1u);
 
-  // Let the pause window elapse; the deferred Prepare (locks taken, vote
-  // lost to the dead rpc slot) and abort Decide (locks released) drain.
+  // Let the stall elapse; the late Prepare (locks taken, vote dropped as
+  // its round has ended) and abort Decide (locks released) land.
   std::this_thread::sleep_for(450ms);
   ASSERT_TRUE(cluster.quiesce(10s));
 
-  auto retry = s.begin();
-  s.write(retry, remote, "recovered");
-  EXPECT_TRUE(s.commit(retry))
+  Session fast = cluster.make_session(2, 0);
+  auto retry = fast.begin();
+  fast.write(retry, remote, "recovered");
+  EXPECT_TRUE(fast.commit(retry))
       << "locks still held after the participant resumed";
 
-  auto check = s.begin(true);
-  auto v = s.read(check, remote);
-  s.commit(check);
+  auto check = fast.begin(true);
+  auto v = fast.read(check, remote);
+  fast.commit(check);
   ASSERT_TRUE(v.has_value());
   EXPECT_EQ(*v, "recovered");
 }

@@ -2,14 +2,11 @@
 
 #include <atomic>
 #include <cstdlib>
-#include <functional>
 #include <future>
 #include <mutex>
 #include <thread>
-#include <utility>
 #include <vector>
 
-#include "net/delay_queue.hpp"
 #include "store/lock_table.hpp"
 
 namespace fwkv::store {
@@ -26,41 +23,6 @@ const TxId kTx4(4, 0, 1);
 constexpr Mode kEx = Mode::kExclusive;
 constexpr Mode kSh = Mode::kShared;
 
-/// A lock table whose parked requests time out on a real timer, armed at
-/// most 1 ms ahead as in a node. The timer is declared after the table, so
-/// it stops before the table goes.
-struct Timed {
-  Timed()
-      : locks(
-            [this](std::chrono::nanoseconds delay, std::function<void()> fn) {
-              timer.run_after(delay, std::move(fn));
-            },
-            1ms) {}
-  LockTable locks;
-  net::DelayQueue timer;
-};
-
-/// Timer entries that run only when the test fires them.
-struct ManualTimer {
-  LockTable::Schedule schedule() {
-    return [this](std::chrono::nanoseconds delay, std::function<void()> fn) {
-      entries.emplace_back(Clock::now() + delay, std::move(fn));
-    };
-  }
-  /// Runs the oldest entry.
-  void fire() {
-    auto entry = std::move(entries.front());
-    entries.erase(entries.begin());
-    entry.second();
-  }
-  std::vector<std::pair<Clock::time_point, std::function<void()>>> entries;
-};
-
-/// A schedule for tables whose requests never time out in the test.
-LockTable::Schedule never() {
-  return [](std::chrono::nanoseconds, std::function<void()>) {};
-}
-
 /// The outcome of one parked request, settled by its continuation.
 struct Outcome {
   std::promise<bool> settled;
@@ -73,17 +35,8 @@ struct Outcome {
 
 const Clock::time_point kFar = Clock::now() + std::chrono::hours(1);
 
-/// True once every continuation of `locks` has run. One settled by a
-/// timeout finishes on the timer thread, after its waiter has seen it.
-bool drained(const LockTable& locks) {
-  for (int i = 0; i < 1000 && locks.parked() != 0; ++i) {
-    std::this_thread::sleep_for(1ms);
-  }
-  return locks.parked() == 0;
-}
-
 TEST(LockTableTest, ExclusiveBasics) {
-  LockTable locks(never(), 1ms);
+  LockTable locks;
   EXPECT_TRUE(locks.lock(1, kTx1, kEx));
   EXPECT_TRUE(locks.held_exclusive(1, kTx1));
   EXPECT_FALSE(locks.held_exclusive(1, kTx2));
@@ -94,7 +47,7 @@ TEST(LockTableTest, ExclusiveBasics) {
 }
 
 TEST(LockTableTest, ExclusiveExcludesOtherOwners) {
-  LockTable locks(never(), 1ms);
+  LockTable locks;
   ASSERT_TRUE(locks.lock(1, kTx1, kEx));
   EXPECT_FALSE(locks.lock(1, kTx2, kEx));
   locks.unlock(1, kTx1, kEx);
@@ -103,7 +56,7 @@ TEST(LockTableTest, ExclusiveExcludesOtherOwners) {
 }
 
 TEST(LockTableTest, ExclusiveReacquireByOwnerIsIdempotent) {
-  LockTable locks(never(), 1ms);
+  LockTable locks;
   ASSERT_TRUE(locks.lock(1, kTx1, kEx));
   EXPECT_TRUE(locks.lock(1, kTx1, kEx));
   locks.unlock(1, kTx1, kEx);
@@ -111,7 +64,7 @@ TEST(LockTableTest, ExclusiveReacquireByOwnerIsIdempotent) {
 }
 
 TEST(LockTableTest, SharedAllowsMultipleReaders) {
-  LockTable locks(never(), 1ms);
+  LockTable locks;
   EXPECT_TRUE(locks.lock(1, kTx1, kSh));
   EXPECT_TRUE(locks.lock(1, kTx2, kSh));
   locks.unlock(1, kTx1, kSh);
@@ -120,7 +73,7 @@ TEST(LockTableTest, SharedAllowsMultipleReaders) {
 }
 
 TEST(LockTableTest, SharedBlocksExclusive) {
-  LockTable locks(never(), 1ms);
+  LockTable locks;
   ASSERT_TRUE(locks.lock(1, kTx1, kSh));
   EXPECT_FALSE(locks.lock(1, kTx2, kEx));
   locks.unlock(1, kTx1, kSh);
@@ -129,7 +82,7 @@ TEST(LockTableTest, SharedBlocksExclusive) {
 }
 
 TEST(LockTableTest, ExclusiveBlocksShared) {
-  LockTable locks(never(), 1ms);
+  LockTable locks;
   ASSERT_TRUE(locks.lock(1, kTx1, kEx));
   EXPECT_FALSE(locks.lock(1, kTx2, kSh));
   locks.unlock(1, kTx1, kEx);
@@ -138,7 +91,7 @@ TEST(LockTableTest, ExclusiveBlocksShared) {
 }
 
 TEST(LockTableTest, DifferentKeysAreIndependent) {
-  LockTable locks(never(), 1ms);
+  LockTable locks;
   ASSERT_TRUE(locks.lock(1, kTx1, kEx));
   EXPECT_TRUE(locks.lock(2, kTx2, kEx));
   locks.unlock(1, kTx1, kEx);
@@ -148,33 +101,31 @@ TEST(LockTableTest, DifferentKeysAreIndependent) {
 TEST(LockTableTest, TimedWaitSucceedsWhenReleased) {
   // A parked writer is granted by the release, and its continuation runs
   // on the releasing thread.
-  Timed t;
-  ASSERT_TRUE(t.locks.lock(1, kTx1, kEx));
+  LockTable locks;
+  ASSERT_TRUE(locks.lock(1, kTx1, kEx));
   std::thread::id ran_on;
   Outcome out;
-  t.locks.park(1, kTx2, kEx, Clock::now() + 500ms,
-               [&](bool granted) {
-                 ran_on = std::this_thread::get_id();
-                 out.settled.set_value(granted);
-               });
-  EXPECT_FALSE(out.ready());
-  std::thread releaser([&] {
-    std::this_thread::sleep_for(10ms);
-    t.locks.unlock(1, kTx1, kEx);
+  const auto parked_at = Clock::now();
+  locks.park(1, kTx2, kEx, parked_at + 500ms, [&](bool granted) {
+    ran_on = std::this_thread::get_id();
+    out.settled.set_value(granted);
   });
+  EXPECT_EQ(locks.expire(parked_at + 499ms), 0u);
+  EXPECT_FALSE(out.ready());
+  std::thread releaser([&] { locks.unlock(1, kTx1, kEx); });
   const std::thread::id releaser_id = releaser.get_id();
   EXPECT_TRUE(out.result.get());
   releaser.join();
   EXPECT_EQ(ran_on, releaser_id);
-  EXPECT_TRUE(t.locks.held_exclusive(1, kTx2));
-  t.locks.unlock(1, kTx2, kEx);
-  EXPECT_EQ(t.locks.parked(), 0u);
+  EXPECT_TRUE(locks.held_exclusive(1, kTx2));
+  locks.unlock(1, kTx2, kEx);
+  EXPECT_EQ(locks.parked(), 0u);
 }
 
 TEST(LockTableTest, WaitingReaderGetsInAtTheNextRelease) {
   // A writer that releases and at once re-locks the key must not starve a
   // reader parked behind it: the reader gets the key at the first release.
-  LockTable locks(never(), 1ms);
+  LockTable locks;
   ASSERT_TRUE(locks.lock(1, kTx1, kEx));
   int releases = 0;
   int acquired_after = -1;
@@ -194,46 +145,53 @@ TEST(LockTableTest, WaitingReaderGetsInAtTheNextRelease) {
 }
 
 TEST(LockTableTest, TimedOutReaderNoLongerHoldsBackWriters) {
-  Timed t;
-  ASSERT_TRUE(t.locks.lock(1, kTx1, kEx));
+  LockTable locks;
+  ASSERT_TRUE(locks.lock(1, kTx1, kEx));
   Outcome reader;
-  t.locks.park(1, kTx2, kSh, Clock::now() + 2ms, reader.resume());
+  const auto deadline = Clock::now() + 2ms;
+  locks.park(1, kTx2, kSh, deadline, reader.resume());
+  EXPECT_EQ(locks.expire(deadline), 1u);
+  ASSERT_TRUE(reader.ready());
   EXPECT_FALSE(reader.result.get()) << "the reader was granted";
-  t.locks.unlock(1, kTx1, kEx);
-  EXPECT_EQ(t.locks.size(), 0u);
-  EXPECT_TRUE(t.locks.lock(1, kTx2, kEx));
-  t.locks.unlock(1, kTx2, kEx);
-  EXPECT_TRUE(drained(t.locks));
+  EXPECT_EQ(locks.parked(), 0u);
+  locks.unlock(1, kTx1, kEx);
+  EXPECT_EQ(locks.size(), 0u);
+  EXPECT_TRUE(locks.lock(1, kTx2, kEx));
+  locks.unlock(1, kTx2, kEx);
 }
 
 TEST(LockTableTest, MultiKeyAllOrNothing) {
-  Timed t;
-  ASSERT_TRUE(t.locks.lock(2, kTx1, kEx));
+  LockTable locks;
+  ASSERT_TRUE(locks.lock(2, kTx1, kEx));
 
   const LockTable::Keys keys{{1, 2, 3}, {}};
   Outcome first;
-  t.locks.park_all(keys, kTx2, 2ms, first.resume());
+  locks.park_all(keys, kTx2, 2ms, first.resume());
+  EXPECT_FALSE(first.ready());
+  // The wait on key 2 ends at most 2 ms after this point.
+  EXPECT_EQ(locks.expire(Clock::now() + 2ms), 1u);
+  ASSERT_TRUE(first.ready());
   EXPECT_FALSE(first.result.get()) << "key 2 was granted";
   // Key 1 must have been released, and key 3 never taken.
-  EXPECT_TRUE(t.locks.lock(1, kTx1, kEx));
-  EXPECT_TRUE(t.locks.lock(3, kTx1, kEx));
-  t.locks.unlock_all(keys, kTx1);
-  EXPECT_EQ(t.locks.size(), 0u);
+  EXPECT_TRUE(locks.lock(1, kTx1, kEx));
+  EXPECT_TRUE(locks.lock(3, kTx1, kEx));
+  locks.unlock_all(keys, kTx1);
+  EXPECT_EQ(locks.size(), 0u);
 
   Outcome second;
-  t.locks.park_all(keys, kTx2, 2ms, second.resume());
+  locks.park_all(keys, kTx2, 2ms, second.resume());
   ASSERT_TRUE(second.ready()) << "nothing had to park";
   EXPECT_TRUE(second.result.get());
-  for (Key k : keys.exclusive) EXPECT_TRUE(t.locks.held_exclusive(k, kTx2));
-  t.locks.unlock_all(keys, kTx2);
-  EXPECT_TRUE(drained(t.locks));
+  for (Key k : keys.exclusive) EXPECT_TRUE(locks.held_exclusive(k, kTx2));
+  locks.unlock_all(keys, kTx2);
+  EXPECT_EQ(locks.parked(), 0u);
 }
 
 // A lock call grants now or refuses, and a refusal changes nothing until
 // the request parks.
 
 TEST(LockTableTest, TryAcquiresFailWhereTheBlockingCallsWouldWait) {
-  LockTable locks(never(), 1ms);
+  LockTable locks;
   // Held exclusive: only the owner's re-acquisition succeeds.
   ASSERT_TRUE(locks.lock(1, kTx1, kEx));
   EXPECT_FALSE(locks.lock(1, kTx2, kEx));
@@ -256,7 +214,7 @@ TEST(LockTableTest, TryAcquiresFailWhereTheBlockingCallsWouldWait) {
 TEST(LockTableTest, TryAcquiresNeverWait) {
   // The key is released 200 ms after the calls start. A call that waited
   // any time at all would see that release and succeed.
-  LockTable locks(never(), 1ms);
+  LockTable locks;
   ASSERT_TRUE(locks.lock(1, kTx1, kEx));
   std::thread releaser([&] {
     std::this_thread::sleep_for(200ms);
@@ -275,7 +233,7 @@ TEST(LockTableTest, TryAcquiresNeverWait) {
 TEST(LockTableTest, FailedTrySharedQueuesNoReader) {
   // A parked reader holds later writers back until it is served; a refused
   // call must not, or the next writer would wait for a phantom.
-  LockTable locks(never(), 1ms);
+  LockTable locks;
   ASSERT_TRUE(locks.lock(1, kTx1, kEx));
   EXPECT_FALSE(locks.lock(1, kTx2, kSh));
   EXPECT_EQ(locks.parked(), 0u);
@@ -288,7 +246,7 @@ TEST(LockTableTest, FailedTrySharedQueuesNoReader) {
 TEST(LockTableTest, TryExclusiveFailsWhileAReaderIsQueued) {
   // A reader parked behind the holder gets the key at its release, before
   // any fresh writer.
-  LockTable locks(never(), 1ms);
+  LockTable locks;
   ASSERT_TRUE(locks.lock(1, kTx1, kEx));
   Outcome reader;
   locks.park(1, kTx2, kSh, kFar, reader.resume());
@@ -302,7 +260,7 @@ TEST(LockTableTest, TryExclusiveFailsWhileAReaderIsQueued) {
 }
 
 TEST(LockTableTest, TryMultiKeyAllOrNothing) {
-  LockTable locks(never(), 1ms);
+  LockTable locks;
   ASSERT_TRUE(locks.lock(2, kTx1, kEx));
   const LockTable::Keys keys{{1, 2, 3}, {}};
   EXPECT_FALSE(locks.lock_all(keys, kTx2));
@@ -321,7 +279,7 @@ TEST(LockTableTest, TryMultiKeyAllOrNothing) {
 }
 
 TEST(LockTableTest, ReleaseGrantsParkedReadersBeforeTheFirstWriter) {
-  LockTable locks(never(), 1ms);
+  LockTable locks;
   ASSERT_TRUE(locks.lock(1, kTx1, kEx));
   Outcome writer, early_reader, late_reader;
   locks.park(1, kTx2, kEx, kFar, writer.resume());
@@ -349,7 +307,7 @@ TEST(LockTableTest, ChainOfWaitersDrainsAfterOneReleaseOnOneThread) {
   // which grants the next. Run as a recursion, the chain would overflow
   // the stack; run in a loop, it drains inside the one release call.
   constexpr int kWaiters = 100000;
-  LockTable locks(never(), 1ms);
+  LockTable locks;
   ASSERT_TRUE(locks.lock(1, kTx1, kEx));
   int ran = 0;
   bool elsewhere = false;
@@ -376,7 +334,7 @@ TEST(LockTableTest, ContinuationThatRelocksItsReleasersKeyDoesNotDeadlock) {
   // handler's Scope. The continuation the release grants takes that mutex
   // and re-locks the key: it must run after the handler, not inside the
   // release (under the shard mutex or the site mutex).
-  LockTable locks(never(), 1ms);
+  LockTable locks;
   std::mutex site_mu;
   std::atomic<bool> releasing{false};
   bool inside_release = false;
@@ -406,56 +364,55 @@ TEST(LockTableTest, ContinuationThatRelocksItsReleasersKeyDoesNotDeadlock) {
   EXPECT_EQ(locks.size(), 0u);
 }
 
-TEST(LockTableTest, ParkedRequestHoldsOneTimerEntryOfAtMostOneTick) {
-  // A read parked for 5 s keeps exactly one timer entry, due at most one
-  // tick ahead: an early entry re-arms, and an entry that finds the
-  // request granted ends without a successor.
-  ManualTimer timer;
-  LockTable locks(timer.schedule(), 1ms);
+TEST(LockTableTest, ExpireSettlesOnlyRequestsPastTheirDeadline) {
+  // A read parked for 5 s survives a sweep 1 ms later and is granted by
+  // the next release; a sweep then finds nothing to time out.
+  LockTable locks;
+  const auto t = Clock::now();
   ASSERT_TRUE(locks.lock(1, kTx1, kEx));
   Outcome reader;
-  const auto parked_at = Clock::now();
-  locks.park(1, kTx2, kSh, parked_at + 5s, reader.resume());
-  for (int i = 0; i < 3; ++i) {
-    ASSERT_EQ(timer.entries.size(), 1u);
-    EXPECT_LE(timer.entries[0].first, Clock::now() + 1ms);
-    timer.fire();  // before the deadline: re-arms
-    EXPECT_FALSE(reader.ready());
-  }
-  ASSERT_EQ(timer.entries.size(), 1u);
+  locks.park(1, kTx2, kSh, t + 5s, reader.resume());
+  EXPECT_EQ(locks.expire(t + 1ms), 0u);
+  EXPECT_FALSE(reader.ready());
   locks.unlock(1, kTx1, kEx);
   ASSERT_TRUE(reader.ready());
   EXPECT_TRUE(reader.result.get());
-  timer.fire();  // finds the read granted
-  EXPECT_TRUE(timer.entries.empty());
+  EXPECT_EQ(locks.expire(t + 10s), 0u);
   locks.unlock(1, kTx2, kSh);
 
-  // A request past its deadline times out at its entry, re-arming nothing.
+  // A prepare parked until t times out at the first sweep at or after t,
+  // exactly once.
   ASSERT_TRUE(locks.lock(1, kTx1, kEx));
-  Outcome late;
-  locks.park(1, kTx2, kEx, Clock::now(), late.resume());
-  ASSERT_EQ(timer.entries.size(), 1u);
-  timer.fire();
-  ASSERT_TRUE(late.ready());
-  EXPECT_FALSE(late.result.get());
-  EXPECT_TRUE(timer.entries.empty());
+  int runs = 0;
+  bool granted = true;
+  locks.park(1, kTx2, kEx, t, [&](bool g) {
+    ++runs;
+    granted = g;
+  });
+  EXPECT_EQ(locks.expire(t - 1ns), 0u);
+  EXPECT_EQ(runs, 0);
+  EXPECT_EQ(locks.expire(t), 1u);
+  EXPECT_EQ(runs, 1);
+  EXPECT_FALSE(granted);
+  EXPECT_EQ(locks.expire(t + 1s), 0u);
+  EXPECT_EQ(runs, 1);
   EXPECT_EQ(locks.parked(), 0u);
+  // The timed-out writer left nothing behind: the release frees the key.
   locks.unlock(1, kTx1, kEx);
   EXPECT_EQ(locks.size(), 0u);
 }
 
-/// Takes `key` for `me`, parking for at most 50 ms if it is busy. The
-/// continuation runs on the releasing thread (or the timer); this thread
-/// waits for it.
-bool lock_waiting(Timed& t, Key key, TxId me, Mode mode) {
-  if (t.locks.lock(key, me, mode)) return true;
+/// Takes `key` for `me`, parking if it is busy. The continuation runs on
+/// the releasing thread; this thread waits for it.
+bool lock_waiting(LockTable& locks, Key key, TxId me, Mode mode) {
+  if (locks.lock(key, me, mode)) return true;
   Outcome out;
-  t.locks.park(key, me, mode, Clock::now() + 50ms, out.resume());
+  locks.park(key, me, mode, kFar, out.resume());
   return out.result.get();
 }
 
 TEST(LockTableTest, StressMutualExclusion) {
-  Timed t;
+  LockTable locks;
   std::atomic<int> in_critical{0};
   std::atomic<int> acquired{0};
   std::atomic<bool> violation{false};
@@ -464,23 +421,23 @@ TEST(LockTableTest, StressMutualExclusion) {
     threads.emplace_back([&, i] {
       const TxId me(static_cast<NodeId>(i), 0, 1);
       for (int n = 0; n < 200; ++n) {
-        if (!lock_waiting(t, 7, me, kEx)) continue;
+        if (!lock_waiting(locks, 7, me, kEx)) continue;
         if (in_critical.fetch_add(1) != 0) violation = true;
         in_critical.fetch_sub(1);
         acquired.fetch_add(1);
-        t.locks.unlock(7, me, kEx);
+        locks.unlock(7, me, kEx);
       }
     });
   }
   for (auto& th : threads) th.join();
   EXPECT_FALSE(violation.load());
   EXPECT_GT(acquired.load(), 800);
-  EXPECT_TRUE(drained(t.locks));
-  EXPECT_EQ(t.locks.size(), 0u);
+  EXPECT_EQ(locks.parked(), 0u);
+  EXPECT_EQ(locks.size(), 0u);
 }
 
 TEST(LockTableTest, StressSharedExclusiveInvariant) {
-  Timed t;
+  LockTable locks;
   std::atomic<int> readers{0};
   std::atomic<int> writers{0};
   std::atomic<bool> violation{false};
@@ -491,26 +448,26 @@ TEST(LockTableTest, StressSharedExclusiveInvariant) {
       const TxId me(static_cast<NodeId>(i), 0, 1);
       for (int n = 0; n < 150; ++n) {
         if (writer) {
-          if (!lock_waiting(t, 9, me, kEx)) continue;
+          if (!lock_waiting(locks, 9, me, kEx)) continue;
           if (writers.fetch_add(1) != 0 || readers.load() != 0) {
             violation = true;
           }
           writers.fetch_sub(1);
-          t.locks.unlock(9, me, kEx);
+          locks.unlock(9, me, kEx);
         } else {
-          if (!lock_waiting(t, 9, me, kSh)) continue;
+          if (!lock_waiting(locks, 9, me, kSh)) continue;
           readers.fetch_add(1);
           if (writers.load() != 0) violation = true;
           readers.fetch_sub(1);
-          t.locks.unlock(9, me, kSh);
+          locks.unlock(9, me, kSh);
         }
       }
     });
   }
   for (auto& th : threads) th.join();
   EXPECT_FALSE(violation.load());
-  EXPECT_TRUE(drained(t.locks));
-  EXPECT_EQ(t.locks.size(), 0u);
+  EXPECT_EQ(locks.parked(), 0u);
+  EXPECT_EQ(locks.size(), 0u);
 }
 
 }  // namespace

@@ -318,8 +318,8 @@ TEST(SimNetworkTest, ScheduleRunsTask) {
 
 TEST(SimNetworkTest, LinkLatencyMatrixOverridesPerLink) {
   NetConfig cfg;
-  cfg.one_way_latency = 0ns;
-  // 3 nodes; only the 0->2 link is slow. -1 entries fall back to
+  cfg.one_way_latency = 20ms;
+  // 3 nodes; only the 0->2 link is slower. -1 entries fall back to
   // one_way_latency.
   cfg.link_latency.assign(3, std::vector<std::chrono::nanoseconds>(3, -1ns));
   cfg.link_latency[0][2] = 40ms;
@@ -339,8 +339,10 @@ TEST(SimNetworkTest, LinkLatencyMatrixOverridesPerLink) {
                     .has_value());
     return Clock::now() - t0;
   };
-  EXPECT_LT(rtt_to(1), 30ms);   // fallback link: effectively instant
-  EXPECT_GE(rtt_to(2), 38ms);   // 40 ms out, 0 ms (fallback) back
+  // A delivery is never early, so each round trip takes at least its two
+  // links' latencies.
+  EXPECT_GE(rtt_to(1), 40ms);  // 20 ms (fallback) out, 20 ms back
+  EXPECT_GE(rtt_to(2), 60ms);  // 40 ms out, 20 ms (fallback) back
 }
 
 TEST(SimNetworkTest, TwoRegionMatrixValues) {
@@ -676,28 +678,6 @@ TEST(SimNetworkFaultTest, PartitionWindowDropsThenHeals) {
   ASSERT_TRUE(net.wait_quiescent(1s));
   EXPECT_EQ(b.received_.load(), 1);
   EXPECT_EQ(net.faults_injected(FaultKind::kPartitionDrop), 2u);
-}
-
-TEST(SimNetworkFaultTest, PauseNodeDefersDelivery) {
-  SimNetwork net(2, fast_net());
-  RecordingEndpoint a(&net, 0);
-  RecordingEndpoint b(&net, 1);
-  net.register_endpoint(0, &a);
-  net.register_endpoint(1, &b);
-
-  net.pause_node(1, 150ms);
-  const auto t0 = Clock::now();
-  net.send(0, 1, RemoveMessage{TxId(1, 1, 1), {TxId(1)}});
-  std::this_thread::sleep_for(30ms);
-  EXPECT_EQ(b.received_.load(), 0) << "delivered into the pause window";
-  ASSERT_TRUE(net.wait_quiescent(5s));
-  EXPECT_EQ(b.received_.load(), 1);
-  EXPECT_GE(Clock::now() - t0, 140ms);
-  EXPECT_EQ(net.faults_injected(FaultKind::kPauseDeferral), 1u);
-  // The paused node could still send the whole time.
-  net.send(1, 0, RemoveMessage{TxId(1, 1, 2), {TxId(2)}});
-  ASSERT_TRUE(net.wait_quiescent(1s));
-  EXPECT_EQ(a.received_.load(), 1);
 }
 
 TEST(SimNetworkFaultTest, InertPlanInstallsNoInjector) {

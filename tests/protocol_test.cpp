@@ -1078,6 +1078,25 @@ TEST(ClusterTest, SessionBeyondTxIdFieldIsRefused) {
   EXPECT_THROW(cluster.make_session(0, 0), std::length_error);
 }
 
+TEST(ClusterTest, DestroyedWhileItsTickRuns) {
+  // The cluster's tick re-arms itself from the timer thread it runs on, so
+  // a cluster may be destroyed in the middle of a tick. A 10 us tick period
+  // keeps the timer thread inside a tick much of the time; each cluster
+  // lives a different few microseconds.
+  int built = 0;
+  for (Protocol p : {Protocol::kFwKv, Protocol::kWalter, Protocol::kTwoPC}) {
+    const auto until = std::chrono::steady_clock::now() + 330ms;
+    while (std::chrono::steady_clock::now() < until) {
+      auto cfg = base_config(p, 4);
+      cfg.protocol_config.propagate_flush_interval = 10us;
+      Cluster cluster(cfg);
+      std::this_thread::sleep_for(std::chrono::microseconds(built % 100));
+      ++built;
+    }
+  }
+  EXPECT_GE(built, 3);
+}
+
 static_assert(!std::is_copy_constructible_v<Session> &&
                   !std::is_copy_assignable_v<Session>,
               "two copies of a session would issue the same tx ids");
