@@ -10,16 +10,21 @@ Walter) it starts, one process at a time,
         --latency-us <l> --protocol <p> --stats
 
 once per root, interleaving the roots and swapping which goes first from
-one run to the next. Each root must be built already (cmake -B build).
+one run to the next. Each root must be built already (cmake -B build),
+and all with the same CMAKE_BUILD_TYPE (an empty one counts as
+RelWithDebInfo, the CMakeLists.txt default): the script refuses roots
+whose build types differ.
 CPU is the user+sys time of the finished process, taken from
 resource.getrusage(RUSAGE_CHILDREN) deltas, over its commits. While a
 process runs, the script samples the Threads: line of its
 /proc/<pid>/status every 20 ms and keeps the peak. It prints one line per
 process, then per root and latency the median (and min..max) of tx/s, CPU
 us per commit and peak threads of both protocols, FW-KV/Walter paired by
-run, and the doomed=, catch-up-timeouts= and lock-timeout aborts (the
-first field of aborts(lock/val/vote)=) counters of --stats. One --root
-alone is fine too.
+run, the doomed=, catch-up-timeouts= and lock-timeout aborts (the
+first field of aborts(lock/val/vote)=) counters of --stats, and the
+standalone Remove and the Propagate messages per commit (the Remove: and
+Propagate: lines of --stats; they count the warm-up's messages too, the
+commits do not). One --root alone is fine too.
 """
 
 import argparse
@@ -33,6 +38,18 @@ from pathlib import Path
 
 LATENCIES_US = (0, 200)
 PROTOCOLS = (("fwkv", "FW-KV"), ("walter", "Walter"))
+
+
+def build_type(root):
+    cache = Path(root) / "build" / "CMakeCache.txt"
+    try:
+        text = cache.read_text()
+    except OSError:
+        sys.exit(f"{cache}: not found; configure it with cmake -B build")
+    m = re.search(r"^CMAKE_BUILD_TYPE:\w+=(.*)$", text, re.MULTILINE)
+    value = m.group(1).strip() if m else ""
+    # CMakeLists.txt builds an empty CMAKE_BUILD_TYPE as RelWithDebInfo.
+    return value or "RelWithDebInfo"
 
 
 def cpu_seconds():
@@ -77,6 +94,10 @@ def run_cli(root, protocol, latency_us):
         return float(m.group(1))
 
     commits = field(r"(\d+) commits")
+
+    def per_commit(pattern):
+        return field(pattern) / commits if commits else float("inf")
+
     return {
         "tps": field(r"([\d.]+) kTx/s") * 1000.0,
         "cpu_us": cpu * 1e6 / commits if commits else float("inf"),
@@ -84,6 +105,8 @@ def run_cli(root, protocol, latency_us):
         "catchup": int(field(r"catch-up-timeouts=(\d+)")),
         "lock_aborts": int(field(r"aborts\(lock/val/vote\)=(\d+)/")),
         "threads": peak_threads,
+        "removes": per_commit(r"\n\s*Remove: (\d+)"),
+        "propagates": per_commit(r"\n\s*Propagate: (\d+)"),
     }
 
 
@@ -99,12 +122,17 @@ def main():
     ap.add_argument("--runs", type=int, default=3)
     args = ap.parse_args()
     roots = [str(Path(r).resolve()) for r in args.root]
+    types = {root: build_type(root) for root in roots}
+    if len(set(types.values())) > 1:
+        sys.exit("the roots' CMAKE_BUILD_TYPE values differ: " +
+                 ", ".join(f"{r}: {t}" for r, t in types.items()))
 
     # results[root][latency][protocol] -> list of per-run dicts
     results = {r: {l: {p: [] for p, _ in PROTOCOLS} for l in LATENCIES_US}
                for r in roots}
     print("run  latency  protocol  root  tx/s  cpu_us/commit  doomed  "
-          "catch-up-timeouts  lock-aborts  peak-threads", flush=True)
+          "catch-up-timeouts  lock-aborts  peak-threads  removes/commit  "
+          "propagates/commit", flush=True)
     for i in range(args.runs):
         order = roots if i % 2 == 0 else roots[::-1]
         for latency in LATENCIES_US:
@@ -116,12 +144,13 @@ def main():
                           f"{roots.index(root)}  {r['tps']:.0f}  "
                           f"{r['cpu_us']:.1f}  {r['doomed']}  "
                           f"{r['catchup']}  {r['lock_aborts']}  "
-                          f"{r['threads']}", flush=True)
+                          f"{r['threads']}  {r['removes']:.2f}  "
+                          f"{r['propagates']:.2f}", flush=True)
 
     print()
     for index, root in enumerate(roots):
-        print(f"== root {index}: {root} (median (min..max) over "
-              f"{args.runs} runs)")
+        print(f"== root {index}: {root} ({types[root]}; median (min..max) "
+              f"over {args.runs} runs)")
         for latency in LATENCIES_US:
             per = results[root][latency]
             for protocol, name in PROTOCOLS:
@@ -136,7 +165,11 @@ def main():
                       f"lock-aborts "
                       f"{summary([r['lock_aborts'] for r in runs], '{}')}  "
                       f"threads "
-                      f"{summary([r['threads'] for r in runs], '{}')}")
+                      f"{summary([r['threads'] for r in runs], '{}')}  "
+                      f"removes/commit "
+                      f"{summary([r['removes'] for r in runs], '{:.2f}')}  "
+                      f"propagates/commit "
+                      f"{summary([r['propagates'] for r in runs], '{:.2f}')}")
             ratios = [f["tps"] / w["tps"]
                       for f, w in zip(per["fwkv"], per["walter"])]
             print(f"  {latency:>3} us FW-KV/Walter "

@@ -20,20 +20,23 @@ class Counter {
   std::atomic<std::uint64_t> v_{0};
 };
 
-/// Sum + count + max of a stream of values (e.g. collectedSet sizes, Fig. 6).
+/// Sum + count of a stream of values (e.g. collectedSet sizes, Fig. 6).
 class Accumulator {
  public:
-  void record(std::uint64_t value);
+  void record(std::uint64_t value) {
+    count_.fetch_add(1, std::memory_order_relaxed);
+    sum_.fetch_add(value, std::memory_order_relaxed);
+  }
   std::uint64_t count() const { return count_.load(std::memory_order_relaxed); }
   std::uint64_t sum() const { return sum_.load(std::memory_order_relaxed); }
-  std::uint64_t max() const { return max_.load(std::memory_order_relaxed); }
-  double mean() const;
-  void reset();
+  void reset() {
+    count_.store(0, std::memory_order_relaxed);
+    sum_.store(0, std::memory_order_relaxed);
+  }
 
  private:
   std::atomic<std::uint64_t> count_{0};
   std::atomic<std::uint64_t> sum_{0};
-  std::atomic<std::uint64_t> max_{0};
 };
 
 }  // namespace fwkv

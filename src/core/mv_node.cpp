@@ -25,9 +25,8 @@ MvNodeBase::MvNodeBase(NodeId id, ClusterContext& ctx)
       next_unsent_(ctx.num_nodes, 1),
       flush_every_(static_cast<std::uint32_t>(
           std::max<std::int64_t>(1, ctx.config.propagate_flush_interval /
-                                        tick_period(ctx.config)))) {
-  removes_.resize(ctx.num_nodes);
-}
+                                        tick_period(ctx.config)))),
+      sent_(ctx.num_nodes) {}
 
 // ---------------------------------------------------------------------------
 // Client-side operations (run on the client's thread, co-located with us).
@@ -160,7 +159,7 @@ bool MvNodeBase::commit(Transaction& tx) {
       if (site != id_) collect_ranges_locked(site, flushes);
     }
   }
-  attach_removes(flushes);
+  attach_watermarks(flushes);
   for (auto& [dest, msg] : flushes) {
     ctx_.network->send(id_, dest, std::move(msg));
   }
@@ -342,7 +341,7 @@ void MvNodeBase::apply_decide_locked(DecideMessage& m) {
 }
 
 void MvNodeBase::on_propagate(PropagateMessage&& m) {
-  // The Remove batch riding on the range applies at once, outside
+  // The watermark table riding on the range applies at once, outside
   // site_mu_, whether or not the range itself can.
   if (!m.watermarks.empty()) {
     apply_watermarks(m.watermarks);
@@ -478,11 +477,11 @@ void MvNodeBase::tick(Clock::time_point now) {
   TwoPhaseNode::tick(now);
   // Walter propagates periodically, outside the transaction critical path
   // (Alg. 4 line 27).
-  if (++ticks_ % flush_every_ == 0) flush(/*all_removes=*/false);
+  if (++ticks_ % flush_every_ == 0) flush(/*all_tables=*/false);
   if (retry_.lossy) repair_gaps(now);
 }
 
-void MvNodeBase::flush(bool all_removes) {
+void MvNodeBase::flush(bool all_tables) {
   Outbox flushes;
   {
     std::lock_guard<std::mutex> lock(site_mu_);
@@ -492,33 +491,31 @@ void MvNodeBase::flush(bool all_removes) {
     }
     prune_commit_log_locked();
   }
-  attach_removes(flushes);
-  // Walter's batches are never due.
-  std::vector<std::pair<NodeId, RemoveMessage>> alone;
+  attach_watermarks(flushes);
   {
-    std::lock_guard<std::mutex> lock(remove_mu_);
+    // A table no Propagate took goes alone once it has waited a while,
+    // named by newest_, which moved since the last send to its node.
+    // Walter's table never changes.
+    std::lock_guard<std::mutex> lock(watermark_mu_);
     for (NodeId d = 0; d < ctx_.num_nodes; ++d) {
-      RemoveBatch& pending = removes_[d];
-      if (pending.sent == moves_) continue;
-      // This node's own batch goes every tick; another node's once no
-      // Propagate has taken it for a while.
-      if (d == id_ || all_removes || ++pending.ticks >= kRemoveMaxTicks) {
-        alone.emplace_back(d, take_batch_locked(d));
+      TableSent& sent = sent_[d];
+      if (d == id_ || sent.changes == changes_) continue;
+      if (all_tables || ++sent.ticks >= kRemoveMaxTicks) {
+        flushes.emplace_back(d, RemoveMessage{newest_, take_table_locked(d)});
       }
     }
   }
   for (auto& [dest, msg] : flushes) {
     ctx_.network->send(id_, dest, std::move(msg));
   }
-  ship_removes(std::move(alone));
 }
 
-void MvNodeBase::attach_removes(Outbox& out) {
-  std::lock_guard<std::mutex> lock(remove_mu_);
+void MvNodeBase::attach_watermarks(Outbox& out) {
+  std::lock_guard<std::mutex> lock(watermark_mu_);
   for (auto& [dest, msg] : out) {
     auto* prop = std::get_if<PropagateMessage>(&msg);
-    if (prop == nullptr || removes_[dest].sent == moves_) continue;
-    prop->watermarks = take_batch_locked(dest).watermarks;
+    if (prop == nullptr || sent_[dest].changes == changes_) continue;
+    prop->watermarks = take_table_locked(dest);
   }
 }
 
@@ -571,42 +568,21 @@ void MvNodeBase::on_resend_request(const net::ResendRequest& m) {
 
 void MvNodeBase::publish_watermark(TxId low) {
   if (!track_antideps()) return;
-  std::vector<std::pair<NodeId, RemoveMessage>> full;
   {
-    std::lock_guard<std::mutex> lock(remove_mu_);
-    watermarks_[low.session()] = Watermark{low, ++moves_};
+    std::lock_guard<std::mutex> lock(watermark_mu_);
+    watermarks_[low.session()] = low;
+    ++changes_;
     newest_ = low;
-    for (NodeId d = 0; d < ctx_.num_nodes; ++d) {
-      if (moves_ - removes_[d].sent >= kRemoveBatch) {
-        full.emplace_back(d, take_batch_locked(d));
-      }
-    }
   }
-  ship_removes(std::move(full));
+  apply_watermarks({&low, 1});
 }
 
-RemoveMessage MvNodeBase::take_batch_locked(NodeId dest) {
-  RemoveBatch& batch = removes_[dest];
-  RemoveMessage m;
-  // newest_ moved after the last send here, so it names this message
-  // apart from every earlier one to dest.
-  m.tx = newest_;
-  for (const auto& [slot, w] : watermarks_) {
-    if (w.moved > batch.sent) m.watermarks.push_back(w.low);
-  }
-  batch = RemoveBatch{moves_, 0};
-  return m;
-}
-
-void MvNodeBase::ship_removes(
-    std::vector<std::pair<NodeId, RemoveMessage>> batches) {
-  for (auto& [dest, m] : batches) {
-    if (dest == id_) {
-      apply_watermarks(m.watermarks);
-    } else {
-      ctx_.network->send(id_, dest, std::move(m));
-    }
-  }
+std::vector<TxId> MvNodeBase::take_table_locked(NodeId dest) {
+  sent_[dest] = TableSent{changes_, 0};
+  std::vector<TxId> table;
+  table.reserve(watermarks_.size());
+  for (const auto& [slot, low] : watermarks_) table.push_back(low);
+  return table;
 }
 
 void MvNodeBase::apply_watermarks(std::span<const TxId> watermarks) {

@@ -51,10 +51,10 @@ class MvNodeBase : public TwoPhaseNode {
   store::MVStore& mv_store() { return store_; }
   const store::MVStore& mv_store() const { return store_; }
 
-  /// Immediately flush all pending propagation and Remove batches (used by
-  /// Cluster::quiesce so tests observe a settled cluster): every watermark
-  /// that covers a read-only transaction reaches every node.
-  void quiesce_flush() override { flush(/*all_removes=*/true); }
+  /// Immediately flush all pending propagation and stale watermark tables
+  /// (used by Cluster::quiesce so tests observe a settled cluster): every
+  /// watermark that covers a read-only transaction reaches every node.
+  void quiesce_flush() override { flush(/*all_tables=*/true); }
 
   /// Lock timeouts, then the propagation flush every flush_every_ ticks,
   /// then, on a lossy network, gap repair.
@@ -156,55 +156,45 @@ class MvNodeBase : public TwoPhaseNode {
   /// curr_seq_] to `out`; advances next_unsent_[dest].
   void collect_ranges_locked(NodeId dest, Outbox& out);
   void prune_commit_log_locked();
-  /// Sends every node its pending Propagate ranges. A Remove batch that no
-  /// Propagate took goes out on its own once it has waited
-  /// kRemoveMaxTicks flushes, or at once if `all_removes`.
-  void flush(bool all_removes);
+  /// Sends every node its pending Propagate ranges. A stale watermark
+  /// table that no Propagate took goes out on its own once it has waited
+  /// kRemoveMaxTicks flushes, or at once if `all_tables`.
+  void flush(bool all_tables);
   /// Ticks per periodic flush: propagate_flush_interval / tick_period(),
   /// at least 1.
   const std::uint32_t flush_every_;
   std::uint32_t ticks_ = 0;  // ticks so far; only the tick touches it
 
-  // ---- outgoing Remove batching (FW-KV; guarded by remove_mu_) ----
+  // ---- outgoing watermark table (FW-KV; guarded by watermark_mu_) ----
   //
   // A finished read-only transaction's id can sit in access sets on any
   // node: where it read, and wherever a writer stamped it (Alg. 5 line 19).
-  // So every node gets this node's session watermarks, each move of which
-  // covers a read-only transaction. A destination's batch is the
-  // watermarks moved since the last one sent there. It rides on the next
-  // Propagate to its node, so reaching every node costs no message while
-  // this node commits updates. A batch of kRemoveBatch moves is sent alone
-  // by the finishing client thread (stale ids make every writer of a hot
-  // key carry them), and the periodic flush sends a batch alone after
-  // kRemoveMaxTicks flushes. This node's own batch is applied by a direct
-  // call at kRemoveBatch moves and at every flush.
-  static constexpr std::uint64_t kRemoveBatch = 4;
+  // So every node gets this node's table of session watermarks, each move
+  // of which covers a read-only transaction. A move applies to this node's
+  // own store at once. The whole table rides on the next Propagate to a
+  // node it changed for since its last send there, so reaching every node
+  // costs no message while this node commits updates; the periodic flush
+  // sends it alone after kRemoveMaxTicks flushes without one. Since every
+  // send carries every session's watermark, a lost one is repaired by the
+  // next send after any session moves.
   static constexpr std::uint32_t kRemoveMaxTicks = 10;
-  struct RemoveBatch {
-    /// moves_ at the last send; the batch holds moves_ - sent moves.
-    std::uint64_t sent = 0;
-    std::uint32_t ticks = 0;  // periodic flushes this batch has waited
+  struct TableSent {
+    std::uint64_t changes = 0;  // changes_ at the last send
+    std::uint32_t ticks = 0;    // periodic flushes waited since
   };
-  struct Watermark {
-    TxId low;
-    std::uint64_t moved = 0;  // moves_ after its last move
-  };
-  std::mutex remove_mu_;
-  std::vector<RemoveBatch> removes_;  // per destination
+  std::mutex watermark_mu_;
   /// The published watermark of each session of this node, by slot.
-  std::unordered_map<std::uint32_t, Watermark> watermarks_;
-  std::uint64_t moves_ = 0;  // watermark moves published so far
-  TxId newest_;              // the last watermark published
+  std::unordered_map<std::uint32_t, TxId> watermarks_;
+  std::uint64_t changes_ = 0;    // watermark moves published so far
+  TxId newest_;                  // the last watermark published
+  std::vector<TableSent> sent_;  // per destination
 
-  /// Takes `dest`'s batch: the watermarks moved since its last send.
-  net::RemoveMessage take_batch_locked(NodeId dest);
-  /// Moves each due batch onto a Propagate bound to its node in `out`.
-  /// Called without site_mu_: the two locks are never nested.
-  void attach_removes(Outbox& out);
-  /// Sends each batch to its destination, or applies it here if the
-  /// destination is this node.
-  void ship_removes(std::vector<std::pair<NodeId, net::RemoveMessage>> batches);
-  /// Alg. 6 lines 5-10 for a batch arriving at this node.
+  /// The table as sent, and marks it sent to `dest`.
+  std::vector<TxId> take_table_locked(NodeId dest);
+  /// Puts the table on the first Propagate in `out` to each node it is
+  /// stale at. Called without site_mu_: the two locks are never nested.
+  void attach_watermarks(Outbox& out);
+  /// Alg. 6 lines 5-10 for watermarks published here or received.
   void apply_watermarks(std::span<const TxId> watermarks);
 };
 

@@ -88,7 +88,6 @@ struct NodeStats::Snapshot {
   std::uint64_t catch_up_timeouts = 0;
   std::uint64_t collected_count = 0;
   std::uint64_t collected_sum = 0;
-  std::uint64_t collected_max = 0;
   std::uint64_t reads_served = 0;
   std::uint64_t versions_installed = 0;
   std::uint64_t propagates_applied = 0;
@@ -120,8 +119,6 @@ struct NodeStats::Snapshot {
     catch_up_timeouts += o.catch_up_timeouts;
     collected_count += o.collected_count;
     collected_sum += o.collected_sum;
-    collected_max = collected_max > o.collected_max ? collected_max
-                                                    : o.collected_max;
     reads_served += o.reads_served;
     versions_installed += o.versions_installed;
     propagates_applied += o.propagates_applied;
@@ -149,7 +146,6 @@ inline NodeStats::Snapshot NodeStats::snapshot() const {
   s.catch_up_timeouts = catch_up_timeouts.get();
   s.collected_count = collected_set_size.count();
   s.collected_sum = collected_set_size.sum();
-  s.collected_max = collected_set_size.max();
   s.reads_served = reads_served.get();
   s.versions_installed = versions_installed.get();
   s.propagates_applied = propagates_applied.get();

@@ -115,9 +115,9 @@ struct DecideMessage {
 /// [from_seq, to_seq] of commits at `origin`, none of which carried a
 /// Decide to the receiver (those seqs are covered by their Decides).
 ///
-/// FW-KV also lets the origin's pending Remove batch for the receiver ride
-/// on it (see RemoveMessage); it is applied on receipt, independently of
-/// the range.
+/// FW-KV also lets the origin's watermark table ride on it when the table
+/// changed since its last send to the receiver (see RemoveMessage); it is
+/// applied on receipt, independently of the range.
 struct PropagateMessage {
   NodeId origin = 0;
   SeqNo from_seq = 0;
@@ -135,12 +135,13 @@ struct DecideAck {
 /// Read-only cleanup (Alg. 4 line 4), by session watermark. A watermark
 /// names a session of the sending node (a TxId's node and session fields)
 /// and its lowest open seq: every id of the session below it has finished,
-/// wherever writers stamped it (Alg. 5 line 19). A batch holds the
-/// sender's watermarks that moved since its last batch to the destination
-/// and usually rides on a PropagateMessage; this message carries it alone
-/// (see MvNodeBase). A later watermark of a session supersedes a lost one.
+/// wherever writers stamped it (Alg. 5 line 19). The sender's table holds
+/// the watermark of each of its sessions and usually rides on a
+/// PropagateMessage; this message carries it alone when no Propagate took
+/// it for a while (see MvNodeBase). Since every send carries the whole
+/// table, the next send after any move repairs a lost one.
 struct RemoveMessage {
-  /// The newest watermark of the batch; it also names the message, per
+  /// The sender's newest watermark; it also names the message, per
   /// destination.
   TxId tx;
   std::vector<TxId> watermarks = {};

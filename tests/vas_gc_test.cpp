@@ -9,6 +9,7 @@
 #include <chrono>
 #include <string>
 #include <thread>
+#include <variant>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -146,6 +147,82 @@ TEST(VasGcTest, PeriodicFlushReclaimsWithoutQuiesce) {
   }
   EXPECT_EQ(total_footprint(cluster), 0u);
   EXPECT_EQ(total_index(cluster), 0u);
+}
+
+TEST(VasGcTest, LostTableIsResentWhenAnotherSessionMoves) {
+  // Session A leaves its read-only id on node 1, then finishes while node
+  // 0's messages to node 1 are lost, and never moves again. Session B's
+  // later move must bring A's watermark along: node 0 sends its whole
+  // table of session watermarks, not only the ones that moved.
+  using namespace std::chrono_literals;
+  ClusterConfig cfg;
+  cfg.num_nodes = 4;
+  cfg.net.faults.partitions.push_back(
+      net::LinkPartition{0, 1, 200ms, 200ms, /*bidirectional=*/false});
+  std::atomic<int> lost_tables{0};  // outlives the cluster's hook
+  Cluster cluster(cfg);
+  const Key x = key_on(cluster, 1);
+  cluster.load(x, "x0");
+  cluster.network().set_fault_hook([&](const net::FaultEvent& e) {
+    if (e.from == 0 && e.to == 1 && e.type == net::MessageType::kRemove) {
+      lost_tables.fetch_add(1);
+    }
+  });
+  const auto start = std::chrono::steady_clock::now();
+  auto& node1 = dynamic_cast<MvNodeBase&>(cluster.node(1)).mv_store();
+
+  Session a = cluster.make_session(0, 0);
+  Session b = cluster.make_session(0, 1);
+  Transaction ro = a.begin(true);
+  ASSERT_EQ(a.read(ro, x), "x0");  // before the partition
+  ASSERT_GT(node1.access_set_footprint(), 0u);
+  std::this_thread::sleep_until(start + 250ms);
+  ASSERT_TRUE(a.commit(ro));  // inside it
+  std::this_thread::sleep_until(start + 450ms);
+  ASSERT_GT(lost_tables.load(), 0) << "A's watermark was not lost";
+
+  Transaction moved = b.begin(true);
+  ASSERT_TRUE(b.commit(moved));
+  ASSERT_TRUE(cluster.quiesce());
+  EXPECT_EQ(node1.reverse_index_size(), 0u)
+      << "A's id is still registered on node 1";
+  EXPECT_EQ(node1.access_set_footprint(), 0u);
+}
+
+TEST(VasGcTest, NoRemoveIsSentFromAClientThread) {
+  // A read-only commit only publishes its session's watermark: the table
+  // reaches the other nodes from the flush tick, never from the client.
+  ClusterConfig cfg;
+  cfg.num_nodes = 4;
+  cfg.net.one_way_latency = std::chrono::nanoseconds(0);
+  Cluster cluster(cfg);
+  for (Key k = 0; k < 8; ++k) cluster.load(k, "v");
+  const std::thread::id client = std::this_thread::get_id();
+  std::atomic<int> client_removes{0};
+  cluster.network().set_send_hook(
+      [&](NodeId, NodeId, const net::Message& m) {
+        if (std::holds_alternative<net::RemoveMessage>(m) &&
+            std::this_thread::get_id() == client) {
+          client_removes.fetch_add(1);
+        }
+      });
+
+  Session session = cluster.make_session(0, 0);
+  for (int i = 0; i < 8; ++i) {
+    Transaction ro = session.begin(true);
+    for (Key k = 0; k < 8; ++k) ASSERT_TRUE(session.read(ro, k).has_value());
+    ASSERT_TRUE(session.commit(ro));
+  }
+  cluster.network().set_send_hook(nullptr);
+  EXPECT_EQ(client_removes.load(), 0);
+  ASSERT_TRUE(cluster.quiesce());
+  for (NodeId n = 0; n < cluster.num_nodes(); ++n) {
+    EXPECT_EQ(dynamic_cast<MvNodeBase&>(cluster.node(n))
+                  .mv_store()
+                  .access_set_footprint(),
+              0u)
+        << "node " << n;
+  }
 }
 
 class QuiescedFootprintTest : public ::testing::TestWithParam<std::uint64_t> {
