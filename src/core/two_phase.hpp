@@ -19,13 +19,13 @@
 #include <chrono>
 #include <cstdint>
 #include <deque>
-#include <mutex>
 #include <optional>
 #include <span>
 #include <unordered_map>
 #include <utility>
 #include <vector>
 
+#include "common/mutex.hpp"
 #include "core/kv_node.hpp"
 #include "store/lock_table.hpp"
 
@@ -38,6 +38,8 @@ using HeldLocks = store::LockTable::Keys;
 /// Participant-side record of the transactions this node is preparing, has
 /// prepared, or has seen decided. No network: every entry point is a pure
 /// state transition under one mutex, so it is unit-tested on its own.
+/// Every prepare and Decide takes that mutex; `contended` counts the
+/// acquisitions that found it busy.
 ///
 /// Deduplication is unconditional: a Prepare can be redelivered by a
 /// coordinator retry, a duplicated delivery, or a stall that lands it next
@@ -47,6 +49,8 @@ class ParticipantTable {
  public:
   /// How many decided ids are remembered (oldest evicted first).
   static constexpr std::size_t kDecidedHorizon = 1 << 16;
+
+  explicit ParticipantTable(Counter* contended = nullptr) : mu_(contended) {}
 
   enum class Begin : std::uint8_t {
     kFresh,   // first Prepare: lock, validate, then publish() or abandon()
@@ -79,7 +83,7 @@ class ParticipantTable {
     HeldLocks locks;
   };
 
-  std::mutex mu_;
+  Mutex mu_;
   std::unordered_map<TxId, Entry> entries_;
   std::deque<TxId> decided_fifo_;
 };
@@ -190,8 +194,8 @@ class TwoPhaseNode : public KvNode {
   void release(TxId tx, const HeldLocks& held) { locks_.unlock_all(held, tx); }
 
   const RetryPolicy retry_;
-  store::LockTable locks_;
-  ParticipantTable participants_;
+  store::LockTable locks_{&stats_.lock_table_waits};
+  ParticipantTable participants_{&stats_.participant_lock_waits};
 
  private:
   /// Parks a read lock_read refused: granted within rpc_timeout, it is

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <deque>
+#include <mutex>
 
 #include "common/consistent_hash.hpp"
 
@@ -37,10 +38,10 @@ LockTable::Scope::~Scope() {
   q.depth = 0;
 }
 
-LockTable::LockTable(std::size_t shards) {
+LockTable::LockTable(Counter* contended, std::size_t shards) {
   assert(shards > 0);
   for (std::size_t i = 0; i < shards; ++i) {
-    shards_.push_back(std::make_unique<Shard>());
+    shards_.push_back(std::make_unique<Shard>(contended));
   }
 }
 
@@ -61,7 +62,7 @@ bool LockTable::grant(LockState& st, TxId owner, Mode mode) {
 
 bool LockTable::lock(Key key, TxId owner, Mode mode) {
   Shard& s = shard_for(key);
-  std::lock_guard<std::mutex> lock(s.mu);
+  std::lock_guard<Mutex> lock(s.mu);
   // A refused call finds the key held, so it adds no entry.
   return grant(s.locks[key], owner, mode);
 }
@@ -90,7 +91,7 @@ void LockTable::park(Key key, TxId owner, Mode mode,
   ++parked_;
   Shard& s = shard_for(key);
   Waiter w{owner, mode, deadline, std::move(resume)};
-  std::lock_guard<std::mutex> lock(s.mu);
+  std::lock_guard<Mutex> lock(s.mu);
   LockState& st = s.locks[key];
   // The key may have been released since lock() refused it.
   if (grant(st, owner, mode)) return settle(w, true);
@@ -105,7 +106,7 @@ std::size_t LockTable::expire(Clock::time_point now) {
   std::size_t settled = 0;
   for (const auto& s : shards_) {
     if (s->waiting == 0) continue;
-    std::lock_guard<std::mutex> lock(s->mu);
+    std::lock_guard<Mutex> lock(s->mu);
     for (auto it = s->locks.begin(); it != s->locks.end();) {
       LockState& st = it->second;
       for (auto w = st.waiters.begin(); w != st.waiters.end();) {
@@ -173,7 +174,7 @@ void LockTable::park_all(Keys keys, TxId owner,
 void LockTable::unlock(Key key, [[maybe_unused]] TxId owner, Mode mode) {
   Scope scope;
   Shard& s = shard_for(key);
-  std::lock_guard<std::mutex> lock(s.mu);
+  std::lock_guard<Mutex> lock(s.mu);
   auto it = s.locks.find(key);
   assert(it != s.locks.end());
   LockState& st = it->second;
@@ -198,7 +199,7 @@ void LockTable::unlock_all(const Keys& keys, TxId owner, std::size_t n) {
 
 bool LockTable::held_exclusive(Key key, TxId owner) const {
   Shard& s = shard_for(key);
-  std::lock_guard<std::mutex> lock(s.mu);
+  std::lock_guard<Mutex> lock(s.mu);
   auto it = s.locks.find(key);
   return it != s.locks.end() && it->second.exclusive_owner == owner;
 }
@@ -206,7 +207,7 @@ bool LockTable::held_exclusive(Key key, TxId owner) const {
 std::size_t LockTable::size() const {
   std::size_t n = 0;
   for (const auto& s : shards_) {
-    std::lock_guard<std::mutex> lock(s->mu);
+    std::lock_guard<Mutex> lock(s->mu);
     n += s->locks.size();
   }
   return n;

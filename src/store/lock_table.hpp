@@ -15,7 +15,8 @@
 // Scope ends, and every lock call is a Scope. The table keeps no clock: a
 // parked request times out at the first expire(now) at or after its
 // deadline, which its node calls on every cluster tick. The shard mutex
-// settles the grant-versus-timeout race.
+// settles the grant-versus-timeout race; it is a fwkv::Mutex, whose
+// contended acquisitions go to the counter the table is given.
 #pragma once
 
 #include <atomic>
@@ -24,12 +25,12 @@
 #include <functional>
 #include <list>
 #include <memory>
-#include <mutex>
 #include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include "common/ids.hpp"
+#include "common/mutex.hpp"
 
 namespace fwkv::store {
 
@@ -61,7 +62,8 @@ class LockTable {
     Scope& operator=(const Scope&) = delete;
   };
 
-  explicit LockTable(std::size_t shards = 64);
+  /// `contended` counts the shard acquisitions that found the shard busy.
+  explicit LockTable(Counter* contended = nullptr, std::size_t shards = 64);
 
   /// Exclusive: granted if the key is free and nobody waits for it, or if
   /// `owner` holds it already (idempotent). Shared: granted unless an
@@ -117,7 +119,8 @@ class LockTable {
     }
   };
   struct Shard {
-    std::mutex mu;
+    explicit Shard(Counter* contended) : mu(contended) {}
+    Mutex mu;
     std::unordered_map<Key, LockState> locks;
     /// Parked requests in `locks`; written under `mu`, read by expire()
     /// without it.

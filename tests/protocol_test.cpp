@@ -772,9 +772,15 @@ TEST_P(PsiProtocolTest, DelayedPropagationBuffersInOrderEvents) {
   s.write(t2, remote, "r1");
   ASSERT_TRUE(s.commit(t2));
 
-  std::this_thread::sleep_for(20ms);
-  // Before the propagate arrives, node 1 must not have applied seq 2.
+  // Wait for the Decide to be buffered, but not as long as the propagate
+  // is held (100 ms): before it arrives, node 1 must not have applied
+  // seq 2.
   auto& node1 = dynamic_cast<MvNodeBase&>(cluster.node(1));
+  const auto deadline = std::chrono::steady_clock::now() + 80ms;
+  while (node1.pending_work() < 1 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(1ms);
+  }
   EXPECT_LT(node1.site_vc()[0], 2u);
   EXPECT_GE(node1.pending_work(), 1u) << "decide was not buffered";
 
