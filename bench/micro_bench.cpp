@@ -4,14 +4,17 @@
 //   * version selection: FW-KV read-only vs update rule vs Walter rule
 //     (the cost of freshness)
 //   * access-set maintenance and Remove (the VAS ablation)
-//   * lock table, codec, consistent hashing, workload generators
+//   * lock table, participant table, codec, consistent hashing, workload
+//     generators
 #include <benchmark/benchmark.h>
 
+#include <memory>
 #include <span>
 
 #include "common/consistent_hash.hpp"
 #include "common/rng.hpp"
 #include "common/vector_clock.hpp"
+#include "core/two_phase.hpp"
 #include "net/codec.hpp"
 #include "store/lock_table.hpp"
 #include "store/mv_store.hpp"
@@ -138,6 +141,28 @@ void BM_LockTableSharedContention(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_LockTableSharedContention)->Threads(1)->Threads(4);
+
+void BM_ParticipantTablePrepareDecide(benchmark::State& state) {
+  // A participant's pass through its table for one fresh transaction:
+  // begin_prepare, publish (a yes vote holding one key), decide. Each
+  // thread drives 4 sessions of its own round robin, as 4 clients would;
+  // the table is shared, as a node's is.
+  static std::unique_ptr<ParticipantTable> table;
+  if (state.thread_index() == 0) table = std::make_unique<ParticipantTable>();
+  const std::uint32_t first_session = 4 * state.thread_index();
+  std::uint32_t n = 0;
+  for (auto _ : state) {
+    const TxId tx(1, first_session + n % 4, n / 4 + 1);
+    ++n;
+    HeldLocks held;
+    benchmark::DoNotOptimize(table->begin_prepare(tx, held));
+    held.exclusive.push_back(tx.raw);
+    table->publish(tx, held);
+    benchmark::DoNotOptimize(table->decide(tx));
+  }
+  if (state.thread_index() == 0) table.reset();
+}
+BENCHMARK(BM_ParticipantTablePrepareDecide)->Threads(1)->Threads(4);
 
 void BM_CodecRoundTripRead(benchmark::State& state) {
   net::ReadRequest req;

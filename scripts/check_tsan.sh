@@ -6,8 +6,11 @@
 # parked-waiter queues (a waiter is granted under its shard mutex by
 # whichever thread releases the key, or expired by the cluster's tick on
 # the timer, and its continuation runs from that thread's run queue) must be proven
-# race-clean on every change, not assumed: this is the proof. Any TSan
-# report fails the run.
+# race-clean on every change, not assumed: this is the proof. So must the
+# ParticipantTable's open entries and per-session decided marks, which
+# every Prepare and Decide handler reads and raises under one mutex, on any
+# client thread at zero delay and on the timer otherwise. Any TSan report
+# fails the run.
 #
 # `-L chaos` runs the chaos-labelled suites instead: the seed-parameterized
 # fault-injection property tests (psi_history_chaos_test,

@@ -30,11 +30,10 @@ using VersionId = std::uint64_t;
 /// the transaction is recoverable, which the Remove handler and the metrics
 /// aggregation rely on. The session field is the slot Cluster::make_session
 /// hands out, one per session for the cluster's lifetime, so an id is never
-/// reused: participants deduplicate Prepares by id alone. A session hands
-/// out its local sequence numbers in order, so the TxId of its lowest open
-/// seq (its watermark) says for every id of the session at once whether it
-/// has finished: an id has finished iff it is below its session's
-/// watermark. FW-KV reclaims read-only ids that way.
+/// reused. A session hands out its local sequence numbers in order, so one
+/// seq per session speaks for all its ids: participants drop a Prepare at or
+/// below the session's highest decided seq, and FW-KV reclaims the read-only
+/// ids below its lowest open seq (its watermark).
 struct TxId {
   std::uint64_t raw = 0;
 

@@ -45,7 +45,8 @@ class Session {
 
   /// Alg. 4. On false, tx.abort_reason() explains the failure. Either way
   /// the transaction has finished. A transaction a read timeout aborted
-  /// returns false at once.
+  /// returns false at once. Transactions that prepare must commit in the
+  /// order they began (see ParticipantTable): else the older one times out.
   bool commit(Transaction& tx);
 
   void abort(Transaction& tx);

@@ -16,56 +16,61 @@ using net::VoteReply;
 // ParticipantTable.
 // ---------------------------------------------------------------------------
 
+std::uint32_t& ParticipantTable::mark(TxId tx) {
+  const std::uint32_t s = tx.session();
+  if (s >= decided_through_.size()) decided_through_.resize(s + 1);
+  return decided_through_[s];
+}
+
 ParticipantTable::Begin ParticipantTable::begin_prepare(TxId tx,
                                                         HeldLocks& held) {
   std::lock_guard<Mutex> lock(mu_);
-  auto [it, fresh] = entries_.try_emplace(tx);
-  if (fresh) return Begin::kFresh;
-  if (it->second.phase == Phase::kPrepared) {
-    held = it->second.locks;
+  auto it = entries_.find(tx);
+  if (it != entries_.end() && it->second.has_value()) {
+    held = *it->second;
     return Begin::kRevote;
   }
   // Preparing: a concurrent duplicate is mid-prepare on another handler
   // thread; that handler's vote (or the coordinator's next retry) answers.
   // Decided: a stale retransmission. Locking now would hold the keys
   // forever, and no coordinator is waiting for this vote.
-  return Begin::kDrop;
+  if (it != entries_.end() || tx.local_seq() <= mark(tx)) return Begin::kDrop;
+  entries_.try_emplace(tx);
+  return Begin::kFresh;
 }
 
 bool ParticipantTable::publish(TxId tx, HeldLocks& held) {
   std::lock_guard<Mutex> lock(mu_);
-  Entry& e = entries_[tx];
-  if (e.phase == Phase::kDecided) return false;
-  e.phase = Phase::kPrepared;
-  e.locks = std::move(held);
+  if (tx.local_seq() <= mark(tx)) {
+    entries_.erase(tx);
+    return false;
+  }
+  entries_[tx] = std::move(held);
   return true;
 }
 
 void ParticipantTable::abandon(TxId tx) {
   std::lock_guard<Mutex> lock(mu_);
   auto it = entries_.find(tx);
-  // A Decide that arrived meanwhile keeps its entry: a later duplicate
-  // Prepare must still be dropped.
-  if (it != entries_.end() && it->second.phase == Phase::kPreparing) {
-    entries_.erase(it);
-  }
+  if (it != entries_.end() && !it->second.has_value()) entries_.erase(it);
 }
 
 std::optional<HeldLocks> ParticipantTable::decide(TxId tx) {
   std::lock_guard<Mutex> lock(mu_);
-  Entry& e = entries_[tx];
-  if (e.phase == Phase::kDecided) return std::nullopt;  // duplicate Decide
-  std::optional<HeldLocks> held;
-  if (e.phase == Phase::kPrepared) held = std::move(e.locks);
-  // Remember the decision (a Decide overtaking its Prepare included) so a
-  // stale retransmitted Prepare can never re-lock keys after this point.
-  e.phase = Phase::kDecided;
-  decided_fifo_.push_back(tx);
-  if (decided_fifo_.size() > kDecidedHorizon) {
-    entries_.erase(decided_fifo_.front());
-    decided_fifo_.pop_front();
-  }
+  // The mark rises even for a Decide that overtakes its Prepare. A Preparing
+  // entry stays until its own publish() or abandon() removes it.
+  std::uint32_t& m = mark(tx);
+  m = std::max(m, tx.local_seq());
+  auto it = entries_.find(tx);
+  if (it == entries_.end() || !it->second.has_value()) return std::nullopt;
+  std::optional<HeldLocks> held = std::move(it->second);
+  entries_.erase(it);
   return held;
+}
+
+std::size_t ParticipantTable::size() const {
+  std::lock_guard<Mutex> lock(mu_);
+  return entries_.size();
 }
 
 // ---------------------------------------------------------------------------
@@ -279,18 +284,13 @@ void TwoPhaseNode::on_other(net::Message&& /*msg*/) {
 
 void TwoPhaseNode::on_prepare(PrepareRequest&& req) {
   HeldLocks held;
-  switch (participants_.begin_prepare(req.tx, held)) {
-    case ParticipantTable::Begin::kDrop:
-      stats_.dup_drops.add();
-      return;
-    case ParticipantTable::Begin::kRevote: {
-      stats_.dup_drops.add();
-      VoteReply yes{req.rpc_id, true, VoteFail::kNone, {}};
-      fill_yes_vote(held, yes);
-      return ctx_.network->send(id_, req.reply_to, std::move(yes));
-    }
-    case ParticipantTable::Begin::kFresh:
-      break;
+  const auto begin = participants_.begin_prepare(req.tx, held);
+  if (begin != ParticipantTable::Begin::kFresh) {
+    stats_.dup_drops.add();
+    if (begin == ParticipantTable::Begin::kDrop) return;
+    VoteReply yes{req.rpc_id, true, VoteFail::kNone, {}};  // kRevote
+    fill_yes_vote(held, yes);
+    return ctx_.network->send(id_, req.reply_to, std::move(yes));
   }
 
   // Alg. 5 lines 1-13: lock in sorted key order, then validate.

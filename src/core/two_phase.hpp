@@ -18,7 +18,6 @@
 
 #include <chrono>
 #include <cstdint>
-#include <deque>
 #include <optional>
 #include <span>
 #include <unordered_map>
@@ -35,21 +34,19 @@ namespace fwkv {
 /// on written keys, shared (2PC-baseline) on validated keys not written.
 using HeldLocks = store::LockTable::Keys;
 
-/// Participant-side record of the transactions this node is preparing, has
-/// prepared, or has seen decided. No network: every entry point is a pure
-/// state transition under one mutex, so it is unit-tested on its own.
-/// Every prepare and Decide takes that mutex; `contended` counts the
-/// acquisitions that found it busy.
+/// Participant-side record of the transactions this node is preparing or
+/// holds prepared. No network: every entry point is a pure state transition
+/// under one mutex, so it is unit-tested on its own. Every prepare and
+/// Decide takes that mutex; `contended` counts the acquisitions that found
+/// it busy.
 ///
 /// Deduplication is unconditional: a Prepare can be redelivered by a
 /// coordinator retry, a duplicated delivery, or a stall that lands it next
-/// to its own (timeout-abort) Decide. Tx ids are unique for the cluster's
-/// lifetime, so a decided id is never a new transaction.
+/// to its own (timeout-abort) Decide. A session prepares seq q + 1 only
+/// after deciding q, so the highest seq of each session seen decided marks
+/// every Prepare of that session at or below it stale, however late it comes.
 class ParticipantTable {
  public:
-  /// How many decided ids are remembered (oldest evicted first).
-  static constexpr std::size_t kDecidedHorizon = 1 << 16;
-
   explicit ParticipantTable(Counter* contended = nullptr) : mu_(contended) {}
 
   enum class Begin : std::uint8_t {
@@ -76,16 +73,17 @@ class ParticipantTable {
   /// Decide that overtakes its Prepare all return nothing.
   std::optional<HeldLocks> decide(TxId tx);
 
- private:
-  enum class Phase : std::uint8_t { kPreparing, kPrepared, kDecided };
-  struct Entry {
-    Phase phase = Phase::kPreparing;
-    HeldLocks locks;
-  };
+  /// Open entries: 0 once the cluster has quiesced.
+  std::size_t size() const;
 
-  Mutex mu_;
-  std::unordered_map<TxId, Entry> entries_;
-  std::deque<TxId> decided_fifo_;
+ private:
+  /// The highest local seq of `tx`'s session seen decided.
+  std::uint32_t& mark(TxId tx);
+
+  mutable Mutex mu_;
+  /// The locks of each prepared tx; nullopt while it is being prepared.
+  std::unordered_map<TxId, std::optional<HeldLocks>> entries_;
+  std::vector<std::uint32_t> decided_through_;  // by session slot
 };
 
 /// Retry parameters of the core. On a reliable network every round runs a
@@ -122,6 +120,7 @@ class TwoPhaseNode : public KvNode {
   void tick(Clock::time_point now) override { locks_.expire(now); }
 
   const store::LockTable& lock_table() const { return locks_; }
+  std::size_t participant_entries() const { return participants_.size(); }
 
  protected:
   /// The folded outcome of one prepare round.

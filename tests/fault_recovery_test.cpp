@@ -219,6 +219,75 @@ INSTANTIATE_TEST_SUITE_P(AllProtocols, DuplicatePrepareTest,
                            }
                          });
 
+class StalePrepareTest : public ::testing::TestWithParam<Protocol> {};
+
+TEST_P(StalePrepareTest, PrepareCopyLandingAfterTheNextCommitLocksNothing) {
+  // Every Prepare is delivered twice, the copy up to kLate after the
+  // original. The copy of the session's first Prepare lands after that
+  // transaction's Decide and after the session's next commit. The
+  // participant must take it for stale, by its session's decided mark, and
+  // lock nothing: a fresh lock there would never be released.
+  constexpr auto kLate = 200ms;
+  ClusterConfig cfg;
+  cfg.num_nodes = 2;
+  cfg.protocol = GetParam();
+  cfg.net.one_way_latency = std::chrono::microseconds(20);
+  cfg.net.faults.seed = 3;
+  cfg.net.faults
+      .message[static_cast<std::size_t>(net::MessageType::kPrepareRequest)]
+      .duplicate = 1.0;
+  cfg.net.faults.reorder_max_extra = kLate;
+  Cluster cluster(cfg);
+
+  std::atomic<std::int64_t> first_copy_ns{0};
+  cluster.network().set_fault_hook([&](const net::FaultEvent& e) {
+    if (e.type == net::MessageType::kPrepareRequest && e.from == 0 &&
+        e.to == 1 && e.index == 0 && e.kind == net::FaultKind::kDuplicate) {
+      first_copy_ns = e.extra_ns;
+    }
+  });
+
+  const Key first = key_on_node(cluster, 1);
+  const Key second = key_on_node(cluster, 1, first + 1);
+  cluster.load(first, "0");
+  cluster.load(second, "0");
+
+  Session s = cluster.make_session(0, 0);
+  const auto t0 = std::chrono::steady_clock::now();
+  for (Key k : {first, second}) {
+    auto tx = s.begin();
+    s.write(tx, k, "1");  // blind write: node 1 sees a Prepare and a Decide
+    ASSERT_TRUE(s.commit(tx));
+  }
+  const auto both_committed = std::chrono::steady_clock::now() - t0;
+  ASSERT_GT(std::chrono::nanoseconds(first_copy_ns.load()), both_committed)
+      << "seed 3 no longer delays the first copy past the next commit";
+
+  ASSERT_TRUE(cluster.quiesce(10s));
+  EXPECT_GE(cluster.aggregate_stats().dup_drops, 2u)
+      << "a Prepare copy was not dropped";
+  for (NodeId n = 0; n < cluster.num_nodes(); ++n) {
+    const auto& node = dynamic_cast<const TwoPhaseNode&>(cluster.node(n));
+    EXPECT_EQ(node.lock_table().size(), 0u)
+        << "node " << n << ": a stale Prepare re-locked its keys";
+    EXPECT_EQ(node.participant_entries(), 0u) << "node " << n;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(AllProtocols, StalePrepareTest,
+                         ::testing::Values(Protocol::kFwKv, Protocol::kWalter,
+                                           Protocol::kTwoPC),
+                         [](const auto& info) {
+                           switch (info.param) {
+                             case Protocol::kFwKv:
+                               return "FwKv";
+                             case Protocol::kWalter:
+                               return "Walter";
+                             default:
+                               return "TwoPC";
+                           }
+                         });
+
 class GapRepairTest : public ::testing::TestWithParam<Protocol> {};
 
 TEST_P(GapRepairTest, SiteVcCatchesUpThroughResendRequests) {

@@ -594,6 +594,10 @@ TEST_P(PsiProtocolTest, ReadOfAKeyLockedPastRpcTimeoutAborts) {
                   .reverse_index_size(),
               0u)
         << "node " << n;
+    EXPECT_EQ(
+        dynamic_cast<TwoPhaseNode&>(cluster.node(n)).participant_entries(),
+        0u)
+        << "node " << n;
   }
   expect_no_locks(cluster);
 }

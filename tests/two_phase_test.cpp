@@ -101,18 +101,80 @@ TEST(ParticipantTableTest, NoVoteForgetsThePrepareButNotADecide) {
   EXPECT_EQ(table.begin_prepare(kTx, held), Begin::kDrop);
 }
 
-TEST(ParticipantTableTest, DecidedIdsAreEvictedAtTheHorizon) {
+TEST(ParticipantTableTest, DecidedIdIsNeverForgotten) {
+  // More decisions of one session than any id horizon would remember: the
+  // session's mark still covers its first id.
   ParticipantTable table;
-  const std::uint32_t n = ParticipantTable::kDecidedHorizon + 1;
+  const std::uint32_t n = (1u << 16) + 1;
   for (std::uint32_t seq = 1; seq <= n; ++seq) table.decide(TxId(0, 0, seq));
 
-  // The oldest decided id is forgotten; every later one is still dropped.
   HeldLocks held;
-  EXPECT_EQ(table.begin_prepare(TxId(0, 0, 1), held), Begin::kFresh);
-  for (std::uint32_t seq = 2; seq <= n; ++seq) {
-    ASSERT_EQ(table.begin_prepare(TxId(0, 0, seq), held), Begin::kDrop)
+  for (std::uint32_t seq : {1u, 2u, n / 2, n}) {
+    EXPECT_EQ(table.begin_prepare(TxId(0, 0, seq), held), Begin::kDrop)
         << "seq " << seq;
   }
+  EXPECT_EQ(table.size(), 0u) << "a decided id left an entry behind";
+}
+
+TEST(ParticipantTableTest, PrepareReorderedAheadOfTheEarlierDecideRunsFresh) {
+  ParticipantTable table;
+  const TxId q(1, 2, 3);
+  const TxId next(1, 2, 4);
+  HeldLocks held;
+  ASSERT_EQ(table.begin_prepare(q, held), Begin::kFresh);
+  held = locks({1});
+  ASSERT_TRUE(table.publish(q, held));
+
+  // The session's next Prepare overtakes the Decide of q: it is above the
+  // mark, so it runs.
+  HeldLocks next_held;
+  ASSERT_EQ(table.begin_prepare(next, next_held), Begin::kFresh);
+  next_held = locks({2});
+  ASSERT_TRUE(table.publish(next, next_held));
+  EXPECT_EQ(table.size(), 2u);
+
+  // The later Decide lands first; q still holds its locks until its own.
+  ASSERT_TRUE(table.decide(next).has_value());
+  HeldLocks copy;
+  EXPECT_EQ(table.begin_prepare(q, copy), Begin::kRevote);
+  auto released = table.decide(q);
+  ASSERT_TRUE(released.has_value());
+  EXPECT_EQ(released->exclusive, (std::vector<Key>{1}));
+
+  // A retransmitted Prepare of either is stale now.
+  EXPECT_EQ(table.begin_prepare(q, held), Begin::kDrop);
+  EXPECT_EQ(table.begin_prepare(next, held), Begin::kDrop);
+  EXPECT_EQ(table.size(), 0u);
+}
+
+TEST(ParticipantTableTest, SessionsDoNotShareAMark) {
+  ParticipantTable table;
+  // Session 5 of node 1 decides far ahead; session 6 of the same node and
+  // session 5's neighbours keep their own marks.
+  EXPECT_FALSE(table.decide(TxId(1, 5, 100)).has_value());
+  HeldLocks held;
+  EXPECT_EQ(table.begin_prepare(TxId(1, 5, 100), held), Begin::kDrop);
+  EXPECT_EQ(table.begin_prepare(TxId(1, 5, 7), held), Begin::kDrop);
+  EXPECT_EQ(table.begin_prepare(TxId(1, 6, 7), held), Begin::kFresh);
+  EXPECT_EQ(table.begin_prepare(TxId(1, 4, 1), held), Begin::kFresh);
+  EXPECT_EQ(table.begin_prepare(TxId(1, 5, 101), held), Begin::kFresh);
+}
+
+TEST(ParticipantTableTest, DecideRaisesTheMarkWhileAPrepareIsOpen) {
+  // The Decide of a later seq lands while an earlier Prepare of the session
+  // is still locking: the session has decided that one without this vote,
+  // so publishing fails and the locks stay with the caller.
+  ParticipantTable table;
+  const TxId q(1, 2, 3);
+  HeldLocks held;
+  ASSERT_EQ(table.begin_prepare(q, held), Begin::kFresh);
+  EXPECT_FALSE(table.decide(TxId(1, 2, 4)).has_value());
+  EXPECT_EQ(table.size(), 1u) << "a Preparing entry left before its publish";
+  held = locks({8});
+  EXPECT_FALSE(table.publish(q, held));
+  EXPECT_EQ(held.exclusive, (std::vector<Key>{8}));
+  EXPECT_EQ(table.size(), 0u);
+  EXPECT_EQ(table.begin_prepare(q, held), Begin::kDrop);
 }
 
 TEST(RetryPolicyTest, ReliableNetworkMakesOneAttemptAndAcksNothing) {

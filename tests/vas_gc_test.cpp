@@ -275,9 +275,11 @@ TEST_P(QuiescedFootprintTest, ContendedRunLeavesNoStamps) {
   EXPECT_EQ(total_index(cluster), 0u)
       << "the reverse index still holds a finished id";
   for (NodeId n = 0; n < cluster.num_nodes(); ++n) {
-    EXPECT_EQ(
-        dynamic_cast<TwoPhaseNode&>(cluster.node(n)).lock_table().size(), 0u)
+    const auto& node = dynamic_cast<TwoPhaseNode&>(cluster.node(n));
+    EXPECT_EQ(node.lock_table().size(), 0u)
         << "node " << n << " still holds or parks a lock";
+    EXPECT_EQ(node.participant_entries(), 0u)
+        << "node " << n << " still has an open ParticipantTable entry";
   }
 }
 
