@@ -76,9 +76,26 @@ void BM_SelectReadOnly(benchmark::State& state) {
   }
   // Selection inserts reader ids; report the resulting VAS burden.
   state.counters["vas_size"] = static_cast<double>(
-      chain.latest().access_set.size());
+      chain.latest().access_set().size());
 }
 BENCHMARK(BM_SelectReadOnly)->Arg(2)->Arg(16)->Arg(64);
+
+void BM_CollectAccessSets(benchmark::State& state) {
+  // Alg. 5 lines 8-10 on one written key in ycsb_hot's shape: a long chain
+  // kept by the retention window, one read-only id on the newest version.
+  const auto versions = static_cast<std::size_t>(state.range(0));
+  auto chain = make_chain(versions, 20);
+  chain.select_read_only(VectorClock(20), std::vector<bool>(20, false),
+                         TxId(1, 1, 1));
+  std::vector<TxId> out;
+  for (auto _ : state) {
+    out.clear();
+    chain.collect_access_sets(out);
+    benchmark::DoNotOptimize(out.data());
+  }
+  state.counters["collected"] = static_cast<double>(out.size());
+}
+BENCHMARK(BM_CollectAccessSets)->Arg(64)->Arg(1024)->Arg(4096);
 
 void BM_SelectUpdate(benchmark::State& state) {
   const auto versions = static_cast<std::size_t>(state.range(0));

@@ -168,7 +168,9 @@ int main(int argc, char** argv) {
               << " aborts(lock/val/vote)=" << n.aborts_lock << "/"
               << n.aborts_validation << "/" << n.aborts_vote_timeout
               << " doomed=" << n.doomed_aborts
-              << " catch-up-timeouts=" << n.catch_up_timeouts << "\n";
+              << " catch-up-timeouts=" << n.catch_up_timeouts
+              << " collect-scan="
+              << runtime::Table::fmt(n.collect_scan_per_key(), 2) << "\n";
     std::cout << "contended acquisitions: "
               << "lock-waits(site/watermark/participants/lock-table)="
               << n.site_lock_waits << "/" << n.watermark_lock_waits << "/"

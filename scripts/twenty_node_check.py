@@ -27,8 +27,9 @@ Propagate: lines of --stats; they count the warm-up's messages too, the
 commits do not), and the contended acquisitions of the node locks per
 commit by lock family: site_mu_, watermark_mu_, the ParticipantTable and
 the LockTable shards (the lock-waits(...)= field of --stats, shown as "-"
-for a root whose fwkv_cli does not print it). One --root alone is fine
-too.
+for a root whose fwkv_cli does not print it), and the versions a prepare's
+access-set collection walked per written key (the collect-scan= field,
+"-" likewise). One --root alone is fine too.
 """
 
 import argparse
@@ -47,6 +48,7 @@ PROTOCOLS = (("fwkv", "FW-KV"), ("walter", "Walter"))
 LOCK_FAMILIES = ("site", "watermark", "participants", "lock-table")
 LOCK_WAITS = re.compile(r"lock-waits\(site/watermark/participants/"
                         r"lock-table\)=(\d+)/(\d+)/(\d+)/(\d+)")
+COLLECT_SCAN = re.compile(r"collect-scan=([\d.]+)")
 
 
 def build_type(root):
@@ -111,6 +113,8 @@ def run_cli(root, protocol, latency_us):
     lock_waits = (None if m is None else
                   [int(g) / commits if commits else float("inf")
                    for g in m.groups()])
+    m = COLLECT_SCAN.search(out)
+    collect_scan = None if m is None else float(m.group(1))
 
     return {
         "tps": field(r"([\d.]+) kTx/s") * 1000.0,
@@ -122,6 +126,7 @@ def run_cli(root, protocol, latency_us):
         "removes": per_commit(r"\n\s*Remove: (\d+)"),
         "propagates": per_commit(r"\n\s*Propagate: (\d+)"),
         "lock_waits": lock_waits,
+        "collect_scan": collect_scan,
     }
 
 
@@ -146,6 +151,17 @@ def lock_waits_summary(runs):
         for i, name in enumerate(LOCK_FAMILIES))
 
 
+def collect_scan_run(r):
+    return "-" if r["collect_scan"] is None else f"{r['collect_scan']:.2f}"
+
+
+def collect_scan_summary(runs):
+    """The median (range) over runs of collect-scan=; "-" if unreported."""
+    if any(r["collect_scan"] is None for r in runs):
+        return "-"
+    return summary([r["collect_scan"] for r in runs], "{:.2f}")
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--root", action="append", required=True,
@@ -164,7 +180,7 @@ def main():
     print("run  latency  protocol  root  tx/s  cpu_us/commit  doomed  "
           "catch-up-timeouts  lock-aborts  peak-threads  removes/commit  "
           "propagates/commit  lock-waits/commit(" + "/".join(LOCK_FAMILIES) +
-          ")", flush=True)
+          ")  collect-scan", flush=True)
     for i in range(args.runs):
         order = roots if i % 2 == 0 else roots[::-1]
         for latency in LATENCIES_US:
@@ -177,7 +193,8 @@ def main():
                           f"{r['cpu_us']:.1f}  {r['doomed']}  "
                           f"{r['catchup']}  {r['lock_aborts']}  "
                           f"{r['threads']}  {r['removes']:.2f}  "
-                          f"{r['propagates']:.2f}  {lock_waits_run(r)}",
+                          f"{r['propagates']:.2f}  {lock_waits_run(r)}  "
+                          f"{collect_scan_run(r)}",
                           flush=True)
 
     print()
@@ -203,7 +220,8 @@ def main():
                       f"{summary([r['removes'] for r in runs], '{:.2f}')}  "
                       f"propagates/commit "
                       f"{summary([r['propagates'] for r in runs], '{:.2f}')}")
-                print(f"         lock-waits/commit {lock_waits_summary(runs)}")
+                print(f"         lock-waits/commit {lock_waits_summary(runs)}"
+                      f"  collect-scan {collect_scan_summary(runs)}")
             ratios = [f["tps"] / w["tps"]
                       for f, w in zip(per["fwkv"], per["walter"])]
             print(f"  {latency:>3} us FW-KV/Walter "

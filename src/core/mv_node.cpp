@@ -301,7 +301,9 @@ void MvNodeBase::fill_yes_vote(const HeldLocks& held, VoteReply& vote) {
   // Alg. 5 lines 8-10: gather the read-only transactions that have an
   // anti-dependency with this writer.
   if (track_antideps()) {
-    store_.collect_access_sets(held.exclusive, vote.collected_set);
+    stats_.collect_versions_scanned.add(
+        store_.collect_access_sets(held.exclusive, vote.collected_set));
+    stats_.collect_keys.add(held.exclusive.size());
   }
 }
 

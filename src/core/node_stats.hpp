@@ -24,6 +24,11 @@ struct NodeStats {
   // Fig. 6: size of T.collectedSet after merging participant votes, per
   // update transaction that passed prepare.
   Accumulator collected_set_size;
+  // Alg. 5 lines 8-10 at a participant: the written keys whose access sets
+  // a yes vote collected, and the versions it walked (from each key's
+  // floor to its latest).
+  Counter collect_keys;
+  Counter collect_versions_scanned;
 
   // Server-side activity.
   Counter reads_served;
@@ -68,6 +73,8 @@ struct NodeStats {
     doomed_aborts.reset();
     catch_up_timeouts.reset();
     collected_set_size.reset();
+    collect_keys.reset();
+    collect_versions_scanned.reset();
     reads_served.reset();
     versions_installed.reset();
     propagates_applied.reset();
@@ -99,6 +106,8 @@ struct NodeStats::Snapshot {
   std::uint64_t catch_up_timeouts = 0;
   std::uint64_t collected_count = 0;
   std::uint64_t collected_sum = 0;
+  std::uint64_t collect_keys = 0;
+  std::uint64_t collect_versions_scanned = 0;
   std::uint64_t reads_served = 0;
   std::uint64_t versions_installed = 0;
   std::uint64_t propagates_applied = 0;
@@ -123,6 +132,12 @@ struct NodeStats::Snapshot {
                                 : static_cast<double>(collected_sum) /
                                       static_cast<double>(collected_count);
   }
+  /// Versions walked per collected key.
+  double collect_scan_per_key() const {
+    return collect_keys == 0 ? 0.0
+                             : static_cast<double>(collect_versions_scanned) /
+                                   static_cast<double>(collect_keys);
+  }
 
   void merge(const Snapshot& o) {
     ro_commits += o.ro_commits;
@@ -134,6 +149,8 @@ struct NodeStats::Snapshot {
     catch_up_timeouts += o.catch_up_timeouts;
     collected_count += o.collected_count;
     collected_sum += o.collected_sum;
+    collect_keys += o.collect_keys;
+    collect_versions_scanned += o.collect_versions_scanned;
     reads_served += o.reads_served;
     versions_installed += o.versions_installed;
     propagates_applied += o.propagates_applied;
@@ -165,6 +182,8 @@ inline NodeStats::Snapshot NodeStats::snapshot() const {
   s.catch_up_timeouts = catch_up_timeouts.get();
   s.collected_count = collected_set_size.count();
   s.collected_sum = collected_set_size.sum();
+  s.collect_keys = collect_keys.get();
+  s.collect_versions_scanned = collect_versions_scanned.get();
   s.reads_served = reads_served.get();
   s.versions_installed = versions_installed.get();
   s.propagates_applied = propagates_applied.get();

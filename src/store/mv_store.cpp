@@ -106,14 +106,15 @@ bool MVStore::validate_key_version(Key key, VersionId observed) const {
   return ok;
 }
 
-void MVStore::collect_access_sets(std::span<const Key> keys,
-                                  std::vector<TxId>& out) const {
+std::size_t MVStore::collect_access_sets(std::span<const Key> keys,
+                                         std::vector<TxId>& out) const {
   const std::size_t first = out.size();
+  std::size_t scanned = 0;
   for (Key k : keys) {
     Entry* e = find_entry(k);
     if (e == nullptr) continue;
     e->latch.lock_shared();
-    e->chain.collect_access_sets(out);
+    scanned += e->chain.collect_access_sets(out);
     e->latch.unlock_shared();
   }
   // An id can still sit in an access set for the moment between its
@@ -121,6 +122,7 @@ void MVStore::collect_access_sets(std::span<const Key> keys,
   out.erase(std::remove_if(out.begin() + static_cast<std::ptrdiff_t>(first),
                            out.end(), [this](TxId id) { return finished(id); }),
             out.end());
+  return scanned;
 }
 
 void MVStore::install(Key key, Value value, const VectorClock& commit_vc,
@@ -128,14 +130,10 @@ void MVStore::install(Key key, Value value, const VectorClock& commit_vc,
                       std::span<const TxId> collected) {
   Entry& e = get_or_create_entry(key);
   std::vector<TxId> stamped;
-  VersionId vid = 0;
   e.latch.lock();
-  {
-    Version& v = e.chain.install(std::move(value), commit_vc, origin, seq);
-    vid = v.id;
-    for (TxId id : collected) {
-      if (v.stamp_insert(id)) stamped.push_back(id);
-    }
+  const VersionId vid = e.chain.install(std::move(value), commit_vc, origin, seq).id;
+  for (TxId id : collected) {
+    if (e.chain.stamp(id)) stamped.push_back(id);
   }
   e.latch.unlock();
   if (!stamped.empty()) register_ids(e, vid, stamped);
@@ -175,9 +173,7 @@ void MVStore::register_ids(Entry& e, VersionId vid,
   }
   if (late.empty()) return;
   e.latch.lock();
-  if (Version* v = e.chain.find(vid)) {
-    for (TxId id : late) v->access_set_erase(id);
-  }
+  for (TxId id : late) e.chain.erase(vid, id);
   e.latch.unlock();
 }
 
@@ -202,9 +198,8 @@ void MVStore::finish_below(std::span<const TxId> watermarks) {
       // A ref whose version was pruned, or whose id another ref of the
       // same version already erased, degrades to a no-op.
       ref.entry->latch.lock();
-      if (Version* v = ref.entry->chain.find(ref.version_id)) {
-        v->access_set_erase(TxId((std::uint64_t{session} << 32) | ref.seq));
-      }
+      ref.entry->chain.erase(ref.version_id,
+                             TxId((std::uint64_t{session} << 32) | ref.seq));
       ref.entry->latch.unlock();
     }
   }
@@ -216,7 +211,7 @@ std::size_t MVStore::access_set_footprint() const {
     std::shared_lock<std::shared_mutex> lock(shard->mu);
     for (const auto& [key, entry] : shard->map) {
       entry->latch.lock_shared();
-      for (const auto& v : entry->chain.versions()) n += v.access_set.size();
+      for (const auto& v : entry->chain.versions()) n += v.access_set().size();
       entry->latch.unlock_shared();
     }
   }

@@ -129,9 +129,10 @@ class MVStore {
   bool validate_key_version(Key key, VersionId observed) const;
 
   /// Alg. 5 lines 8-10: union of access sets across the written keys,
-  /// without the ids already known here to have finished.
-  void collect_access_sets(std::span<const Key> keys,
-                           std::vector<TxId>& out) const;
+  /// without the ids already known here to have finished. Returns how many
+  /// versions it walked (each key's, from its floor to its latest).
+  std::size_t collect_access_sets(std::span<const Key> keys,
+                                  std::vector<TxId>& out) const;
 
   /// Install a new version of `key` and stamp `collected` into its access
   /// set (Alg. 5 lines 17-20), except ids that have finished. Creates the
@@ -165,9 +166,13 @@ class MVStore {
 
  private:
   struct Entry {
+    // The latch sits in the tail padding after the chain's 32-bit floor, so
+    // an entry is no larger than a bare std::deque and a latch.
+    [[no_unique_address]] VersionChain chain;
     mutable EntryLatch latch;
-    VersionChain chain;
   };
+  static_assert(sizeof(Entry) == sizeof(VersionChain),
+                "the latch must fit in the chain's tail padding");
   struct MapShard {
     mutable std::shared_mutex mu;
     std::unordered_map<Key, std::unique_ptr<Entry>> map;

@@ -1,11 +1,12 @@
 #include "store/version_chain.hpp"
 
+#include <algorithm>
 #include <cassert>
 
 namespace fwkv::store {
 
-Version& VersionChain::install(Value value, VectorClock vc, NodeId origin,
-                               SeqNo seq) {
+const Version& VersionChain::install(Value value, VectorClock vc,
+                                     NodeId origin, SeqNo seq) {
   Version v;
   v.value = std::move(value);
   v.vc = std::move(vc);
@@ -14,23 +15,54 @@ Version& VersionChain::install(Value value, VectorClock vc, NodeId origin,
   v.seq = seq;
   const auto now = std::chrono::steady_clock::now();
   v.created = now;
+  // A floor past the latest stays past it: the new version holds no id yet.
+  if (floor_ == versions_.size()) ++floor_;
   versions_.push_back(std::move(v));
   // Bound the chain. A version may be pruned only when (a) it is past the
   // soft cap, (b) its access-set is empty (a non-empty VAS would dangle
   // the node's reverse index), and (c) it has aged out of the retention
-  // window (a live snapshot might still need it).
+  // window (a live snapshot might still need it). A pruned version sits
+  // below the floor, so the floor's index moves down with it.
   while (versions_.size() > kMaxVersions &&
-         versions_.front().access_set.empty() &&
+         versions_.front().access_set_.empty() &&
          now - versions_.front().created > kRetention) {
     versions_.pop_front();
+    if (floor_ > 0) --floor_;
   }
   return versions_.back();
 }
 
-Version* VersionChain::find(VersionId id) {
+const Version* VersionChain::find(VersionId id) const {
   if (versions_.empty() || id < versions_.front().id) return nullptr;
   const std::size_t at = id - versions_.front().id;
   return at < versions_.size() ? &versions_[at] : nullptr;
+}
+
+bool VersionChain::insert_at(std::size_t at, TxId id, bool exclude) {
+  Version& v = versions_[at];
+  if (!(exclude ? v.stamp_insert(id) : v.access_set_insert(id))) return false;
+  // An id may land below the floor: a stale read registers on an older
+  // version than the ones that hold ids.
+  floor_ = std::min(floor_, static_cast<std::uint32_t>(at));
+  return true;
+}
+
+bool VersionChain::stamp(TxId id) {
+  assert(!versions_.empty());
+  return insert_at(versions_.size() - 1, id, /*exclude=*/true);
+}
+
+bool VersionChain::erase(VersionId vid, TxId id) {
+  if (find(vid) == nullptr) return false;
+  const std::size_t at = vid - versions_.front().id;
+  if (!versions_[at].access_set_erase(id)) return false;
+  // The floor's version emptied: move up to the next one that holds an id.
+  if (at == floor_) {
+    while (floor_ < versions_.size() && versions_[floor_].access_set_.empty()) {
+      ++floor_;
+    }
+  }
+  return true;
 }
 
 ReadResult VersionChain::to_result(const Version& v) const {
@@ -61,9 +93,10 @@ ReadResult VersionChain::select_read_only(const VectorClock& tvc,
       if (fallback_visible == nullptr) fallback_visible = &*it;
       continue;
     }
-    Version& chosen = const_cast<Version&>(*it);
-    chosen.access_set_insert(reader);  // Alg. 3 line 8 (visible read)
-    return to_result(chosen);
+    // Alg. 3 line 8 (visible read).
+    insert_at(static_cast<std::size_t>(versions_.rend() - it) - 1, reader,
+              /*exclude=*/false);
+    return to_result(*it);
   }
   // Every visible version excludes the reader: its snapshot predates all
   // of them (only reachable if GC pruned past the snapshot, which the
@@ -123,12 +156,12 @@ bool VersionChain::validate(const VectorClock& tvc) const {
   return last.vc[last.origin] <= tvc[last.origin];
 }
 
-void VersionChain::collect_access_sets(std::vector<TxId>& out) const {
-  for (const auto& v : versions_) {
-    for (TxId id : v.access_set) {
-      out.push_back(id);
-    }
+std::size_t VersionChain::collect_access_sets(std::vector<TxId>& out) const {
+  for (std::size_t at = floor_; at < versions_.size(); ++at) {
+    const auto& ids = versions_[at].access_set_;
+    out.insert(out.end(), ids.begin(), ids.end());
   }
+  return versions_.size() - floor_;
 }
 
 }  // namespace fwkv::store

@@ -190,6 +190,12 @@ TEST_P(DuplicatePrepareTest, RedeliveredPreparesAreIdempotent) {
   }
   ASSERT_TRUE(cluster.quiesce(10s));
   ASSERT_GT(committed, 0u);
+  for (NodeId n = 0; n < cluster.num_nodes(); ++n) {
+    const auto& node = dynamic_cast<const TwoPhaseNode&>(cluster.node(n));
+    EXPECT_EQ(node.lock_table().size(), 0u)
+        << "node " << n << ": a redelivered Prepare left a lock behind";
+    EXPECT_EQ(node.participant_entries(), 0u) << "node " << n;
+  }
 
   auto audit = s.begin(true);
   std::int64_t total = 0;

@@ -2,8 +2,13 @@
 // stamping.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <atomic>
+#include <memory>
+#include <random>
 #include <span>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -405,6 +410,186 @@ TEST(MVStoreTest, WithChainRunsUnderLatch) {
   }));
   EXPECT_TRUE(ran);
   EXPECT_FALSE(store.with_chain(99, [](VersionChain&) {}));
+}
+
+// ---- collection from the floor (Alg. 5 lines 8-10) ----
+
+/// Seeded random store operations on a few hot keys: read-only reads (many
+/// of them stale, so they register on an older version than the latest),
+/// installs that stamp collected ids, watermark moves, and, after the
+/// retention window has passed, installs that prune past kMaxVersions.
+class CollectFloorProperty {
+ public:
+  static constexpr Key kKeys = 2;
+  static constexpr std::uint32_t kSessions = 4;
+
+  explicit CollectFloorProperty(std::uint64_t seed) : rng_(seed) {
+    for (Key k = 0; k < kKeys; ++k) store_.load(k, "v", kNodes);
+  }
+
+  void run(int steps) {
+    for (int i = 0; i < steps; ++i) {
+      step();
+      check();
+      if (::testing::Test::HasFailure()) return;
+    }
+  }
+
+  /// The oldest version id left on any key (greater than 1 once a chain
+  /// was pruned).
+  VersionId min_front() {
+    VersionId front = ~VersionId{0};
+    for (Key k = 0; k < kKeys; ++k) {
+      store_.with_chain(k, [&](VersionChain& chain) {
+        front = std::min(front, chain.versions().front().id);
+      });
+    }
+    return front;
+  }
+
+ private:
+  /// A read-only id of `session`: one of its last few seqs, so some are
+  /// below the session's watermark (late reads and stamps).
+  TxId some_id(std::uint32_t session) {
+    const std::uint32_t top = next_seq_[session];
+    const std::uint32_t back = static_cast<std::uint32_t>(rng_() % 4);
+    return TxId(1, session, top > back + 1 ? top - back : 1);
+  }
+
+  void step() {
+    const Key key = rng_() % kKeys;
+    const auto session = static_cast<std::uint32_t>(rng_() % kSessions);
+    switch (rng_() % 8) {
+      case 0:
+      case 1:
+      case 2: {  // read-only read, stale when origin's entry is low
+        VectorClock tvc(kNodes);
+        std::vector<bool> has_read(kNodes, false);
+        if (rng_() % 3 != 0) {
+          const auto origin = static_cast<NodeId>(rng_() % kNodes);
+          has_read[origin] = true;
+          tvc[origin] = rng_() % (installed_[origin] + 1);
+        }
+        store_.read_read_only(key, tvc, has_read, some_id(session));
+        break;
+      }
+      case 3:
+      case 4:
+      case 5: {  // install, stamping a few ids
+        const auto origin = static_cast<NodeId>(rng_() % kNodes);
+        VectorClock commit_vc(kNodes);
+        commit_vc[origin] = ++installed_[origin];
+        std::vector<TxId> collected;
+        for (std::uint64_t n = rng_() % 3; n > 0; --n) {
+          collected.push_back(
+              some_id(static_cast<std::uint32_t>(rng_() % kSessions)));
+        }
+        store_.install(key, "w", commit_vc, origin, installed_[origin],
+                       collected);
+        break;
+      }
+      case 6:  // a new transaction of the session
+        ++next_seq_[session];
+        break;
+      default: {  // the session's watermark moves up to a recent seq
+        const TxId watermark = some_id(session);
+        store_.finish_below(std::span<const TxId>(&watermark, 1));
+        break;
+      }
+    }
+  }
+
+  /// Collection equals the union of every version's access set: on each
+  /// chain as a multiset, and across the store as a set.
+  void check() {
+    std::vector<TxId> everywhere;
+    std::vector<Key> keys;
+    for (Key k = 0; k < kKeys; ++k) {
+      keys.push_back(k);
+      store_.with_chain(k, [&](VersionChain& chain) {
+        std::vector<TxId> all;
+        for (const Version& v : chain.versions()) {
+          all.insert(all.end(), v.access_set().begin(), v.access_set().end());
+        }
+        std::vector<TxId> collected;
+        const std::size_t scanned = chain.collect_access_sets(collected);
+        EXPECT_LE(scanned, chain.size());
+        std::sort(all.begin(), all.end());
+        std::sort(collected.begin(), collected.end());
+        EXPECT_EQ(collected, all) << "key " << k;
+        everywhere.insert(everywhere.end(), all.begin(), all.end());
+      });
+    }
+    std::vector<TxId> collected;
+    store_.collect_access_sets(keys, collected);
+    for (auto* ids : {&everywhere, &collected}) {
+      std::sort(ids->begin(), ids->end());
+      ids->erase(std::unique(ids->begin(), ids->end()), ids->end());
+    }
+    EXPECT_EQ(collected, everywhere);
+  }
+
+  MVStore store_;
+  std::mt19937_64 rng_;
+  std::array<SeqNo, kNodes> installed_{};
+  std::array<std::uint32_t, kSessions> next_seq_{1, 1, 1, 1};
+};
+
+TEST(CollectFloorTest, CollectionEqualsTheUnionOfEveryAccessSet) {
+  // All seeds run their first half, wait out the retention window once,
+  // then run their second half, whose installs prune the first half's
+  // emptied versions.
+  constexpr int kSeeds = 6;
+  constexpr int kSteps = 600;
+  std::vector<std::unique_ptr<CollectFloorProperty>> runs;
+  for (int seed = 0; seed < kSeeds; ++seed) {
+    runs.push_back(std::make_unique<CollectFloorProperty>(seed * 7919 + 1));
+    SCOPED_TRACE("seed " + std::to_string(seed) + ", before the prune");
+    runs.back()->run(kSteps);
+  }
+  std::this_thread::sleep_for(VersionChain::kRetention +
+                              std::chrono::milliseconds(50));
+  VersionId pruned_front = 0;
+  for (int seed = 0; seed < kSeeds; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed) + ", after the prune");
+    runs[seed]->run(kSteps);
+    pruned_front = std::max(pruned_front, runs[seed]->min_front());
+  }
+  EXPECT_GT(pruned_front, 1u) << "no seed pruned a chain";
+}
+
+TEST(CollectFloorTest, StaleReadBelowTheFloorIsCollected) {
+  // The floor sits on the latest version; a stale read then registers an
+  // id on an older version. Collection must find it there.
+  MVStore store;
+  store.load(1, "v0", kNodes);
+  for (SeqNo s = 1; s <= 5; ++s) {
+    VectorClock commit_vc(kNodes);
+    commit_vc[0] = s;
+    store.install(1, "w", commit_vc, 0, s, {});
+  }
+  store.read_read_only(1, zero(), no_mask(), kRo1);  // the latest version
+  VectorClock stale(kNodes);
+  stale[0] = 2;
+  std::vector<bool> mask = no_mask();
+  mask[0] = true;
+  EXPECT_EQ(store.read_read_only(1, stale, mask, kRo2).id, 3u);
+
+  std::vector<TxId> collected;
+  EXPECT_EQ(store.collect_access_sets(std::vector<Key>{1}, collected), 4u)
+      << "versions 3 to 6";
+  std::sort(collected.begin(), collected.end());
+  EXPECT_EQ(collected, (std::vector<TxId>{kRo1, kRo2}));
+
+  // The older id finishes: the floor moves back up to the latest version.
+  finish(store, kRo2);
+  collected.clear();
+  EXPECT_EQ(store.collect_access_sets(std::vector<Key>{1}, collected), 1u);
+  EXPECT_EQ(collected, std::vector<TxId>{kRo1});
+  finish(store, kRo1);
+  collected.clear();
+  EXPECT_EQ(store.collect_access_sets(std::vector<Key>{1}, collected), 0u);
+  EXPECT_TRUE(collected.empty());
 }
 
 TEST(SVStoreTest, BasicsAndValidation) {

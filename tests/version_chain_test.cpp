@@ -15,7 +15,7 @@ const TxId kReader(3, 0, 1);
 VectorClock vc(std::initializer_list<SeqNo> init) { return VectorClock(init); }
 
 /// value "v<id>", commit clock with [origin]=seq plus explicit extras.
-Version& add(VersionChain& chain, std::size_t nodes, NodeId origin, SeqNo seq,
+const Version& add(VersionChain& chain, std::size_t nodes, NodeId origin, SeqNo seq,
              std::initializer_list<SeqNo> clock = {}) {
   VectorClock commit_vc =
       clock.size() == 0 ? VectorClock(nodes) : VectorClock(clock);
@@ -43,11 +43,6 @@ TEST(VersionChainTest, FindLocatesVersionsById) {
   EXPECT_EQ(chain.find(5)->id, 5u);
   EXPECT_EQ(chain.find(0), nullptr);
   EXPECT_EQ(chain.find(6), nullptr);
-  // Pruned from the front: the oldest id is gone, the rest still resolve.
-  chain.versions().pop_front();
-  EXPECT_EQ(chain.find(1), nullptr);
-  EXPECT_EQ(chain.find(2)->id, 2u);
-  EXPECT_EQ(chain.find(5)->id, 5u);
 }
 
 TEST(VersionChainTest, GcRespectsRetentionThenBoundsChain) {
@@ -63,11 +58,20 @@ TEST(VersionChainTest, GcRespectsRetentionThenBoundsChain) {
   add(chain, 2, 0, VersionChain::kMaxVersions + 41);
   EXPECT_LE(chain.size(), VersionChain::kMaxVersions + 1);
   EXPECT_EQ(chain.latest().id, VersionChain::kMaxVersions + 41);
+  // Pruned from the front: the oldest ids are gone, the rest still resolve.
+  const VersionId front = chain.versions().front().id;
+  EXPECT_GT(front, 1u);
+  EXPECT_EQ(chain.find(1), nullptr);
+  EXPECT_EQ(chain.find(front - 1), nullptr);
+  ASSERT_NE(chain.find(front), nullptr);
+  EXPECT_EQ(chain.find(front)->id, front);
+  EXPECT_EQ(chain.find(chain.latest().id)->id, chain.latest().id);
 }
 
 TEST(VersionChainTest, GcSkipsVersionsWithAccessSets) {
   VersionChain chain;
-  add(chain, 2, 0, 1).access_set_insert(kReader);
+  add(chain, 2, 0, 1);
+  chain.select_read_only(vc({0, 0}), {false, false}, kReader);
   for (SeqNo s = 2; s <= VersionChain::kMaxVersions + 10; ++s) {
     add(chain, 2, 0, s);
   }
@@ -77,18 +81,21 @@ TEST(VersionChainTest, GcSkipsVersionsWithAccessSets) {
 
 TEST(VersionChainTest, AccessSetInsertEraseContains) {
   VersionChain chain;
-  Version& v = add(chain, 2, 0, 1);
+  const Version& v = add(chain, 2, 0, 1);
   EXPECT_FALSE(v.access_set_contains(kReader));
-  EXPECT_TRUE(v.access_set_insert(kReader));
-  EXPECT_FALSE(v.access_set_insert(kReader)) << "duplicate insert";
+  chain.select_read_only(vc({0, 0}), {false, false}, kReader);
+  chain.select_read_only(vc({0, 0}), {false, false}, kReader);
+  EXPECT_EQ(v.access_set().size(), 1u) << "duplicate insert";
   EXPECT_TRUE(v.access_set_contains(kReader));
-  EXPECT_TRUE(v.access_set_erase(kReader));
-  EXPECT_FALSE(v.access_set_erase(kReader));
+  EXPECT_FALSE(v.excluded_contains(kReader));
+  EXPECT_TRUE(chain.erase(v.id, kReader));
+  EXPECT_FALSE(chain.erase(v.id, kReader));
+  EXPECT_FALSE(chain.erase(v.id + 1, kReader)) << "no such version";
   // Stamped ids live in both sets; one erase clears both.
-  EXPECT_TRUE(v.stamp_insert(kReader));
-  EXPECT_FALSE(v.stamp_insert(kReader)) << "duplicate stamp";
+  EXPECT_TRUE(chain.stamp(kReader));
+  EXPECT_FALSE(chain.stamp(kReader)) << "duplicate stamp";
   EXPECT_TRUE(v.excluded_contains(kReader));
-  EXPECT_TRUE(v.access_set_erase(kReader));
+  EXPECT_TRUE(chain.erase(v.id, kReader));
   EXPECT_FALSE(v.excluded_contains(kReader));
   EXPECT_FALSE(v.access_set_contains(kReader));
 }
@@ -130,7 +137,8 @@ TEST(ReadOnlySelect, AccessSetExcludesAntiDependentVersion) {
   // commit); T1's read of y must fall back to y0 even though y1 is visible.
   VersionChain chain;
   add(chain, 3, 1, 5);                           // y0
-  add(chain, 3, 2, 7).stamp_insert(kReader);     // y1, excluded={T1}
+  add(chain, 3, 2, 7);                           // y1
+  chain.stamp(kReader);                          // excluded={T1}
   auto r = chain.select_read_only(vc({0, 7, 0}), {false, true, false},
                                   kReader);
   EXPECT_EQ(r.value, "v5") << "anti-dependent version was returned";
@@ -142,7 +150,9 @@ TEST(ReadOnlySelect, ReadRegistrationDoesNotExclude) {
   // not be bounced to an older one (that would tear the snapshot).
   VersionChain chain;
   add(chain, 3, 1, 5);
-  add(chain, 3, 1, 7).access_set_insert(kReader);
+  add(chain, 3, 1, 7);
+  chain.select_read_only(vc({0, 7, 0}), {false, true, false}, kReader);
+  ASSERT_TRUE(chain.latest().access_set_contains(kReader));
   auto r = chain.select_read_only(vc({0, 7, 0}), {false, true, false},
                                   kReader);
   EXPECT_EQ(r.value, "v7") << "retried read was served a stale version";
@@ -152,8 +162,10 @@ TEST(ReadOnlySelect, FallsBackToNewestExcludedVersion) {
   // Every visible version is stamped against the reader: return the newest
   // of them rather than nothing (best effort past GC's retention bound).
   VersionChain chain;
-  add(chain, 2, 0, 1).stamp_insert(kReader);
-  add(chain, 2, 0, 2).stamp_insert(kReader);
+  add(chain, 2, 0, 1);
+  chain.stamp(kReader);
+  add(chain, 2, 0, 2);
+  chain.stamp(kReader);
   auto r = chain.select_read_only(vc({2, 0}), {true, false}, kReader);
   ASSERT_TRUE(r.found);
   EXPECT_EQ(r.value, "v2");
@@ -280,10 +292,11 @@ TEST(ValidateTest, EmptyChainAlwaysValid) {
 
 TEST(CollectTest, GathersAllAccessSets) {
   VersionChain chain;
-  add(chain, 2, 0, 1).access_set_insert(TxId(1, 0, 1));
-  Version& v2 = add(chain, 2, 0, 2);
-  v2.access_set_insert(TxId(1, 0, 2));
-  v2.access_set_insert(TxId(2, 0, 3));
+  add(chain, 2, 0, 1);
+  chain.select_read_only(vc({0, 0}), {false, false}, TxId(1, 0, 1));
+  add(chain, 2, 0, 2);
+  chain.select_read_only(vc({0, 0}), {false, false}, TxId(1, 0, 2));
+  chain.stamp(TxId(2, 0, 3));
   std::vector<TxId> out;
   chain.collect_access_sets(out);
   EXPECT_EQ(out.size(), 3u);
