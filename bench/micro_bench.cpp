@@ -4,8 +4,8 @@
 //   * version selection: FW-KV read-only vs update rule vs Walter rule
 //     (the cost of freshness)
 //   * access-set maintenance and Remove (the VAS ablation)
-//   * lock table, participant table, codec, consistent hashing, workload
-//     generators
+//   * lock table, participant table, codec, the SimNetwork send path,
+//     consistent hashing, workload generators
 #include <benchmark/benchmark.h>
 
 #include <memory>
@@ -16,6 +16,7 @@
 #include "common/vector_clock.hpp"
 #include "core/two_phase.hpp"
 #include "net/codec.hpp"
+#include "net/network.hpp"
 #include "store/lock_table.hpp"
 #include "store/mv_store.hpp"
 #include "store/version_chain.hpp"
@@ -218,6 +219,29 @@ void BM_CodecRoundTripDecide(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_CodecRoundTripDecide);
+
+void BM_SendZeroDelay(benchmark::State& state) {
+  // SimNetwork's per-message work at 0 us, without a handler's: count the
+  // send, deliver inline to an endpoint that does nothing, count it
+  // finished. The threads share one network, as a node's clients do.
+  struct NoOpEndpoint : net::NodeEndpoint {
+    void handle_message(net::Message, NodeId) override {}
+    std::size_t pending_work() const override { return 0; }
+  };
+  static std::unique_ptr<net::SimNetwork> network;
+  static NoOpEndpoint endpoint;
+  if (state.thread_index() == 0) {
+    net::NetConfig config;
+    config.one_way_latency = std::chrono::nanoseconds(0);
+    network = std::make_unique<net::SimNetwork>(2, config);
+    network->register_endpoint(1, &endpoint);
+  }
+  for (auto _ : state) {
+    network->send(0, 1, net::PropagateMessage{0, 1, 1});
+  }
+  if (state.thread_index() == 0) network.reset();
+}
+BENCHMARK(BM_SendZeroDelay)->Threads(1)->Threads(4);
 
 void BM_ConsistentHash(benchmark::State& state) {
   ConsistentHashRing ring(20);

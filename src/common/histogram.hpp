@@ -8,8 +8,11 @@
 
 namespace fwkv {
 
-/// Relaxed atomic counter. Metrics tolerate relaxed ordering; they are only
-/// read after the workload threads join.
+/// Relaxed atomic counter. Metrics tolerate relaxed ordering. perfbench and
+/// `fwkv_cli --stats` also read them mid-run, at window edges: such a read
+/// is a sum of monotone counts (one counter, or one per thread tally or
+/// node), so it lies between the totals at the start and the end of the
+/// read, and a later read never returns less.
 class Counter {
  public:
   void add(std::uint64_t n = 1) { v_.fetch_add(n, std::memory_order_relaxed); }

@@ -7,6 +7,17 @@
 #include "net/codec.hpp"
 
 namespace fwkv::net {
+namespace {
+
+// Threads are numbered in the order they first touch any network's tally.
+std::size_t thread_index() {
+  static std::atomic<std::size_t> next{0};
+  thread_local const std::size_t index =
+      next.fetch_add(1, std::memory_order_relaxed);
+  return index;
+}
+
+}  // namespace
 
 std::uint64_t ReplyBox::open(std::size_t n) {
   assert(n <= kMaxRequests);
@@ -86,14 +97,15 @@ void SimNetwork::send(NodeId from, NodeId to, Message m) {
     std::lock_guard<std::mutex> lock(hook_mu_);
     if (send_hook_) send_hook_(from, to, m);
   }
-  sent_by_type_[static_cast<std::size_t>(type_of(m))].add();
+  Tally& own = tally();
+  own.sent[static_cast<std::size_t>(type_of(m))].add();
   if (config_.serialize_messages) {
     // Round-trip through the codec: realistic marshalling cost and a
     // guarantee the message survives a real wire. The wire buffer is pooled
     // per sending thread so steady-state encoding is allocation-free.
     thread_local std::vector<std::uint8_t> wire_buf;
     encode_message_into(m, wire_buf);
-    bytes_sent_.add(wire_buf.size());
+    own.bytes.add(wire_buf.size());
     auto decoded = decode_message(wire_buf);
     assert(decoded.has_value());
     m = std::move(*decoded);
@@ -130,7 +142,7 @@ void SimNetwork::send(NodeId from, NodeId to, Message m) {
 
 void SimNetwork::enqueue(NodeId from, NodeId to, Message m,
                          std::chrono::nanoseconds latency) {
-  in_flight_.fetch_add(1, std::memory_order_acq_rel);
+  tally().entered.fetch_add(1, std::memory_order_relaxed);
   if (latency.count() == 0) {
     deliver(from, to, std::move(m));
   } else {
@@ -176,17 +188,16 @@ void SimNetwork::deliver(NodeId from, NodeId to, Message m) {
     if (ReplyBox* box = find_box(ReplyBox::slot_of(rpc_id))) {
       box->store(rpc_id, m);
     }
-    in_flight_.fetch_sub(1, std::memory_order_acq_rel);
-    return;
+  } else {
+    // Every handler runs on the delivering thread: a zero-delay request on
+    // its sender's thread (only coordinators on client threads send
+    // requests, and they block on the reply anyway), everything else on
+    // the timer.
+    assert(endpoints_[to] != nullptr);
+    endpoints_[to]->handle_message(std::move(m), from);
   }
-
-  // Every handler runs on the delivering thread: a zero-delay request on
-  // its sender's thread (only coordinators on client threads send
-  // requests, and they block on the reply anyway), everything else on the
-  // timer.
-  assert(endpoints_[to] != nullptr);
-  endpoints_[to]->handle_message(std::move(m), from);
-  in_flight_.fetch_sub(1, std::memory_order_acq_rel);
+  // Release: whoever reads this count also sees the message's `entered`.
+  tally().finished.fetch_add(1, std::memory_order_release);
 }
 
 std::chrono::nanoseconds SimNetwork::latency_for(const Message& m,
@@ -242,18 +253,69 @@ void SimNetwork::set_send_hook(SendHook hook) {
                        std::memory_order_release);
 }
 
-std::uint64_t SimNetwork::messages_sent(MessageType t) const {
-  return sent_by_type_[static_cast<std::size_t>(t)].get();
+SimNetwork::Tally& SimNetwork::tally() {
+  return tallies_[thread_index() % kTallies];
 }
 
-std::uint64_t SimNetwork::bytes_sent() const { return bytes_sent_.get(); }
+std::uint64_t SimNetwork::messages_sent(MessageType t) const {
+  std::uint64_t n = 0;
+  for (const Tally& tally : tallies_) {
+    n += tally.sent[static_cast<std::size_t>(t)].get();
+  }
+  return n;
+}
 
+std::uint64_t SimNetwork::bytes_sent() const {
+  std::uint64_t n = 0;
+  for (const Tally& tally : tallies_) n += tally.bytes.get();
+  return n;
+}
+
+SimNetwork::Collect SimNetwork::collect() const {
+  Collect c;
+  for (const Tally& tally : tallies_) {
+    c.finished += tally.finished.load(std::memory_order_acquire);
+  }
+  for (const Tally& tally : tallies_) {
+    c.entered += tally.entered.load(std::memory_order_acquire);
+  }
+  return c;
+}
+
+// Quiescence by double collect. Each message adds 1 to `entered` on the
+// tally of the thread that sends it, and later 1 to `finished` on the
+// tally of the thread that delivers it, after its handler has returned.
+// The reasoning below takes the counter operations in the order they take
+// effect.
+//
+// One collect C proves an instant with nothing in flight: if C's entered
+// sum equals its finished sum, no message was in flight at the instant T
+// between C's two passes. Say m entered at e < T and finished at f > T.
+// Every entered read follows T, so C counts m's entry; every finished
+// read precedes T, so C misses m's finish. A message that C counts
+// finished did so before its finished read, after its entry (the release
+// in deliver carries that entry to C's acquire load), so C counts its
+// entry too. So C's entered sum exceeds its finished sum by at least m.
+// Reading each tally's pair in turn instead is not enough: it can count
+// the finish of a message that entered on a tally already read, and that
+// surplus can cancel a message still in flight elsewhere.
+//
+// Two such collects C1, C2 with the same entered sum prove a window:
+// every entered count only grows, so no message entered between C1's read
+// of its tally and C2's read of it. One that entered after T1 but before
+// C1's read would count in C1's entered sum and not in its finished sum.
+// So no message entered from T1 to T2, and with nothing in flight at T1,
+// nothing was in flight and no handler ran from T1 to T2. The endpoints'
+// pending work is read in that window, so no delivery moves it meanwhile.
 bool SimNetwork::quiet_now() const {
-  if (in_flight_.load(std::memory_order_acquire) != 0) return false;
+  const Collect first = collect();
+  if (first.entered != first.finished) return false;
   for (const NodeEndpoint* endpoint : endpoints_) {
     if (endpoint != nullptr && endpoint->pending_work() > 0) return false;
   }
-  return true;
+  const Collect second = collect();
+  return second.entered == first.entered &&
+         second.finished == second.entered;
 }
 
 bool SimNetwork::wait_quiescent(std::chrono::nanoseconds timeout) {

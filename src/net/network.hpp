@@ -183,12 +183,14 @@ class SimNetwork {
       std::function<void(NodeId from, NodeId to, const Message& m)>;
   void set_send_hook(SendHook hook);
 
-  /// Messages sent per type and serialized bytes (0 unless serializing).
+  /// Messages sent per type and serialized bytes (0 unless serializing):
+  /// sums of the per-thread tallies.
   std::uint64_t messages_sent(MessageType t) const;
   std::uint64_t bytes_sent() const;
 
-  /// True when no message is in flight and no endpoint has pending buffered
-  /// work. Spin-waits up to `timeout`; returns false on timeout.
+  /// True when no message is in flight, no handler is running and no
+  /// endpoint has pending buffered work. Spin-waits up to `timeout`;
+  /// returns false on timeout.
   bool wait_quiescent(std::chrono::nanoseconds timeout);
 
   /// Build a two-region latency matrix: nodes [0, split) form region A,
@@ -200,18 +202,42 @@ class SimNetwork {
                     std::chrono::nanoseconds wan);
 
  private:
+  // The send counts of the threads whose index is equal mod kTallies, so
+  // no per-message write touches a line that all threads share. Threads
+  // share a tally only past kTallies threads, hence the atomics. The
+  // 128-byte alignment also keeps the line the prefetcher pairs with a
+  // tally's own line free of other tallies.
+  struct alignas(128) Tally {
+    std::array<Counter, kNumMessageTypes> sent;
+    Counter bytes;
+    // Messages this tally's threads put in flight, and messages whose
+    // delivery ended on them: stored in a reply box, or handled. Both only
+    // grow; see quiet_now for how they prove quiescence.
+    std::atomic<std::uint64_t> entered{0};
+    std::atomic<std::uint64_t> finished{0};
+  };
+  static constexpr std::size_t kTallies = 64;
+  /// The calling thread's tally.
+  Tally& tally();
+  struct Collect {
+    std::uint64_t entered = 0;
+    std::uint64_t finished = 0;
+  };
+  /// Sums every tally's `finished`, then every tally's `entered`.
+  Collect collect() const;
+
   /// Stores a reply in its reply box, or runs the destination's handler on
-  /// this thread.
+  /// this thread, then counts the message finished on this thread's tally.
   void deliver(NodeId from, NodeId to, Message m);
-  /// Counts the message in flight and hands it to the timer (or delivers
-  /// inline at zero latency).
+  /// Counts the message in flight on this thread's tally and hands it to
+  /// the timer (or delivers inline at zero latency).
   void enqueue(NodeId from, NodeId to, Message m,
                std::chrono::nanoseconds latency);
   void note_fault(const FaultEvent& ev);
   /// Nanoseconds since this network was constructed (fault-window clock).
   std::int64_t elapsed_ns() const;
   /// One full quiescence sweep: no message in flight AND no endpoint with
-  /// buffered pending work.
+  /// buffered pending work, by a double collect around the endpoints.
   bool quiet_now() const;
   std::chrono::nanoseconds latency_for(const Message& m, NodeId from,
                                        NodeId to);
@@ -232,9 +258,7 @@ class SimNetwork {
   std::array<std::atomic<BoxChunk*>, 256> box_chunks_{};
   std::mutex box_mu_;
 
-  std::atomic<std::int64_t> in_flight_{0};
-  std::array<Counter, kNumMessageTypes> sent_by_type_;
-  Counter bytes_sent_;
+  std::array<Tally, kTallies> tallies_;
   std::atomic<std::uint64_t> jitter_state_{0x9E3779B97F4A7C15ull};
 
   // Fault layer. injector_ stays null for an inert plan so the send path

@@ -3,6 +3,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <memory>
 #include <mutex>
 #include <optional>
 #include <stdexcept>
@@ -265,6 +266,95 @@ TEST(SimNetworkTest, MessageCountersByType) {
   EXPECT_EQ(net.messages_sent(MessageType::kRemove), 2u);
   EXPECT_EQ(net.messages_sent(MessageType::kPropagate), 1u);
   EXPECT_EQ(net.messages_sent(MessageType::kReadRequest), 0u);
+}
+
+TEST(SimNetworkTest, ZeroDelaySendsFromManyThreadsAreAllCounted) {
+  SimNetwork net(2, fast_net());
+  RecordingEndpoint a(&net, 0);
+  RecordingEndpoint b(&net, 1);
+  net.register_endpoint(0, &a);
+  net.register_endpoint(1, &b);
+
+  // More threads than the network has tallies, so some threads share one.
+  constexpr int kThreads = 80;
+  constexpr int kSends = 500;
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&net] {
+      for (int i = 0; i < kSends; ++i) {
+        net.send(0, 1, PropagateMessage{0, 1, 1});
+      }
+    });
+  }
+  for (auto& t : threads) t.join();
+  EXPECT_EQ(net.messages_sent(MessageType::kPropagate),
+            std::uint64_t{kThreads} * kSends);
+  EXPECT_EQ(b.received_.load(), kThreads * kSends);
+  EXPECT_TRUE(net.wait_quiescent(1s));
+}
+
+// Forwards a Propagate until its hop budget (from_seq) runs out, then
+// counts the chain's end. A hop that leaves an odd budget goes back to
+// this node (delivered inline on the forwarding thread), one that leaves
+// an even budget to the next node (delivered off the timer).
+// A chain's last hop is handled slowly: the network is not quiet until
+// that handler returns.
+class HopEndpoint : public NodeEndpoint {
+ public:
+  HopEndpoint(SimNetwork* net, NodeId id, std::atomic<int>* ends)
+      : net_(net), id_(id), ends_(ends) {}
+
+  void handle_message(Message msg, NodeId /*from*/) override {
+    auto& hop = std::get<PropagateMessage>(msg);
+    if (hop.from_seq == 0) {
+      std::this_thread::sleep_for(1ms);
+      ends_->fetch_add(1);
+      return;
+    }
+    --hop.from_seq;
+    const NodeId next =
+        hop.from_seq % 2 == 1 ? id_ : (id_ + 1) % net_->num_nodes();
+    net_->send(id_, next, std::move(hop));
+  }
+  std::size_t pending_work() const override { return 0; }
+
+ private:
+  SimNetwork* net_;
+  NodeId id_;
+  std::atomic<int>* ends_;
+};
+
+TEST(SimNetworkTest, QuiescenceWaitsForEveryChainOfDelayedHops) {
+  constexpr std::uint32_t kNodes = 4;
+  constexpr int kChainsPerThread = 8;
+  constexpr SeqNo kHops = 40;
+  NetConfig cfg;
+  cfg.one_way_latency = 20us;
+  SimNetwork net(kNodes, cfg);
+  std::atomic<int> ends{0};
+  std::vector<std::unique_ptr<HopEndpoint>> endpoints;
+  for (NodeId n = 0; n < kNodes; ++n) {
+    endpoints.push_back(std::make_unique<HopEndpoint>(&net, n, &ends));
+    net.register_endpoint(n, endpoints.back().get());
+  }
+
+  for (int round = 0; round < 10; ++round) {
+    ends = 0;
+    // Each thread starts its chains with a loopback, so a chain's first
+    // hop runs on that thread and its later hops on the timer.
+    std::vector<std::thread> starters;
+    for (NodeId n = 0; n < kNodes; ++n) {
+      starters.emplace_back([&net, n] {
+        for (int c = 0; c < kChainsPerThread; ++c) {
+          net.send(n, n, PropagateMessage{n, kHops, 0});
+        }
+      });
+    }
+    for (auto& t : starters) t.join();
+    ASSERT_TRUE(net.wait_quiescent(5s)) << "round " << round;
+    ASSERT_EQ(ends.load(), static_cast<int>(kNodes) * kChainsPerThread)
+        << "round " << round;
+  }
 }
 
 TEST(SimNetworkTest, SerializationModeCountsBytes) {
